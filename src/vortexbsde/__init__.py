@@ -15,11 +15,7 @@ from .bsde_engine import (
     PicardIterate,
     SolverConfig,
     bsde_residual,
-    drifted_sde_solve,
-    girsanov_weight,
-    linear_bsde_solve,
     picard_solve,
-    terminal_value,
 )
 from .brownian import BrownianPath, branch, scaled_displacement, simulate
 from .errors import (

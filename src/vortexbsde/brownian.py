@@ -27,7 +27,6 @@ TAG_SIMULATE = 0x51
 TAG_BRANCH = 0xB2
 TAG_INNER = 0x1E
 TAG_DRIFT = 0xD3
-TAG_RESIDUAL = 0x4E
 TAG_COMPARE = 0xC4
 
 
@@ -47,13 +46,6 @@ def raw_increments(key, n_steps: int, dt: float, counter_start: int = 0) -> np.n
     """(n_steps, 2) Gaussian increments with variance dt per component."""
     bitgen = np.random.Philox(counter=counter_start, key=key)
     words = bitgen.random_raw(4 * n_steps).reshape(n_steps, 4)[:, :2]
-    return _words_to_normals(words) * np.sqrt(dt)
-
-
-def increment_at(key, m: int, dt: float) -> np.ndarray:
-    """Random access to increment m of the keyed stream (no predecessors)."""
-    bitgen = np.random.Philox(counter=m, key=key)
-    words = bitgen.random_raw(2)
     return _words_to_normals(words) * np.sqrt(dt)
 
 
@@ -152,9 +144,3 @@ def ensemble_increments(
     words = bitgen.random_raw(4 * steps * count).reshape(count, steps, 4)[:, :, :2]
     return _words_to_normals(words) * np.sqrt(dt)
 
-
-def dump_csv(path: BrownianPath, stream) -> None:
-    """Write the path as CSV rows (m, t, B1, B2) for debugging."""
-    stream.write("m,t,B1,B2\n")
-    for m, (t, (b1, b2)) in enumerate(zip(path.times, path.values)):
-        stream.write(f"{m},{t!r},{b1!r},{b2!r}\n")

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import brownian
-from .biot_savart import closed_form_c0, velocity_modes
+from .biot_savart import _require_mean_zero, closed_form_c0, velocity_modes
 from .errors import ConfigurationError, DomainError, NonConvergenceError, NumericalError
 from .spectral_oracle import _advection_modes
 from .torus_field import (
@@ -70,7 +70,6 @@ class SolverConfig:
 
     N: int
     L: int
-    M_outer: int
     M_inner: int
     nu: float
     T: float
@@ -85,7 +84,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.N < 4 or self.N % 2 != 0:
             raise ConfigurationError("N must be even and >= 4")
-        if min(self.L, self.M_outer, self.M_inner, self.max_iter) < 1:
+        if min(self.L, self.M_inner, self.max_iter) < 1:
             raise ConfigurationError("all counts must be >= 1")
         if self.nu <= 0 or self.T <= 0 or self.picard_tol <= 0:
             raise ConfigurationError("nu, T and picard_tol must be positive")
@@ -133,12 +132,17 @@ class BsdeSolution:
     """Converged solution pair: Y as field trajectory, Z as its gradients."""
 
     y: PicardIterate
-    z_fields: tuple
     psi: ScalarField
     config: SolverConfig
     norms: dict
     history: tuple
     path_ensemble_meta: dict
+
+    @property
+    def z_fields(self) -> tuple:
+        """Z at node tau is the spatial gradient of omega(tau, .); the pathwise
+        process is this field translated by sqrt(2*nu) B_t."""
+        return tuple(gradient(f) for f in self.y.fields)
 
 
 @dataclass
@@ -155,45 +159,6 @@ class SolveStats:
 
 # ---------------------------------------------------------------------------
 # elementary operations
-
-
-def terminal_value(psi: ScalarField, path: brownian.BrownianPath, nu: float) -> ScalarField:
-    """xi = psi( . + sqrt(2*nu) B_T), the terminal random field along a path."""
-    from .torus_field import translate
-
-    if abs(psi.modes[0, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(psi.modes)))):
-        raise DomainError("terminal data psi must be mean-zero")
-    if path.steps < 1:
-        raise ConfigurationError("path has no steps")
-    shift = brownian.scaled_displacement(path, path.steps, nu)
-    return translate(psi, shift)
-
-
-def girsanov_weight(h_values: np.ndarray, increments: np.ndarray, dt: float) -> float:
-    """exp(-sum <h_m, dB_m> - 1/2 sum |h_m|^2 dt) with left-point h.
-
-    Overflowing or non-finite exponents raise: a clipped weight would
-    silently break the martingale property, so failure must be loud.
-    """
-    h = np.asarray(h_values, dtype=np.float64)
-    db = np.asarray(increments, dtype=np.float64)
-    if h.shape != db.shape or h.ndim != 2 or h.shape[1] != 2:
-        raise ConfigurationError(f"h and increments must both be (n, 2), got {h.shape} vs {db.shape}")
-    if not np.all(np.isfinite(h)):
-        raise NumericalError("non-finite h in Girsanov weight")
-    exponent = -float(np.sum(h * db)) - 0.5 * float(np.sum(h * h)) * dt
-    weight = np.exp(exponent)
-    if not np.isfinite(weight) or weight <= 0.0:
-        raise NumericalError(
-            "Girsanov weight overflow", diagnostics={"exponent": exponent}
-        )
-    return float(weight)
-
-
-def extract_Z(iterate: PicardIterate) -> tuple:
-    """Z at node tau is the spatial gradient of omega(tau, .); the pathwise
-    process is this field translated by sqrt(2*nu) B_t."""
-    return tuple(gradient(f) for f in iterate.fields)
 
 
 def heat_mode_stack(psi_modes: np.ndarray, nu: float, dt: float, steps: int) -> np.ndarray:
@@ -215,200 +180,65 @@ def heat_iterate(psi: ScalarField, config: SolverConfig, alpha: float) -> Picard
 
 
 # ---------------------------------------------------------------------------
-# the weighted (Girsanov) linear solve
+# the linear backward solve: one Monte Carlo skeleton, two estimators
 
 
 def _lattice_sup(stack: np.ndarray) -> np.ndarray:
     return np.max(np.abs(modes_to_grid(stack)), axis=(-2, -1))
 
 
-def _active_indices(mag: np.ndarray, threshold_rel: float):
-    peak = float(mag.max(initial=0.0))
-    if peak == 0.0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    i1, i2 = np.nonzero(mag > threshold_rel * peak)
-    return i1, i2
+def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator):
+    """One Picard step: heat control variate plus a Monte Carlo correction.
 
-
-def _exact_speed_sq_modes(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Modes of |u|^2 on the doubled grid, exact for band-limited u."""
-    big1 = np.stack([embed_modes(m, 2) for m in u1])
-    big2 = np.stack([embed_modes(m, 2) for m in u2])
-    v1 = modes_to_grid(big1)
-    v2 = modes_to_grid(big2)
-    return grid_to_modes(v1 * v1 + v2 * v2)
-
-
-def _fold_positions(kvals1: np.ndarray, kvals2: np.ndarray, n: int):
-    """Fold extended-grid wavenumbers mod N onto base-grid flat positions.
-
-    Evaluation on the N lattice cannot distinguish k from k mod N, so
-    folded scatter-addition is exact for lattice sampling.
+    Owns what both estimators share: the grid and mean-zero checks, Nyquist
+    hygiene, the velocity of ``prev``, the exact heat stack, the keyed
+    increments and displacements, branch chunking and the sum,
+    sum-of-squares and group accumulation.  ``estimator(config, psi_modes,
+    u1, u2)`` returns ``(chunk, samples)``; ``samples(db, disp)`` yields
+    ``(m, sample)`` for nodes m = 1..L, ``sample`` being the (branches, N, N)
+    lattice values of the correction for one chunk of branches.
     """
-    return (kvals1 % n) * n + (kvals2 % n)
-
-
-@dataclass
-class _ScatterPlan:
-    order: np.ndarray
-    starts: np.ndarray
-    targets: np.ndarray
-
-    @classmethod
-    def build(cls, flat_positions: np.ndarray):
-        order = np.argsort(flat_positions, kind="stable")
-        ordered = flat_positions[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        return cls(order=order, starts=starts, targets=ordered[starts])
-
-    def accumulate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sum values (..., K) into unique targets; returns (targets, sums)."""
-        ordered = values[..., self.order]
-        return self.targets, np.add.reduceat(ordered, self.starts, axis=-1)
-
-
-def _chunk_size(n_branches: int, steps: int, n: int, k_total: int) -> int:
-    per_branch = 16 * (
-        2 * (steps + 1) * (2 * n)  # extended phase tables
-        + 2 * (steps + 1) * n  # base-grid phase tables
-        + 6 * 2 * steps * max(k_total, 1)  # convolution work arrays
-        + 4 * n * n  # per-node field temporaries
-    )
-    return int(np.clip(_CHUNK_BUDGET // max(per_branch, 1), 1, n_branches))
-
-
-def solve_weighted_with_stats(
-    prev: PicardIterate, config: SolverConfig
-) -> tuple[PicardIterate, SolveStats]:
-    """One Picard step by Girsanov-weighted branch averages; returns stats."""
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     m_inner, n_groups = config.M_inner, config.groups
     if prev.steps != steps or prev.fields[0].grid_size != n:
         raise ConfigurationError("iterate grid does not match solver config")
-    sqrt2nu = np.sqrt(2.0 * nu)
+    _require_mean_zero(prev.fields[0], "iterate terminal slice")
 
     omega = prev.mode_stack()
     omega[:, _nyquist_mask(n)] = 0.0  # multiplier-application hygiene
     psi_modes = omega[0]
-    if abs(psi_modes[0, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(psi_modes)))):
-        raise DomainError("iterate terminal slice must be mean-zero")
     u1, u2 = velocity_modes(omega)
-
-    # Predictable-evaluation guard: |h| sqrt(dt) must stay small or the
-    # exponential moments are meaningless.
-    v1 = modes_to_grid(np.stack([embed_modes(m, 2) for m in u1]))
-    v2 = modes_to_grid(np.stack([embed_modes(m, 2) for m in u2]))
-    max_h = float(np.max(np.hypot(v1, v2))) / sqrt2nu
-    if max_h * np.sqrt(dt) > 1.0:
-        raise NumericalError(
-            "drift too large for the time step",
-            diagnostics={"max_h": max_h, "dt": dt},
-        )
-    del v1, v2
-
+    chunk, samples = estimator(config, psi_modes, u1, u2)
     heat = heat_mode_stack(psi_modes, nu, dt, steps)
 
-    # Active mode sets: u_n for the dB term, |u_n|^2 (doubled grid) for the
-    # ds term.  Dropping relative mass below the threshold perturbs the
-    # exponent by orders of magnitude less than the Monte Carlo noise.
-    thr = config.mode_threshold_rel
-    mag_a = (np.abs(u1[1:]) + np.abs(u2[1:])).max(axis=0)
-    ia1, ia2 = _active_indices(mag_a, thr)
-    k_base = wavenumbers(n)
-
-    q_modes = _exact_speed_sq_modes(u1[1:], u2[1:]) if ia1.size else None
-    if q_modes is not None:
-        mag_q = np.abs(q_modes).max(axis=0)
-        iq1, iq2 = _active_indices(mag_q, thr)
-        k_ext = wavenumbers(2 * n)
-        kq1, kq2 = k_ext[iq1], k_ext[iq2]
-    else:
-        iq1 = iq2 = kq1 = kq2 = np.empty(0, np.int64)
-
-    k_a, k_q = ia1.size, iq1.size
-    have_drift = k_a > 0
-
-    # Frequency-domain coefficient tables for the causal convolutions
-    # A_m = sum_{j<m} <u_{m-j}, dB_j> phase_j, Q_m = sum_{j<m} q_{m-j} phase_j.
-    pad = 2 * steps
-    if have_drift:
-        cu1 = np.zeros((pad, k_a), dtype=np.complex128)
-        cu2 = np.zeros((pad, k_a), dtype=np.complex128)
-        cu1[1 : steps + 1] = u1[1:, ia1, ia2]
-        cu2[1 : steps + 1] = u2[1:, ia1, ia2]
-        fu1 = np.fft.fft(cu1, axis=0)
-        fu2 = np.fft.fft(cu2, axis=0)
-        cq = np.zeros((pad, k_q), dtype=np.complex128)
-        cq[1 : steps + 1] = q_modes[:, iq1, iq2]
-        fq = np.fft.fft(cq, axis=0)
-        flat_a = ia1 * n + ia2
-        plan_q = _ScatterPlan.build(_fold_positions(kq1, kq2, n)) if k_q else None
-
-    db = brownian.ensemble_increments(
-        config.base_seed, brownian.TAG_INNER, m_inner, steps, dt
-    )
+    db = brownian.ensemble_increments(config.base_seed, tag, m_inner, steps, dt)
     disp = np.zeros((m_inner, steps + 1, 2))
     np.cumsum(db, axis=1, out=disp[:, 1:, :])
-    disp *= sqrt2nu
+    disp *= np.sqrt(2.0 * nu)
 
     group_of = (np.arange(m_inner) * n_groups) // m_inner
     group_counts = np.bincount(group_of, minlength=n_groups)
-
     sum_f = np.zeros((steps + 1, n, n))
     sumsq_f = np.zeros((steps + 1, n, n))
     group_sum = np.zeros((n_groups, steps + 1, n, n))
 
-    k_ext_all = wavenumbers(2 * n).astype(np.float64)
-    base_in_ext = k_base % (2 * n)
-    chunk = _chunk_size(m_inner, steps, n, k_a + k_q)
-
     for b0 in range(0, m_inner, chunk):
         b1 = min(b0 + chunk, m_inner)
-        bc = b1 - b0
-        d = disp[b0:b1]  # (bc, L+1, 2)
-        px_ext = np.exp(TWO_PI * 1j * d[:, :, 0, None] * k_ext_all)
-        py_ext = np.exp(TWO_PI * 1j * d[:, :, 1, None] * k_ext_all)
-        px = px_ext[:, :, base_in_ext]
-        py = py_ext[:, :, base_in_ext]
-
-        if have_drift:
-            ph_a = px[:, :steps, ia1] * py[:, :steps, ia2]  # (bc, L, K_A)
-            xa1 = db[b0:b1, :, 0, None] * ph_a
-            xa2 = db[b0:b1, :, 1, None] * ph_a
-            fa = np.fft.fft(xa1, n=pad, axis=1) * fu1[None, :, :]
-            fa += np.fft.fft(xa2, n=pad, axis=1) * fu2[None, :, :]
-            a_nodes = np.fft.ifft(fa, axis=1)[:, 1 : steps + 1, :]
-            if k_q:
-                ph_q = px_ext[:, :steps, iq1] * py_ext[:, :steps, iq2]
-                fqq = np.fft.fft(ph_q, n=pad, axis=1) * fq[None, :, :]
-                q_nodes = np.fft.ifft(fqq, axis=1)[:, 1 : steps + 1, :]
-
         run_starts = np.flatnonzero(
             np.r_[True, group_of[b0 + 1 : b1] != group_of[b0 : b1 - 1]]
         )
         run_groups = group_of[b0:b1][run_starts]
-
-        for m in range(1, steps + 1):
-            if have_drift:
-                em = np.zeros((bc, n * n), dtype=np.complex128)
-                em[:, flat_a] = a_nodes[:, m - 1, :] / sqrt2nu
-                if k_q:
-                    targets, sums = plan_q.accumulate(q_nodes[:, m - 1, :])
-                    em[:, targets] += sums * (dt / (4.0 * nu))
-                exponent = modes_to_grid(em.reshape(bc, n, n))
-                if not np.all(np.isfinite(exponent)):
-                    raise NumericalError(
-                        "Girsanov weight overflow in linear solve",
-                        diagnostics={"node": m},
-                    )
-                w_minus_1 = np.expm1(-exponent)
-            else:
-                w_minus_1 = np.zeros((bc, n, n))
-            ph_psi = px[:, m, :, None] * py[:, m, None, :]
-            psi_shift = modes_to_grid(psi_modes[None, :, :] * ph_psi)
-            sample = psi_shift * w_minus_1
+        for m, sample in samples(db[b0:b1], disp[b0:b1]):
+            # A non-finite sample (e.g. an overflowing Girsanov weight) makes
+            # its squared sum non-finite; clipping it would bias the mean.
+            sq = np.square(sample).sum(axis=0)
+            if not np.all(np.isfinite(sq)):
+                raise NumericalError(
+                    "non-finite Monte Carlo sample in linear solve",
+                    diagnostics={"node": m},
+                )
             sum_f[m] += sample.sum(axis=0)
-            sumsq_f[m] += np.square(sample).sum(axis=0)
+            sumsq_f[m] += sq
             partial = np.add.reduceat(sample, run_starts, axis=0)
             np.add.at(group_sum, (run_groups, m), partial)
 
@@ -454,14 +284,169 @@ def _assemble_iterate(prev, config, heat, sum_f, sumsq_f, group_sum, group_count
     return iterate, stats
 
 
-def linear_bsde_solve(prev: PicardIterate, config: SolverConfig) -> PicardIterate:
-    """Public form of the weighted linear solve (stats dropped)."""
-    iterate, _ = solve_weighted_with_stats(prev, config)
-    return iterate
+def solve_weighted_with_stats(
+    prev: PicardIterate, config: SolverConfig
+) -> tuple[PicardIterate, SolveStats]:
+    """One Picard step by Girsanov-weighted branch averages; returns stats."""
+    return _linear_solve(prev, config, brownian.TAG_INNER, _weighted_estimator)
+
+
+def solve_drifted_with_stats(
+    prev: PicardIterate, config: SolverConfig
+) -> tuple[PicardIterate, SolveStats]:
+    """One Picard step by Euler-Maruyama on dX = -u_n dt + sqrt(2 nu) dB.
+
+    Equivalent in law to the Girsanov-weighted solve; used as an
+    independent estimator for the equivalence check.  Velocities are
+    bilinearly interpolated on 4x oversampled grids; the terminal psi is
+    evaluated spectrally so the heat control variate stays exactly unbiased.
+    """
+    return _linear_solve(prev, config, brownian.TAG_DRIFT, _drifted_estimator)
 
 
 # ---------------------------------------------------------------------------
-# the drifted-SDE cross-check (Girsanov equivalence)
+# the weighted (Girsanov) estimator
+
+
+def _active_indices(mag: np.ndarray, threshold_rel: float):
+    peak = float(mag.max(initial=0.0))
+    if peak == 0.0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return np.nonzero(mag > threshold_rel * peak)
+
+
+def _fold_positions(kvals1: np.ndarray, kvals2: np.ndarray, n: int):
+    """Fold extended-grid wavenumbers mod N onto base-grid flat positions.
+
+    Evaluation on the N lattice cannot distinguish k from k mod N, so
+    folded scatter-addition is exact for lattice sampling.
+    """
+    return (kvals1 % n) * n + (kvals2 % n)
+
+
+@dataclass
+class _ScatterPlan:
+    order: np.ndarray
+    starts: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def build(cls, flat_positions: np.ndarray):
+        order = np.argsort(flat_positions, kind="stable")
+        ordered = flat_positions[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        return cls(order=order, starts=starts, targets=ordered[starts])
+
+    def accumulate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sum values (..., K) into unique targets; returns (targets, sums)."""
+        ordered = values[..., self.order]
+        return self.targets, np.add.reduceat(ordered, self.starts, axis=-1)
+
+
+def _chunk_size(n_branches: int, steps: int, n: int, k_total: int) -> int:
+    per_branch = 16 * (
+        2 * (steps + 1) * (2 * n)  # extended phase tables
+        + 2 * (steps + 1) * n  # base-grid phase tables
+        + 6 * 2 * steps * max(k_total, 1)  # convolution work arrays
+        + 4 * n * n  # per-node field temporaries
+    )
+    return int(np.clip(_CHUNK_BUDGET // max(per_branch, 1), 1, n_branches))
+
+
+def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
+    """Samples psi(z + disp_m) * (W_m - 1) over Girsanov-weighted branches."""
+    n, steps, dt, nu = config.N, config.L, config.dt, config.nu
+    sqrt2nu = np.sqrt(2.0 * nu)
+
+    # Velocity on the doubled grid, synthesised once: the predictable-
+    # evaluation guard reads every node (|h| sqrt(dt) must stay small or the
+    # exponential moments are meaningless), |u|^2 reads nodes 1..L.
+    v1 = modes_to_grid(np.stack([embed_modes(m, 2) for m in u1]))
+    v2 = modes_to_grid(np.stack([embed_modes(m, 2) for m in u2]))
+    max_h = float(np.max(np.hypot(v1, v2))) / sqrt2nu
+    if max_h * np.sqrt(dt) > 1.0:
+        raise NumericalError(
+            "drift too large for the time step",
+            diagnostics={"max_h": max_h, "dt": dt},
+        )
+
+    # Active mode sets: u_n for the dB term, |u_n|^2 (doubled grid, exact
+    # for band-limited u) for the ds term.  Dropping relative mass below the
+    # threshold perturbs the exponent by orders of magnitude less than the
+    # Monte Carlo noise.
+    thr = config.mode_threshold_rel
+    mag_a = (np.abs(u1[1:]) + np.abs(u2[1:])).max(axis=0)
+    ia1, ia2 = _active_indices(mag_a, thr)
+
+    if ia1.size:
+        w1, w2 = v1[1:], v2[1:]
+        q_modes = grid_to_modes(w1 * w1 + w2 * w2)
+        iq1, iq2 = _active_indices(np.abs(q_modes).max(axis=0), thr)
+        k_ext = wavenumbers(2 * n)
+        kq1, kq2 = k_ext[iq1], k_ext[iq2]
+    else:
+        iq1 = iq2 = kq1 = kq2 = np.empty(0, np.int64)
+
+    k_a, k_q = ia1.size, iq1.size
+    have_drift = k_a > 0
+
+    # Frequency-domain coefficient tables for the causal convolutions
+    # A_m = sum_{j<m} <u_{m-j}, dB_j> phase_j, Q_m = sum_{j<m} q_{m-j} phase_j.
+    pad = 2 * steps
+    if have_drift:
+        cu1 = np.zeros((pad, k_a), dtype=np.complex128)
+        cu2 = np.zeros((pad, k_a), dtype=np.complex128)
+        cu1[1 : steps + 1] = u1[1:, ia1, ia2]
+        cu2[1 : steps + 1] = u2[1:, ia1, ia2]
+        fu1 = np.fft.fft(cu1, axis=0)
+        fu2 = np.fft.fft(cu2, axis=0)
+        cq = np.zeros((pad, k_q), dtype=np.complex128)
+        cq[1 : steps + 1] = q_modes[:, iq1, iq2]
+        fq = np.fft.fft(cq, axis=0)
+        flat_a = ia1 * n + ia2
+        plan_q = _ScatterPlan.build(_fold_positions(kq1, kq2, n)) if k_q else None
+
+    k_ext_all = wavenumbers(2 * n).astype(np.float64)
+    base_in_ext = wavenumbers(n) % (2 * n)
+
+    def samples(db, disp):
+        bc = db.shape[0]
+        px_ext = np.exp(TWO_PI * 1j * disp[:, :, 0, None] * k_ext_all)
+        py_ext = np.exp(TWO_PI * 1j * disp[:, :, 1, None] * k_ext_all)
+        px = px_ext[:, :, base_in_ext]
+        py = py_ext[:, :, base_in_ext]
+
+        if have_drift:
+            ph_a = px[:, :steps, ia1] * py[:, :steps, ia2]  # (bc, L, K_A)
+            xa1 = db[:, :, 0, None] * ph_a
+            xa2 = db[:, :, 1, None] * ph_a
+            fa = np.fft.fft(xa1, n=pad, axis=1) * fu1[None, :, :]
+            fa += np.fft.fft(xa2, n=pad, axis=1) * fu2[None, :, :]
+            a_nodes = np.fft.ifft(fa, axis=1)[:, 1 : steps + 1, :]
+            if k_q:
+                ph_q = px_ext[:, :steps, iq1] * py_ext[:, :steps, iq2]
+                fqq = np.fft.fft(ph_q, n=pad, axis=1) * fq[None, :, :]
+                q_nodes = np.fft.ifft(fqq, axis=1)[:, 1 : steps + 1, :]
+
+        for m in range(1, steps + 1):
+            if have_drift:
+                em = np.zeros((bc, n * n), dtype=np.complex128)
+                em[:, flat_a] = a_nodes[:, m - 1, :] / sqrt2nu
+                if k_q:
+                    targets, sums = plan_q.accumulate(q_nodes[:, m - 1, :])
+                    em[:, targets] += sums * (dt / (4.0 * nu))
+                w_minus_1 = np.expm1(-modes_to_grid(em.reshape(bc, n, n)))
+            else:
+                w_minus_1 = np.zeros((bc, n, n))
+            ph_psi = px[:, m, :, None] * py[:, m, None, :]
+            psi_shift = modes_to_grid(psi_modes[None, :, :] * ph_psi)
+            yield m, psi_shift * w_minus_1
+
+    return _chunk_size(config.M_inner, steps, n, k_a + k_q), samples
+
+
+# ---------------------------------------------------------------------------
+# the drifted-SDE estimator (Girsanov equivalence cross-check)
 
 
 def _bilinear(grid: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -504,74 +489,37 @@ def _spectral_point_values(modes: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return np.real(phases @ modes[i1, i2])
 
 
-def solve_drifted_with_stats(
-    prev: PicardIterate, config: SolverConfig
-) -> tuple[PicardIterate, SolveStats]:
-    """One Picard step by Euler-Maruyama on dX = -u_n dt + sqrt(2 nu) dB.
+def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
+    """Samples psi(X_m) - psi(z + disp_m) along Euler-Maruyama paths X.
 
-    Equivalent in law to the Girsanov-weighted solve; used as an
-    independent estimator for the equivalence check.  Velocities are
-    bilinearly interpolated on 4x oversampled grids; the terminal psi is
-    evaluated spectrally so the heat control variate stays exactly unbiased.
+    Takes all branches as one chunk, so every sum adds the paths in order.
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
-    m_paths, n_groups = config.M_inner, config.groups
-    if prev.steps != steps or prev.fields[0].grid_size != n:
-        raise ConfigurationError("iterate grid does not match solver config")
     sqrt2nu = np.sqrt(2.0 * nu)
-
-    omega = prev.mode_stack()
-    omega[:, _nyquist_mask(n)] = 0.0
-    psi_modes = omega[0]
-    u1, u2 = velocity_modes(omega)
     # Pack both components into one complex grid: a single interpolation
     # pass per step recovers the drift as (real, imag).
     u_grids = modes_to_grid(np.stack([embed_modes(m, 4) for m in u1])) + 1j * (
         modes_to_grid(np.stack([embed_modes(m, 4) for m in u2]))
     )
-
-    heat = heat_mode_stack(psi_modes, nu, dt, steps)
-    db = brownian.ensemble_increments(
-        config.base_seed, brownian.TAG_DRIFT, m_paths, steps, dt
-    )
-    disp = np.zeros((m_paths, steps + 1, 2))
-    np.cumsum(db, axis=1, out=disp[:, 1:, :])
-    disp *= sqrt2nu
-
     grid_1d = np.arange(n) / n
     zx, zy = np.meshgrid(grid_1d, grid_1d, indexing="ij")
     lattice = np.stack([zx.ravel(), zy.ravel()], axis=-1)  # (N^2, 2)
 
-    group_of = (np.arange(m_paths) * n_groups) // m_paths
-    group_counts = np.bincount(group_of, minlength=n_groups)
-    sum_f = np.zeros((steps + 1, n, n))
-    sumsq_f = np.zeros((steps + 1, n, n))
-    group_sum = np.zeros((n_groups, steps + 1, n, n))
+    def samples(db, disp):
+        bc = db.shape[0]
+        for m in range(1, steps + 1):
+            pos = np.broadcast_to(lattice[None], (bc, n * n, 2)).copy()
+            for j in range(m):
+                ell = m - j  # left-point field index: time-to-go (m - j) dt
+                drift = _bilinear(u_grids[ell], pos)
+                pos[..., 0] += -drift.real * dt + sqrt2nu * db[:, j, 0, None]
+                pos[..., 1] += -drift.imag * dt + sqrt2nu * db[:, j, 1, None]
+            vals = _spectral_point_values(psi_modes, pos)
+            cv_pos = lattice[None] + disp[:, m, None, :]
+            cv_vals = _spectral_point_values(psi_modes, cv_pos)
+            yield m, (vals - cv_vals).reshape(bc, n, n)
 
-    for m in range(1, steps + 1):
-        pos = np.broadcast_to(lattice[None], (m_paths, n * n, 2)).copy()
-        for j in range(m):
-            ell = m - j  # left-point field index: time-to-go (m - j) dt
-            drift = _bilinear(u_grids[ell], pos)
-            pos[..., 0] += -drift.real * dt + sqrt2nu * db[:, j, 0, None]
-            pos[..., 1] += -drift.imag * dt + sqrt2nu * db[:, j, 1, None]
-        vals = _spectral_point_values(psi_modes, pos)
-        cv_pos = lattice[None] + disp[:, m, None, :]
-        cv_vals = _spectral_point_values(psi_modes, cv_pos)
-        sample = (vals - cv_vals).reshape(m_paths, n, n)
-        sum_f[m] = sample.sum(axis=0)
-        sumsq_f[m] = np.square(sample).sum(axis=0)
-        for g in range(n_groups):
-            group_sum[g, m] = sample[group_of == g].sum(axis=0)
-
-    return _assemble_iterate(
-        prev, config, heat, sum_f, sumsq_f, group_sum, group_counts
-    )
-
-
-def drifted_sde_solve(prev: PicardIterate, config: SolverConfig) -> PicardIterate:
-    iterate, _ = solve_drifted_with_stats(prev, config)
-    return iterate
+    return config.M_inner, samples
 
 
 # ---------------------------------------------------------------------------
@@ -657,11 +605,6 @@ def select_alpha(c0: float, c1: float, nu: float, horizon: float) -> float:
     return max(a1, a2)
 
 
-def _group_bmo_profiles(group_modes: np.ndarray) -> np.ndarray:
-    """(G, L+1) gradient-norm-squared profiles of the group mean fields."""
-    return np.stack([grad_norm_sq_profile(g) for g in group_modes])
-
-
 def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
     """Fixed-point iteration of the linear backward solve.
 
@@ -672,8 +615,7 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
     """
     if psi.grid_size != config.N:
         raise ConfigurationError("psi grid does not match solver config")
-    if abs(psi.modes[0, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(psi.modes)))):
-        raise DomainError("terminal data psi must be mean-zero")
+    _require_mean_zero(psi, "terminal data psi")
     dt = config.dt
     c1 = sup_norm(psi)
     c0 = closed_form_c0(1, config.N)
@@ -776,13 +718,11 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
 def _finalize_solution(psi, config, iterate, group_modes, history, c0, c1, alpha):
     dt = config.dt
     stack = iterate.mode_stack()
-    z_fields = extract_Z(iterate)
     bmo_sq = z_alpha_bmo_sq(stack, 0.0, dt)
     if group_modes is not None:
-        group_profiles = _group_bmo_profiles(group_modes)
-        g = group_profiles.shape[0]
+        g = group_modes.shape[0]
         group_bmo_sq = np.array(
-            [_prefix_quadrature(p, dt)[-1] for p in group_profiles]
+            [_prefix_quadrature(grad_norm_sq_profile(gm), dt)[-1] for gm in group_modes]
         )
         se_bmo_sq = float(np.std(group_bmo_sq, ddof=1) / np.sqrt(g))
         # Quadratic functionals of a mean carry an O(1/M) noise bias;
@@ -815,7 +755,6 @@ def _finalize_solution(psi, config, iterate, group_modes, history, c0, c1, alpha
     }
     return BsdeSolution(
         y=iterate,
-        z_fields=z_fields,
         psi=psi,
         config=config,
         norms=norms,
@@ -900,7 +839,6 @@ def subsample_solution(solution: BsdeSolution, factor: int) -> BsdeSolution:
     it = PicardIterate(tuple(fields), solution.y.iteration_index, solution.y.alpha)
     return BsdeSolution(
         y=it,
-        z_fields=solution.z_fields[::factor],
         psi=solution.psi,
         config=new_config,
         norms=solution.norms,

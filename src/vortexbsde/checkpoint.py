@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .bsde_engine import BsdeSolution, PicardIterate, SolverConfig, extract_Z
+from .bsde_engine import BsdeSolution, PicardIterate, SolverConfig
 from .errors import ConfigurationError
 from .spectral_oracle import VorticityTrajectory
 from .torus_field import ScalarField
@@ -102,25 +103,10 @@ def read_trajectory(path) -> VorticityTrajectory:
 # solution bundle
 
 
-def _config_to_dict(config: SolverConfig) -> dict:
-    return {
-        "N": config.N,
-        "L": config.L,
-        "M_outer": config.M_outer,
-        "M_inner": config.M_inner,
-        "nu": config.nu,
-        "T": config.T,
-        "alpha": config.alpha,
-        "picard_tol": config.picard_tol,
-        "picard_tol_mode": config.picard_tol_mode,
-        "max_iter": config.max_iter,
-        "base_seed": config.base_seed,
-        "mode_threshold_rel": config.mode_threshold_rel,
-        "groups": config.groups,
-    }
-
-
 def _config_from_dict(d: dict) -> SolverConfig:
+    unknown = sorted(set(d) - {f.name for f in fields(SolverConfig)})
+    if unknown:
+        raise ConfigurationError(f"solution config has unknown keys {unknown}")
     return SolverConfig(**d)
 
 
@@ -130,7 +116,7 @@ def write_solution_bundle(directory, solution: BsdeSolution) -> list:
     directory.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema_version": FORMAT_VERSION,
-        "config": _config_to_dict(solution.config),
+        "config": asdict(solution.config),
         "norms": solution.norms,
         "history": list(solution.history),
         "path_ensemble_meta": solution.path_ensemble_meta,
@@ -157,7 +143,6 @@ def read_solution_bundle(directory) -> BsdeSolution:
     iterate = PicardIterate(traj.fields, doc["iteration_index"], doc["alpha"])
     return BsdeSolution(
         y=iterate,
-        z_fields=extract_Z(iterate),
         psi=psi,
         config=config,
         norms=doc["norms"],

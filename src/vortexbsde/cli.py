@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -133,14 +134,12 @@ SOLVE_SCHEMA = _Schema(
         "T": (float, _REQUIRED),
         "psi_modes": (_parse_modes, _REQUIRED),
         "M_inner": (int, _REQUIRED),
-        "M_outer": (int, 32),
         "max_iter": (int, 8),
         "picard_tol": (float, 2.0),
         "picard_tol_mode": (str, "noise_floor_multiple"),
         "alpha": (_float_or_auto, None),
         "groups": (int, 16),
         "mode_threshold_rel": (float, 1e-7),
-        "workers": (int, 1),  # accepted for schema compat; execution is sequential
     }
 )
 
@@ -289,21 +288,7 @@ def cmd_oracle(parsed: dict, manifest: RunManifest) -> None:
 def cmd_solve(parsed: dict, manifest: RunManifest) -> None:
     outdir = manifest.outdir
     psi = _build_psi(parsed)
-    config = SolverConfig(
-        N=parsed["N"],
-        L=parsed["L"],
-        M_outer=parsed["M_outer"],
-        M_inner=parsed["M_inner"],
-        nu=parsed["nu"],
-        T=parsed["T"],
-        alpha=parsed["alpha"],
-        picard_tol=parsed["picard_tol"],
-        picard_tol_mode=parsed["picard_tol_mode"],
-        max_iter=parsed["max_iter"],
-        base_seed=parsed["base_seed"],
-        mode_threshold_rel=parsed["mode_threshold_rel"],
-        groups=parsed["groups"],
-    )
+    config = SolverConfig(**{f.name: parsed[f.name] for f in fields(SolverConfig)})
     with manifest.time_phase("picard_solve"):
         solution = picard_solve(psi, config)
     with manifest.time_phase("write"):

@@ -17,8 +17,6 @@ jackknife-debiased (group bias is G times the full-mean bias).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bsde_engine import BsdeSolution
@@ -44,33 +42,6 @@ def assert_alpha_conditions(alpha: float, c0: float, c1: float, nu: float, horiz
     return {"condition1": cond1, "condition2": cond2, "ok": bool(ok)}
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Bundle of measured quantities vs. their a priori bounds."""
-
-    c1: float
-    c0: float
-    z_bmo_measured: float  # sqrt of the debiased squared proxy
-    z_bmo_se: float  # standard error of the sqrt-scale measurement
-    z_bmo_bound: float
-    max_principle_margin: float
-    contraction_ratios: tuple
-    alpha: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "constants": {"C1": self.c1, "C0": self.c0, "alpha": self.alpha},
-            "z_bmo": {
-                "measured": self.z_bmo_measured,
-                "se": self.z_bmo_se,
-                "bound": self.z_bmo_bound,
-            },
-            "max_principle": {"margin": self.max_principle_margin},
-            "contraction": {"ratios": list(self.contraction_ratios)},
-        }
-
-
 def max_principle_check(solution: BsdeSolution, c1: float) -> dict:
     """Margin min over iterations and nodes of (C1 + eps_MC - sup|omega_n|).
 
@@ -94,12 +65,7 @@ def max_principle_check(solution: BsdeSolution, c1: float) -> dict:
     }
 
 
-def iterate_sup_margin(sups, c1: float, eps_mc: float) -> float:
-    """Margin of a hand-supplied iterate sup profile (detector utility)."""
-    return float(np.min(c1 + eps_mc - np.asarray(sups, dtype=np.float64)))
-
-
-def z_bmo_check(solution: BsdeSolution, config=None) -> dict:
+def z_bmo_check(solution: BsdeSolution) -> dict:
     """Measured BMO proxy against the printed bound, with 3-SE allowance.
 
     The proxy is a lower bound for the essential supremum over paths (the
@@ -107,10 +73,9 @@ def z_bmo_check(solution: BsdeSolution, config=None) -> dict:
     degenerate and the uncertainty is the solver's own Monte Carlo error,
     estimated from branch groups).
     """
-    cfg = config or solution.config
     norms = solution.norms
     c1, c0 = norms["c1"], norms["c0"]
-    bound = z_bmo_bound(c1, cfg.nu, cfg.T, c0)
+    bound = z_bmo_bound(c1, solution.config.nu, solution.config.T, c0)
     measured_sq = max(norms["z_bmo_sq_debiased"], 0.0)
     se_sq = norms["z_bmo_sq_se"]
     measured = float(np.sqrt(measured_sq))
@@ -171,23 +136,6 @@ def contraction_check(history, alpha: float) -> dict:
         "half_contraction_with_allowance": half_with_allowance,
         "alpha": alpha,
     }
-
-
-def build_report(solution: BsdeSolution) -> EstimateReport:
-    norms = solution.norms
-    mp = max_principle_check(solution, norms["c1"])
-    zb = z_bmo_check(solution)
-    cc = contraction_check(solution.history, norms["alpha"])
-    return EstimateReport(
-        c1=norms["c1"],
-        c0=norms["c0"],
-        z_bmo_measured=zb["measured"],
-        z_bmo_se=zb["se"],
-        z_bmo_bound=zb["bound"],
-        max_principle_margin=mp["margin"],
-        contraction_ratios=tuple(cc["ratios"]),
-        alpha=norms["alpha"],
-    )
 
 
 def full_json_report(solution: BsdeSolution) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biot_savart import velocity_modes
+from .biot_savart import _require_mean_zero, velocity_modes
 from .errors import ConfigurationError, DomainError
 from .torus_field import (
     ScalarField,
@@ -101,8 +101,7 @@ def _advection_modes(omega_modes: np.ndarray) -> tuple[np.ndarray, float]:
 
 def nonlinear_term(omega: ScalarField) -> ScalarField:
     """u . grad(omega) with u = K(omega), formed dealiased (3/2 padding)."""
-    if abs(omega.modes[0, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(omega.modes)))):
-        raise DomainError("nonlinear term needs mean-zero vorticity")
+    _require_mean_zero(omega, "vorticity of the nonlinear term")
     adv, _ = _advection_modes(omega.modes)
     return ScalarField(adv, mean_zero_required=True)
 
@@ -123,8 +122,7 @@ def evolve(omega0: ScalarField, nu: float, horizon: float, steps: int) -> Vortic
         raise ConfigurationError("nu and T must be positive")
     if steps < 1:
         raise ConfigurationError("need at least one time step")
-    if abs(omega0.modes[0, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(omega0.modes)))):
-        raise DomainError("initial vorticity must be mean-zero")
+    _require_mean_zero(omega0, "initial vorticity")
     n = omega0.grid_size
     dt = horizon / steps
     k = wavenumbers(n).astype(np.float64)

@@ -93,6 +93,9 @@ class ScalarField:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigurationError(f"mode array must be square, got {m.shape}")
         _validate_grid_size(m.shape[0])
+        # Every check below compares, and a NaN comparison is always False.
+        if not np.all(np.isfinite(m)):
+            raise DomainError("mode array has non-finite entries")
         scale = max(float(np.max(np.abs(m))), 1.0)
         asym = float(np.max(np.abs(m - _hermitian_conjugate(m))))
         if asym > _IMAG_TOL * scale:

@@ -65,7 +65,7 @@ def two_mode_psi():
 def single_mode_run():
     psi = single_mode_psi()
     cfg = SolverConfig(
-        N=N, L=128, M_outer=32, M_inner=2000, nu=0.1, T=0.5,
+        N=N, L=128, M_inner=2000, nu=0.1, T=0.5,
         picard_tol=2.0, picard_tol_mode="noise_floor_multiple",
         max_iter=8, base_seed=42,
     )
@@ -80,7 +80,7 @@ def single_mode_run():
 def two_mode_run():
     psi = two_mode_psi()
     cfg = SolverConfig(
-        N=N, L=128, M_outer=32, M_inner=1000, nu=0.5, T=0.25,
+        N=N, L=128, M_inner=1000, nu=0.5, T=0.25,
         picard_tol=2.0, picard_tol_mode="noise_floor_multiple",
         max_iter=8, base_seed=42,
     )
@@ -93,7 +93,7 @@ def two_mode_deep_run():
     # the 2x-noise-floor run so several contraction ratios are measurable
     psi = two_mode_psi()
     cfg = SolverConfig(
-        N=N, L=128, M_outer=32, M_inner=1000, nu=0.5, T=0.25,
+        N=N, L=128, M_inner=1000, nu=0.5, T=0.25,
         picard_tol=1e-3, picard_tol_mode="noise_floor_multiple",
         max_iter=8, base_seed=42,
     )
@@ -104,7 +104,7 @@ def two_mode_deep_run():
 def single_mode_512_run():
     psi = single_mode_psi()
     cfg = SolverConfig(
-        N=N, L=512, M_outer=32, M_inner=2000, nu=0.1, T=0.5,
+        N=N, L=512, M_inner=2000, nu=0.1, T=0.5,
         picard_tol=2.0, picard_tol_mode="noise_floor_multiple",
         max_iter=4, base_seed=42,
     )
@@ -158,7 +158,7 @@ def test_criterion_3_heat_equation_reduction():
     start = time.perf_counter()
     psi = two_mode_psi()
     cfg = SolverConfig(
-        N=N, L=128, M_outer=32, M_inner=1000, nu=0.5, T=0.25, alpha=0.0, base_seed=42
+        N=N, L=128, M_inner=1000, nu=0.5, T=0.25, alpha=0.0, base_seed=42
     )
     zero = ScalarField(np.zeros((N, N)), mean_zero_required=True)
     prev = PicardIterate((psi,) + (zero,) * cfg.L, 0, 0.0)
@@ -183,10 +183,10 @@ def test_criterion_3_heat_equation_reduction():
 def test_criterion_4_girsanov_equivalence():
     psi = two_mode_psi()
     cfg_w = SolverConfig(
-        N=N, L=64, M_outer=32, M_inner=1000, nu=0.5, T=0.25, alpha=0.0, base_seed=42
+        N=N, L=64, M_inner=1000, nu=0.5, T=0.25, alpha=0.0, base_seed=42
     )
     cfg_d = SolverConfig(
-        N=N, L=64, M_outer=32, M_inner=300, nu=0.5, T=0.25, alpha=0.0, base_seed=42
+        N=N, L=64, M_inner=300, nu=0.5, T=0.25, alpha=0.0, base_seed=42
     )
     prev = heat_iterate(psi, cfg_w, 0.0)
     it_w, st_w = solve_weighted_with_stats(prev, cfg_w)
@@ -215,7 +215,7 @@ def test_criterion_5_maximum_principle_five_seeds():
     worst_margin = np.inf
     for seed in (1, 2, 3, 4, 5):
         cfg = SolverConfig(
-            N=N, L=64, M_outer=8, M_inner=600, nu=0.5, T=0.25,
+            N=N, L=64, M_inner=600, nu=0.5, T=0.25,
             picard_tol=2.0, picard_tol_mode="noise_floor_multiple",
             max_iter=8, base_seed=seed,
         )
@@ -300,7 +300,7 @@ def test_criterion_9_determinism(tmp_path):
     # engine level: identical configs give bit-identical solutions
     psi = two_mode_psi()
     cfg = SolverConfig(
-        N=16, L=16, M_outer=4, M_inner=200, nu=0.5, T=0.25,
+        N=16, L=16, M_inner=200, nu=0.5, T=0.25,
         picard_tol=2.0, picard_tol_mode="noise_floor_multiple",
         max_iter=4, base_seed=2024,
     )

@@ -11,17 +11,13 @@ from vortexbsde.bsde_engine import (
     bsde_residual,
     bsde_residual_profile,
     coarsen_path,
-    extract_Z,
-    girsanov_weight,
     heat_iterate,
     heat_mode_stack,
-    linear_bsde_solve,
     picard_solve,
     select_alpha,
     solve_drifted_with_stats,
     solve_weighted_with_stats,
     subsample_solution,
-    terminal_value,
     y_alpha_sup,
     z_alpha_bmo_sq,
 )
@@ -43,6 +39,7 @@ from vortexbsde.torus_field import (
 )
 
 from conftest import random_mean_zero_field
+from oracles import girsanov_weight, terminal_value
 
 
 def sin1(n=16):
@@ -59,6 +56,13 @@ def path_from_increments(inc, dt):
 
 def zero_field(n):
     return ScalarField(np.zeros((n, n)), mean_zero_required=True)
+
+
+def solution_of(it, cfg):
+    """Bare solution record around an iterate (no norms or history)."""
+    return BsdeSolution(
+        y=it, psi=it.fields[0], config=cfg, norms={}, history=(), path_ensemble_meta={}
+    )
 
 
 def iterate_with_zero_interior(psi, steps):
@@ -140,7 +144,7 @@ class TestGirsanovWeight:
 
 class TestLinearSolve:
     def test_zero_prev_reduces_to_heat(self):
-        cfg = SolverConfig(N=16, L=8, M_outer=4, M_inner=50, nu=0.3, T=0.2, alpha=0.0)
+        cfg = SolverConfig(N=16, L=8, M_inner=50, nu=0.3, T=0.2, alpha=0.0)
         prev = iterate_with_zero_interior(two_mode(), cfg.L)
         it, stats = solve_weighted_with_stats(prev, cfg)
         heat = heat_mode_stack(two_mode().modes, cfg.nu, cfg.dt, cfg.L)
@@ -149,9 +153,9 @@ class TestLinearSolve:
         assert np.all(stats.se_grid == 0.0)
 
     def test_terminal_slice_exact(self):
-        cfg = SolverConfig(N=16, L=8, M_outer=4, M_inner=50, nu=0.3, T=0.2, alpha=0.0)
+        cfg = SolverConfig(N=16, L=8, M_inner=50, nu=0.3, T=0.2, alpha=0.0)
         prev = heat_iterate(two_mode(), cfg, 0.0)
-        it = linear_bsde_solve(prev, cfg)
+        it, _ = solve_weighted_with_stats(prev, cfg)
         assert np.array_equal(it.fields[0].modes, prev.fields[0].modes)
 
     def test_fast_path_matches_direct_translation_oracle(self):
@@ -159,7 +163,7 @@ class TestLinearSolve:
         literal implementation of the weighted-branch formula."""
         n, steps = 8, 6
         cfg = SolverConfig(
-            N=n, L=steps, M_outer=2, M_inner=5, nu=0.3, T=0.3, alpha=0.0, groups=2
+            N=n, L=steps, M_inner=5, nu=0.3, T=0.3, alpha=0.0, groups=2
         )
         psi = field_from_mode_list(n, [(1, 0, -0.5j), (0, 2, 0.5)])
         base = heat_mode_stack(psi.modes, cfg.nu, cfg.dt, steps)
@@ -202,7 +206,7 @@ class TestLinearSolve:
             assert np.max(np.abs(expect - it.fields[m].modes)) < 1e-12
 
     def test_single_mode_fixed_point_within_noise(self):
-        cfg = SolverConfig(N=16, L=16, M_outer=4, M_inner=400, nu=0.1, T=0.4, alpha=0.0)
+        cfg = SolverConfig(N=16, L=16, M_inner=400, nu=0.1, T=0.4, alpha=0.0)
         prev = heat_iterate(sin1(), cfg, 0.0)
         it, stats = solve_weighted_with_stats(prev, cfg)
         for m in range(1, cfg.L + 1):
@@ -211,36 +215,62 @@ class TestLinearSolve:
             assert diff < allowance
 
     def test_outputs_mean_zero(self):
-        cfg = SolverConfig(N=16, L=8, M_outer=4, M_inner=60, nu=0.3, T=0.2, alpha=0.0)
-        it = linear_bsde_solve(heat_iterate(two_mode(), cfg, 0.0), cfg)
+        cfg = SolverConfig(N=16, L=8, M_inner=60, nu=0.3, T=0.2, alpha=0.0)
+        it, _ = solve_weighted_with_stats(heat_iterate(two_mode(), cfg, 0.0), cfg)
         assert all(f.modes[0, 0] == 0.0 for f in it.fields)
 
+    def test_weight_overflow_fails_loudly(self, monkeypatch):
+        # Increments scaled by 4e4 keep the exponent finite but overflow
+        # expm1(-exponent): a non-finite weight is a numerical failure (exit
+        # 3), not a NaN iterate that later reads as non-convergence (exit 4).
+        ensemble = brownian.ensemble_increments
+        monkeypatch.setattr(
+            brownian, "ensemble_increments", lambda *args: 4e4 * ensemble(*args)
+        )
+        cfg = SolverConfig(N=16, L=8, M_inner=16, nu=0.3, T=0.2, alpha=0.0, groups=2)
+        with pytest.raises(NumericalError, match="non-finite") as exc:
+            solve_weighted_with_stats(heat_iterate(two_mode(), cfg, 0.0), cfg)
+        assert exc.value.exit_code == 3
+        assert 1 <= exc.value.diagnostics["node"] <= cfg.L
+        with pytest.raises(NumericalError, match="non-finite"):
+            picard_solve(two_mode(), cfg)
+
     def test_drift_guard(self):
-        cfg = SolverConfig(N=16, L=2, M_outer=2, M_inner=8, nu=1e-5, T=2.0, alpha=0.0, groups=2)
+        cfg = SolverConfig(N=16, L=2, M_inner=8, nu=1e-5, T=2.0, alpha=0.0, groups=2)
         prev = heat_iterate(40.0 * two_mode(), cfg, 0.0)
         with pytest.raises(NumericalError):
-            linear_bsde_solve(prev, cfg)
+            solve_weighted_with_stats(prev, cfg)
 
     def test_grid_mismatch(self):
-        cfg = SolverConfig(N=32, L=8, M_outer=2, M_inner=8, nu=0.3, T=0.2, groups=2)
+        cfg = SolverConfig(N=32, L=8, M_inner=8, nu=0.3, T=0.2, groups=2)
         with pytest.raises(ConfigurationError):
-            linear_bsde_solve(heat_iterate(two_mode(16), SolverConfig(
-                N=16, L=8, M_outer=2, M_inner=8, nu=0.3, T=0.2, groups=2), 0.0), cfg)
+            solve_weighted_with_stats(heat_iterate(two_mode(16), SolverConfig(
+                N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2), 0.0), cfg)
 
 
 class TestDriftedSolve:
     def test_zero_prev_identical_to_weighted(self):
-        cfg = SolverConfig(N=16, L=8, M_outer=4, M_inner=40, nu=0.3, T=0.2, alpha=0.0)
+        cfg = SolverConfig(N=16, L=8, M_inner=40, nu=0.3, T=0.2, alpha=0.0)
         prev = iterate_with_zero_interior(two_mode(), cfg.L)
         it_w, _ = solve_weighted_with_stats(prev, cfg)
         it_d, _ = solve_drifted_with_stats(prev, cfg)
         for m in range(cfg.L + 1):
             assert np.max(np.abs(it_w.fields[m].modes - it_d.fields[m].modes)) < 1e-15
 
+    def test_non_mean_zero_terminal_slice_rejected(self):
+        # fhat(0) = 1e-11 passes the field constructor's 1e-10 roundoff
+        # allowance but not the solver's mean-zero check
+        cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.3, T=0.2, alpha=0.0, groups=2)
+        modes = two_mode().modes.copy()
+        modes[0, 0] = 1e-11
+        prev = iterate_with_zero_interior(ScalarField(modes), cfg.L)
+        with pytest.raises(DomainError, match="mean-zero"):
+            solve_drifted_with_stats(prev, cfg)
+
     def test_agreement_with_weighted_small(self):
         prev_psi = two_mode()
-        cfg_w = SolverConfig(N=16, L=16, M_outer=4, M_inner=400, nu=0.5, T=0.25, alpha=0.0)
-        cfg_d = SolverConfig(N=16, L=16, M_outer=4, M_inner=160, nu=0.5, T=0.25, alpha=0.0)
+        cfg_w = SolverConfig(N=16, L=16, M_inner=400, nu=0.5, T=0.25, alpha=0.0)
+        cfg_d = SolverConfig(N=16, L=16, M_inner=160, nu=0.5, T=0.25, alpha=0.0)
         prev = heat_iterate(prev_psi, cfg_w, 0.0)
         it_w, st_w = solve_weighted_with_stats(prev, cfg_w)
         it_d, st_d = solve_drifted_with_stats(prev, cfg_d)
@@ -250,7 +280,7 @@ class TestDriftedSolve:
             assert diff <= 4.0 * comb + 1e-12
 
     def test_variance_recorded_not_asserted(self):
-        cfg = SolverConfig(N=16, L=8, M_outer=4, M_inner=60, nu=0.5, T=0.2, alpha=0.0)
+        cfg = SolverConfig(N=16, L=8, M_inner=60, nu=0.5, T=0.2, alpha=0.0)
         prev = heat_iterate(two_mode(), cfg, 0.0)
         _, st_w = solve_weighted_with_stats(prev, cfg)
         _, st_d = solve_drifted_with_stats(prev, cfg)
@@ -261,15 +291,15 @@ class TestDriftedSolve:
 
 class TestExtractZ:
     def test_zero_iterate(self):
-        cfg = SolverConfig(N=16, L=4, M_outer=2, M_inner=8, nu=0.3, T=0.2, groups=2)
+        cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.3, T=0.2, groups=2)
         it = heat_iterate(zero_field(16), cfg, 0.0)
-        zs = extract_Z(it)
+        zs = solution_of(it, cfg).z_fields
         assert all(l2_norm(z.component1) == 0 and l2_norm(z.component2) == 0 for z in zs)
 
     def test_single_mode_gradient(self):
-        cfg = SolverConfig(N=16, L=4, M_outer=2, M_inner=8, nu=0.1, T=0.2, groups=2)
+        cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.1, T=0.2, groups=2)
         it = heat_iterate(sin1(), cfg, 0.0)
-        zs = extract_Z(it)
+        zs = solution_of(it, cfg).z_fields
         for m, z in enumerate(zs):
             amp = np.exp(-4 * np.pi**2 * 0.1 * m * cfg.dt)
             expect = field_from_mode_list(16, [(1, 0, 0.5 * 2 * np.pi * amp)])
@@ -277,9 +307,9 @@ class TestExtractZ:
             assert l2_norm(z.component2) == 0.0
 
     def test_gradient_symmetry(self):
-        cfg = SolverConfig(N=16, L=4, M_outer=2, M_inner=8, nu=0.1, T=0.2, groups=2)
+        cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.1, T=0.2, groups=2)
         it = heat_iterate(random_mean_zero_field(16, 9), cfg, 0.0)
-        for z in extract_Z(it):
+        for z in solution_of(it, cfg).z_fields:
             lhs = partial_derivative(z.component1, 2)
             rhs = partial_derivative(z.component2, 1)
             assert l2_norm(lhs - rhs) < 1e-12 * max(l2_norm(lhs), 1e-30)
@@ -287,7 +317,7 @@ class TestExtractZ:
 
 class TestPicardSolve:
     def test_zero_data_trivial_solution(self):
-        cfg = SolverConfig(N=16, L=8, M_outer=4, M_inner=40, nu=0.3, T=0.2)
+        cfg = SolverConfig(N=16, L=8, M_inner=40, nu=0.3, T=0.2)
         sol = picard_solve(zero_field(16), cfg)
         assert all(l2_norm(f) == 0.0 for f in sol.y.fields)
         assert sol.norms["z_bmo_sq"] == 0.0
@@ -295,7 +325,7 @@ class TestPicardSolve:
 
     def test_single_mode_converges_fast(self):
         cfg = SolverConfig(
-            N=16, L=16, M_outer=4, M_inner=300, nu=0.1, T=0.4,
+            N=16, L=16, M_inner=300, nu=0.1, T=0.4,
             picard_tol=2.0, picard_tol_mode="noise_floor_multiple", max_iter=4,
         )
         sol = picard_solve(sin1(), cfg)
@@ -305,7 +335,7 @@ class TestPicardSolve:
         # alpha = 0 keeps the weighted floor at the raw MC scale, which a
         # 1e-9 absolute tolerance cannot beat at M_inner = 20.
         cfg = SolverConfig(
-            N=16, L=16, M_outer=4, M_inner=20, nu=0.1, T=0.4, alpha=0.0,
+            N=16, L=16, M_inner=20, nu=0.1, T=0.4, alpha=0.0,
             picard_tol=1e-9, picard_tol_mode="absolute", max_iter=4,
         )
         with pytest.raises(ConfigurationError, match="M_inner"):
@@ -313,7 +343,7 @@ class TestPicardSolve:
 
     def test_non_convergence_carries_history(self):
         cfg = SolverConfig(
-            N=16, L=16, M_outer=4, M_inner=200, nu=0.5, T=0.25,
+            N=16, L=16, M_inner=200, nu=0.5, T=0.25,
             picard_tol=1e-9, picard_tol_mode="noise_floor_multiple", max_iter=1,
         )
         with pytest.raises(NonConvergenceError) as exc:
@@ -322,7 +352,7 @@ class TestPicardSolve:
 
     def test_deterministic_rerun(self):
         cfg = SolverConfig(
-            N=16, L=16, M_outer=4, M_inner=200, nu=0.5, T=0.25,
+            N=16, L=16, M_inner=200, nu=0.5, T=0.25,
             picard_tol=2.0, picard_tol_mode="noise_floor_multiple", max_iter=4,
         )
         a = picard_solve(two_mode(), cfg)
@@ -332,7 +362,7 @@ class TestPicardSolve:
 
     def test_fixed_point_consistency(self):
         cfg = SolverConfig(
-            N=16, L=16, M_outer=4, M_inner=300, nu=0.5, T=0.25,
+            N=16, L=16, M_inner=300, nu=0.5, T=0.25,
             picard_tol=2.0, picard_tol_mode="noise_floor_multiple", max_iter=4,
         )
         sol = picard_solve(two_mode(), cfg)
@@ -352,7 +382,7 @@ class TestPicardSolve:
             assert assert_alpha_conditions(alpha, 1.013, c1, nu, horizon)["ok"]
 
     def test_grid_mismatch(self):
-        cfg = SolverConfig(N=32, L=8, M_outer=2, M_inner=8, nu=0.3, T=0.2, groups=2)
+        cfg = SolverConfig(N=32, L=8, M_inner=8, nu=0.3, T=0.2, groups=2)
         with pytest.raises(ConfigurationError):
             picard_solve(sin1(), cfg)
 
@@ -362,7 +392,7 @@ class TestPicardSolve:
         from vortexbsde.spectral_oracle import VorticityTrajectory, evaluate, evolve
 
         cfg = SolverConfig(
-            N=16, L=32, M_outer=4, M_inner=500, nu=0.1, T=0.4,
+            N=16, L=32, M_inner=500, nu=0.1, T=0.4,
             picard_tol=2.0, picard_tol_mode="noise_floor_multiple", max_iter=4,
         )
         sol = picard_solve(sin1(), cfg)
@@ -399,21 +429,14 @@ class TestResidual:
     def _exact_solution(self, n=16, steps=64, nu=0.1, horizon=0.4):
         psi = sin1(n)
         cfg = SolverConfig(
-            N=n, L=steps, M_outer=4, M_inner=16, nu=nu, T=horizon, alpha=0.0
+            N=n, L=steps, M_inner=16, nu=nu, T=horizon, alpha=0.0
         )
-        it = heat_iterate(psi, cfg, 0.0)
-        return BsdeSolution(
-            y=it, z_fields=extract_Z(it), psi=psi, config=cfg,
-            norms={}, history=(), path_ensemble_meta={},
-        )
+        return solution_of(heat_iterate(psi, cfg, 0.0), cfg)
 
     def test_zero_solution_zero_residual(self):
-        cfg = SolverConfig(N=16, L=8, M_outer=2, M_inner=8, nu=0.3, T=0.2, groups=2)
+        cfg = SolverConfig(N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2)
         it = heat_iterate(zero_field(16), cfg, 0.0)
-        sol = BsdeSolution(
-            y=it, z_fields=extract_Z(it), psi=zero_field(16), config=cfg,
-            norms={}, history=(), path_ensemble_meta={},
-        )
+        sol = solution_of(it, cfg)
         path = brownian.simulate(5, cfg.L, cfg.T)
         assert bsde_residual(sol, path) == 0.0
 
@@ -454,15 +477,15 @@ class TestResidual:
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ConfigurationError):
-            SolverConfig(N=15, L=8, M_outer=1, M_inner=8, nu=0.1, T=0.1)
+            SolverConfig(N=15, L=8, M_inner=8, nu=0.1, T=0.1)
         with pytest.raises(ConfigurationError):
-            SolverConfig(N=16, L=0, M_outer=1, M_inner=8, nu=0.1, T=0.1)
+            SolverConfig(N=16, L=0, M_inner=8, nu=0.1, T=0.1)
         with pytest.raises(ConfigurationError):
-            SolverConfig(N=16, L=8, M_outer=1, M_inner=8, nu=-0.1, T=0.1)
+            SolverConfig(N=16, L=8, M_inner=8, nu=-0.1, T=0.1)
         with pytest.raises(ConfigurationError):
-            SolverConfig(N=16, L=8, M_outer=1, M_inner=8, nu=0.1, T=0.1, alpha=-1.0)
+            SolverConfig(N=16, L=8, M_inner=8, nu=0.1, T=0.1, alpha=-1.0)
         with pytest.raises(ConfigurationError):
-            SolverConfig(N=16, L=8, M_outer=1, M_inner=8, nu=0.1, T=0.1, picard_tol_mode="x")
+            SolverConfig(N=16, L=8, M_inner=8, nu=0.1, T=0.1, picard_tol_mode="x")
 
     def test_iterate_validation(self):
         with pytest.raises(ConfigurationError):

@@ -88,7 +88,7 @@ class TestSolutionBundle:
     def test_round_trip_and_rediagnose(self, tmp_path):
         psi = field_from_mode_list(16, [(1, 0, -0.5j)])
         cfg = SolverConfig(
-            N=16, L=16, M_outer=4, M_inner=200, nu=0.1, T=0.4,
+            N=16, L=16, M_inner=200, nu=0.1, T=0.4,
             picard_tol=2.0, picard_tol_mode="noise_floor_multiple", max_iter=4,
         )
         sol = picard_solve(psi, cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from vortexbsde import cli
-from vortexbsde.bsde_engine import BsdeSolution, PicardIterate, SolverConfig, extract_Z
+from vortexbsde.bsde_engine import BsdeSolution, PicardIterate, SolverConfig
 from vortexbsde.checkpoint import write_solution_bundle
 from vortexbsde.errors import ConfigurationError
 from vortexbsde.spectral_oracle import evolve
@@ -36,7 +37,6 @@ nu = 0.3
 T = 0.2
 psi_modes = 1 0 0 -0.5 ; 0 2 0.5 0
 M_inner = 150
-M_outer = 8
 max_iter = 5
 picard_tol = 2.0
 picard_tol_mode = noise_floor_multiple
@@ -77,6 +77,11 @@ class TestConfigParsing:
         assert entries[1] == (0, 2, 0.5 + 0j)
         with pytest.raises(ValueError):
             cli._parse_modes("1 0 0")
+
+    def test_solve_schema_is_solver_config(self):
+        # every solve key feeds SolverConfig, so no inert key can creep back
+        names = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert set(cli.SOLVE_SCHEMA.spec) == names | {"outdir", "psi_modes"}
 
     def test_env_config_dir(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path / "a.cfg", "outdir = x\n")
@@ -166,10 +171,10 @@ class TestCompareCommand:
     def _oracle_as_solution(self, tmp_path):
         psi = field_from_mode_list(16, [(1, 0, -0.5j), (0, 2, 0.5)])
         traj = evolve(psi, 0.3, 0.2, 16)
-        cfg = SolverConfig(N=16, L=16, M_outer=4, M_inner=8, nu=0.3, T=0.2, groups=2)
+        cfg = SolverConfig(N=16, L=16, M_inner=8, nu=0.3, T=0.2, groups=2)
         it = PicardIterate(traj.fields, 1, 0.0)
         sol = BsdeSolution(
-            y=it, z_fields=extract_Z(it), psi=psi, config=cfg,
+            y=it, psi=psi, config=cfg,
             norms={"c1": 1.0, "c0": 1.0, "alpha": 0.0, "y_sup": 1.0,
                    "z_bmo_sq": 0.0, "z_bmo_sq_debiased": 0.0, "z_bmo_sq_se": 0.0,
                    "z_bmo_group_values": []},
@@ -242,6 +247,19 @@ class TestCompareCommand:
 
 
 class TestDiagnoseCommand:
+    def test_unknown_bundle_config_key(self, tmp_path):
+        # bundles written while SolverConfig still had M_outer
+        bundle, _ = TestCompareCommand()._oracle_as_solution(tmp_path)
+        doc = json.loads((bundle / "solution.json").read_text())
+        doc["config"]["M_outer"] = 32
+        (bundle / "solution.json").write_text(json.dumps(doc))
+        out = tmp_path / "diag"
+        cfg = write_cfg(tmp_path / "d.cfg", f"outdir = {out}\nsolution_bundle = {bundle}\n")
+        assert cli.main(["diagnose", str(cfg)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["type"] == "ConfigurationError"
+        assert "M_outer" in manifest["error"]["message"]
+
     def test_diagnose_solution(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path / "s.cfg", SOLVE_CFG.format(out=out))

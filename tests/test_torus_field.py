@@ -106,6 +106,13 @@ class TestScalarFieldInvariants:
         with pytest.raises(DomainError):
             ScalarField(modes, mean_zero_required=True)
 
+    def test_nan_mode_rejected(self):
+        # a NaN fails every comparison, so only an explicit check catches it
+        modes = np.zeros((N8, N8), complex)
+        modes[1, 0] = modes[-1, 0] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            ScalarField(modes)
+
     def test_modes_immutable(self):
         f = sin1()
         with pytest.raises(ValueError):
