@@ -1,0 +1,129 @@
+"""Compare the fixed-seed solver outputs of two source trees.
+
+    python3 scripts/parity.py OLD_TREE NEW_TREE
+
+Imports the ``vortexbsde`` package of each tree in turn (from its ``src``
+directory) and, for base seeds 42, 1 and 7, runs on the two-mode and the
+single-mode config in this directory, at the benchmark's sizes (two-mode
+L = 32, M_inner = 250; single-mode L = 16, M_inner = 1000):
+
+* ``picard_solve``;
+* ``solve_weighted_with_stats`` from the heat iterate;
+* ``solve_drifted_with_stats`` with M_inner = 50 from the heat iterate.
+
+Prints, for every mode stack and every ``SolveStats`` array, the largest
+difference between the trees relative to the array's largest magnitude,
+and compares the Picard iteration counts of the histories.  Exits 1 if a
+relative difference exceeds 1e-12 or an iteration count differs.
+
+A statistics array whose largest magnitude in OLD_TREE is below 1e-13 of
+its solve's mode stack holds rounding error only (the standard errors of a
+correction that is zero in exact arithmetic, as in the single-mode drifted
+solve, whose drift is orthogonal to grad psi); it is marked
+``roundoff-only`` and its difference is taken relative to the mode stack.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SCRIPTS = Path(__file__).resolve().parent
+SEEDS = (42, 1, 7)
+CONFIGS = {
+    "two_mode": ("solve_two_mode.cfg", {"L": 32, "M_inner": 250}),
+    "single_mode": ("solve_single_mode.cfg", {"L": 16, "M_inner": 1000}),
+}
+DRIFTED_M = 50
+REL_TOL = 1e-12
+ROUNDOFF = 1e-13
+
+
+def load_package(tree: Path):
+    """``bsde_engine`` and ``cli`` of ``tree/src``, dropping any loaded copy first."""
+    for name in [n for n in sys.modules if n == "vortexbsde" or n.startswith("vortexbsde.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(tree / "src"))
+    try:
+        engine = importlib.import_module("vortexbsde.bsde_engine")
+        return engine, importlib.import_module("vortexbsde.cli")
+    finally:
+        sys.path.pop(0)
+
+
+def _solve_arrays(prefix: str, iterate, stats) -> dict:
+    """The mode stack and every statistics array, each with the stack's scale."""
+    modes = iterate.mode_stack()
+    field_scale = float(np.max(np.abs(modes)))
+    out = {f"{prefix}.modes": (modes, field_scale)}
+    for f in dataclasses.fields(stats):
+        out[f"{prefix}.{f.name}"] = (getattr(stats, f.name), field_scale)
+    return out
+
+
+def run_tree(tree: Path) -> tuple[dict, dict]:
+    """Output arrays and Picard iteration counts of every case, by name."""
+    engine, cli = load_package(tree)
+    names = [f.name for f in dataclasses.fields(engine.SolverConfig)]
+    arrays, iterations = {}, {}
+    for label, (cfg_name, size) in CONFIGS.items():
+        parsed = cli.SOLVE_SCHEMA.parse(cli._parse_kv_text((SCRIPTS / cfg_name).read_text()))
+        psi = cli._build_psi(parsed)
+        for seed in SEEDS:
+            case = f"{label}.seed{seed}"
+            kwargs = {n: parsed[n] for n in names if n in parsed}
+            config = engine.SolverConfig(**{**kwargs, **size, "base_seed": seed})
+            solution = engine.picard_solve(psi, config)
+            modes = solution.y.mode_stack()
+            arrays[f"{case}.picard.modes"] = (modes, float(np.max(np.abs(modes))))
+            iterations[f"{case}.picard"] = [rec["iteration"] for rec in solution.history]
+
+            heat = engine.heat_iterate(psi, config, 0.0)
+            arrays.update(
+                _solve_arrays(f"{case}.weighted", *engine.solve_weighted_with_stats(heat, config))
+            )
+
+            drifted = dataclasses.replace(config, M_inner=DRIFTED_M)
+            arrays.update(
+                _solve_arrays(f"{case}.drifted", *engine.solve_drifted_with_stats(heat, drifted))
+            )
+    return arrays, iterations
+
+
+def compare(a: np.ndarray, b: np.ndarray, field_scale: float) -> tuple[float, str]:
+    """Largest difference relative to the array's (or the field's) magnitude."""
+    if a.shape != b.shape:
+        return float("inf"), "shape differs"
+    diff = float(np.max(np.abs(a - b), initial=0.0))
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if scale < ROUNDOFF * field_scale:
+        return diff / field_scale, f"roundoff-only (max {scale:.1e}, relative to field)"
+    return (diff / scale if scale > 0.0 else diff), ""
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old, new = (run_tree(Path(p).resolve()) for p in argv)
+    bad, worst = 0, 0.0
+    for name, (a, field_scale) in old[0].items():
+        rel, note = compare(a, new[0][name][0], field_scale)
+        bad += rel > REL_TOL
+        worst = max(worst, rel)
+        print(f"{name:48s} {rel:.3e} {note}")
+    for name, counts in old[1].items():
+        same = counts == new[1][name]
+        bad += not same
+        print(f"{name:48s} iterations {counts} {'==' if same else '!='} {new[1][name]}")
+    print(f"worst relative difference {worst:.3e} (tolerance {REL_TOL:.0e}); {bad} failing")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -49,6 +49,7 @@ from .torus_field import (
     embed_modes,
     grid_to_modes,
     gradient,
+    modes_to_complex_grid,
     modes_to_grid,
     sup_norm,
     wavenumbers,
@@ -231,8 +232,10 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
         for m, sample in samples(db[b0:b1], disp[b0:b1]):
             # A non-finite sample (e.g. an overflowing Girsanov weight) makes
             # its squared sum non-finite; clipping it would bias the mean.
-            sq = np.square(sample).sum(axis=0)
-            if not np.all(np.isfinite(sq)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq = np.square(sample).sum(axis=0)
+                finite = np.all(np.isfinite(sq))
+            if not finite:
                 raise NumericalError(
                     "non-finite Monte Carlo sample in linear solve",
                     diagnostics={"node": m},
@@ -408,39 +411,44 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
 
     k_ext_all = wavenumbers(2 * n).astype(np.float64)
     base_in_ext = wavenumbers(n) % (2 * n)
+    ipsi_modes = 1j * psi_modes
 
     def samples(db, disp):
         bc = db.shape[0]
+        if not have_drift:  # W = 1 exactly
+            for m in range(1, steps + 1):
+                yield m, np.zeros((bc, n, n))
+            return
         px_ext = np.exp(TWO_PI * 1j * disp[:, :, 0, None] * k_ext_all)
         py_ext = np.exp(TWO_PI * 1j * disp[:, :, 1, None] * k_ext_all)
         px = px_ext[:, :, base_in_ext]
         py = py_ext[:, :, base_in_ext]
 
-        if have_drift:
-            ph_a = px[:, :steps, ia1] * py[:, :steps, ia2]  # (bc, L, K_A)
-            xa1 = db[:, :, 0, None] * ph_a
-            xa2 = db[:, :, 1, None] * ph_a
-            fa = np.fft.fft(xa1, n=pad, axis=1) * fu1[None, :, :]
-            fa += np.fft.fft(xa2, n=pad, axis=1) * fu2[None, :, :]
-            a_nodes = np.fft.ifft(fa, axis=1)[:, 1 : steps + 1, :]
-            if k_q:
-                ph_q = px_ext[:, :steps, iq1] * py_ext[:, :steps, iq2]
-                fqq = np.fft.fft(ph_q, n=pad, axis=1) * fq[None, :, :]
-                q_nodes = np.fft.ifft(fqq, axis=1)[:, 1 : steps + 1, :]
+        ph_a = px[:, :steps, ia1] * py[:, :steps, ia2]  # (bc, L, K_A)
+        xa1 = db[:, :, 0, None] * ph_a
+        xa2 = db[:, :, 1, None] * ph_a
+        fa = np.fft.fft(xa1, n=pad, axis=1) * fu1[None, :, :]
+        fa += np.fft.fft(xa2, n=pad, axis=1) * fu2[None, :, :]
+        a_nodes = np.fft.ifft(fa, axis=1)[:, 1 : steps + 1, :]
+        if k_q:
+            ph_q = px_ext[:, :steps, iq1] * py_ext[:, :steps, iq2]
+            fqq = np.fft.fft(ph_q, n=pad, axis=1) * fq[None, :, :]
+            q_nodes = np.fft.ifft(fqq, axis=1)[:, 1 : steps + 1, :]
 
         for m in range(1, steps + 1):
-            if have_drift:
-                em = np.zeros((bc, n * n), dtype=np.complex128)
-                em[:, flat_a] = a_nodes[:, m - 1, :] / sqrt2nu
-                if k_q:
-                    targets, sums = plan_q.accumulate(q_nodes[:, m - 1, :])
-                    em[:, targets] += sums * (dt / (4.0 * nu))
-                w_minus_1 = np.expm1(-modes_to_grid(em.reshape(bc, n, n)))
-            else:
-                w_minus_1 = np.zeros((bc, n, n))
-            ph_psi = px[:, m, :, None] * py[:, m, None, :]
-            psi_shift = modes_to_grid(psi_modes[None, :, :] * ph_psi)
-            yield m, psi_shift * w_minus_1
+            # The exponent and the psi shift are real fields, so one complex
+            # synthesis of exponent + 1j * psi_shift returns both.
+            z = ipsi_modes * (px[:, m, :, None] * py[:, m, None, :])
+            z = z.reshape(bc, n * n)
+            z[:, flat_a] += a_nodes[:, m - 1, :] / sqrt2nu
+            if k_q:
+                targets, sums = plan_q.accumulate(q_nodes[:, m - 1, :])
+                z[:, targets] += sums * (dt / (4.0 * nu))
+            z = modes_to_complex_grid(z.reshape(bc, n, n))
+            # An overflowing weight is left to the skeleton's finiteness check.
+            with np.errstate(over="ignore", invalid="ignore"):
+                sample = z.imag * np.expm1(-z.real)
+            yield m, sample
 
     return _chunk_size(config.M_inner, steps, n, k_a + k_q), samples
 
@@ -449,44 +457,49 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
 # the drifted-SDE estimator (Girsanov equivalence cross-check)
 
 
-def _bilinear(grid: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of one periodic (P, P) grid at positions (..., 2)."""
-    p = grid.shape[-1]
-    x = (pos[..., 0] % 1.0) * p
-    y = (pos[..., 1] % 1.0) * p
-    i0 = x.astype(np.int64)
-    j0 = y.astype(np.int64)
+def _bilinear(padded: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a periodic (P, P) grid at the points (x, y).
+
+    ``padded`` is the grid with its first row and column repeated after the
+    last, shape (P + 1, P + 1), so the four corners of every cell are at
+    flat offsets 0, 1, P + 1 and P + 2 from its lower corner.
+    """
+    p = padded.shape[-1] - 1
+    x = x * p
+    y = y * p
+    i0 = np.floor(x)
+    j0 = np.floor(y)
     fx = x - i0
     fy = y - j0
-    i0 %= p
-    j0 %= p
-    i1 = i0 + 1
-    i1[i1 == p] = 0
-    j1 = j0 + 1
-    j1[j1 == p] = 0
-    flat = grid.ravel()
-    base0 = i0 * p
-    base1 = i1 * p
-    v00 = flat.take(base0 + j0)
-    v10 = flat.take(base1 + j0)
-    v01 = flat.take(base0 + j1)
-    v11 = flat.take(base1 + j1)
+    i0 -= p * np.floor(i0 / p)
+    j0 -= p * np.floor(j0 / p)
+    base = (i0 * (p + 1) + j0).astype(np.intp)
+    flat = padded.ravel()
+    v00 = flat.take(base)
+    v01 = flat.take(base + 1)
+    v10 = flat.take(base + (p + 1))
+    v11 = flat.take(base + (p + 2))
     top = v00 + (v10 - v00) * fx
     bot = v01 + (v11 - v01) * fx
     return top + (bot - top) * fy
 
 
-def _spectral_point_values(modes: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Exact evaluation of a field at arbitrary points via its active modes."""
-    n = modes.shape[-1]
-    i1, i2 = np.nonzero(modes)
-    if i1.size == 0:
-        return np.zeros(pos.shape[:-1])
-    k = wavenumbers(n).astype(np.float64)
-    phases = np.exp(
-        TWO_PI * 1j * (pos[..., 0, None] * k[i1] + pos[..., 1, None] * k[i2])
-    )
-    return np.real(phases @ modes[i1, i2])
+def _half_plane_modes(modes: np.ndarray):
+    """Wavenumbers (k1, k2) and coefficients of the nonzero modes with
+    k1 > 0, or k1 == 0 and k2 > 0: half the spectrum of a real field."""
+    k = wavenumbers(modes.shape[-1])
+    half = (k[:, None] > 0) | ((k[:, None] == 0) & (k[None, :] > 0))
+    i1, i2 = np.nonzero(half & (modes != 0))
+    return k[i1].astype(np.float64), k[i2].astype(np.float64), modes[i1, i2]
+
+
+def _spectral_point_values(half, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact values at the points (x, y) of a real field with zero mean and
+    zero Nyquist modes, from its ``_half_plane_modes``: the other half
+    contributes the complex conjugate."""
+    k1, k2, coef = half
+    phases = np.exp(TWO_PI * 1j * (x[..., None] * k1 + y[..., None] * k2))
+    return 2.0 * np.real(phases @ coef)
 
 
 def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
@@ -498,25 +511,36 @@ def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
     sqrt2nu = np.sqrt(2.0 * nu)
     # Pack both components into one complex grid: a single interpolation
     # pass per step recovers the drift as (real, imag).
-    u_grids = modes_to_grid(np.stack([embed_modes(m, 4) for m in u1])) + 1j * (
-        modes_to_grid(np.stack([embed_modes(m, 4) for m in u2]))
+    u_grids = modes_to_complex_grid(
+        np.stack([embed_modes(a, 4) + 1j * embed_modes(b, 4) for a, b in zip(u1, u2)])
     )
+    u_padded = np.pad(u_grids, ((0, 0), (0, 1), (0, 1)), mode="wrap")
     grid_1d = np.arange(n) / n
-    zx, zy = np.meshgrid(grid_1d, grid_1d, indexing="ij")
-    lattice = np.stack([zx.ravel(), zy.ravel()], axis=-1)  # (N^2, 2)
+    zx = np.repeat(grid_1d, n)  # lattice point (i, j) at flat index i * N + j
+    zy = np.tile(grid_1d, n)
+    half = _half_plane_modes(psi_modes)
+    k1, k2, coef = half
+    # psi(z + d) = 2 Re sum_k coef_k e^{2 pi i <k, d>} e^{2 pi i <k, z>}: a
+    # per-branch displacement phase contracted with a fixed lattice table.
+    ex = np.exp(TWO_PI * 1j * np.outer(grid_1d, k1))
+    ey = np.exp(TWO_PI * 1j * np.outer(grid_1d, k2))
+    lattice_phase = (ex[:, None, :] * ey[None, :, :]).reshape(n * n, -1)
 
     def samples(db, disp):
         bc = db.shape[0]
+        disp_phase = coef * np.exp(
+            TWO_PI * 1j * (disp[:, :, 0, None] * k1 + disp[:, :, 1, None] * k2)
+        )
         for m in range(1, steps + 1):
-            pos = np.broadcast_to(lattice[None], (bc, n * n, 2)).copy()
+            x = np.tile(zx, (bc, 1))
+            y = np.tile(zy, (bc, 1))
             for j in range(m):
                 ell = m - j  # left-point field index: time-to-go (m - j) dt
-                drift = _bilinear(u_grids[ell], pos)
-                pos[..., 0] += -drift.real * dt + sqrt2nu * db[:, j, 0, None]
-                pos[..., 1] += -drift.imag * dt + sqrt2nu * db[:, j, 1, None]
-            vals = _spectral_point_values(psi_modes, pos)
-            cv_pos = lattice[None] + disp[:, m, None, :]
-            cv_vals = _spectral_point_values(psi_modes, cv_pos)
+                drift = _bilinear(u_padded[ell], x, y)
+                x += -drift.real * dt + sqrt2nu * db[:, j, 0, None]
+                y += -drift.imag * dt + sqrt2nu * db[:, j, 1, None]
+            vals = _spectral_point_values(half, x, y)
+            cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
             yield m, (vals - cv_vals).reshape(bc, n, n)
 
     return config.M_inner, samples

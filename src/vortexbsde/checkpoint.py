@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,23 @@ def field_to_bytes(f: ScalarField) -> bytes:
     return header + flat.tobytes()
 
 
+def _read_bytes(path) -> bytes:
+    """Contents of a checkpoint file; a path naming no readable file is a
+    configuration error, like any other bad input path."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _check_consumed(buf: bytes, offset: int, what: str) -> None:
+    if offset != len(buf):
+        raise ConfigurationError(f"{what} has {len(buf) - offset} bytes past its end")
+
+
 def field_from_bytes(buf: bytes, offset: int = 0) -> tuple[ScalarField, int]:
+    if len(buf) - offset < _FIELD_HEADER.size:
+        raise ConfigurationError("truncated field checkpoint (incomplete header)")
     magic, version, n, mean_zero = _FIELD_HEADER.unpack_from(buf, offset)
     if magic != FIELD_MAGIC:
         raise ConfigurationError("not a field checkpoint (bad magic)")
@@ -63,6 +79,11 @@ def field_from_bytes(buf: bytes, offset: int = 0) -> tuple[ScalarField, int]:
         raise ConfigurationError(f"unsupported field format version {version}")
     offset += _FIELD_HEADER.size
     count = n * n
+    if len(buf) - offset < 16 * count:
+        raise ConfigurationError(
+            f"truncated field checkpoint: N={n} needs {16 * count} coefficient bytes, "
+            f"{len(buf) - offset} present"
+        )
     flat = np.frombuffer(buf, dtype="<f8", count=2 * count, offset=offset).reshape(count, 2)
     modes = (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
     offset += 16 * count
@@ -74,7 +95,9 @@ def write_field(path, f: ScalarField) -> None:
 
 
 def read_field(path) -> ScalarField:
-    f, _ = field_from_bytes(Path(path).read_bytes())
+    buf = _read_bytes(path)
+    f, offset = field_from_bytes(buf)
+    _check_consumed(buf, offset, "field checkpoint")
     return f
 
 
@@ -85,7 +108,9 @@ def write_trajectory(path, traj: VorticityTrajectory) -> None:
 
 
 def read_trajectory(path) -> VorticityTrajectory:
-    buf = Path(path).read_bytes()
+    buf = _read_bytes(path)
+    if len(buf) < _TRAJ_HEADER.size:
+        raise ConfigurationError("truncated trajectory checkpoint (incomplete header)")
     magic, version, steps, dt, nu = _TRAJ_HEADER.unpack_from(buf, 0)
     if magic != TRAJ_MAGIC:
         raise ConfigurationError("not a trajectory checkpoint (bad magic)")
@@ -96,6 +121,7 @@ def read_trajectory(path) -> VorticityTrajectory:
     for _ in range(steps + 1):
         f, offset = field_from_bytes(buf, offset)
         fields.append(f)
+    _check_consumed(buf, offset, "trajectory checkpoint")
     return VorticityTrajectory(tuple(fields), nu=nu, dt=dt)
 
 
@@ -107,6 +133,9 @@ def _config_from_dict(d: dict) -> SolverConfig:
     unknown = sorted(set(d) - {f.name for f in fields(SolverConfig)})
     if unknown:
         raise ConfigurationError(f"solution config has unknown keys {unknown}")
+    missing = [f.name for f in fields(SolverConfig) if f.default is MISSING and f.name not in d]
+    if missing:
+        raise ConfigurationError(f"solution config lacks required keys {missing}")
     return SolverConfig(**d)
 
 
@@ -136,7 +165,10 @@ def write_solution_bundle(directory, solution: BsdeSolution) -> list:
 
 def read_solution_bundle(directory) -> BsdeSolution:
     directory = Path(directory)
-    doc = json.loads((directory / "solution.json").read_text())
+    try:
+        doc = json.loads(_read_bytes(directory / "solution.json"))
+    except ValueError as exc:
+        raise ConfigurationError(f"{directory / 'solution.json'} is not valid JSON: {exc}") from exc
     config = _config_from_dict(doc["config"])
     psi = read_field(directory / "psi.vbsf")
     traj = read_trajectory(directory / "y_fields.vbst")

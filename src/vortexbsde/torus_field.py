@@ -103,8 +103,9 @@ class ScalarField:
                 f"mode array breaks Hermitian symmetry (asymmetry {asym:.3e}); "
                 "field would not be real-valued"
             )
-        # Symmetrize exactly so the invariant holds bit-for-bit downstream.
-        m = 0.5 * (m + _hermitian_conjugate(m))
+        # Symmetrize exactly so the invariant holds bit-for-bit downstream;
+        # halving first keeps entries near the float maximum finite.
+        m = 0.5 * m + 0.5 * _hermitian_conjugate(m)
         if self.mean_zero_required:
             if abs(m[0, 0]) > _IMAG_TOL * scale:
                 raise DomainError(
@@ -218,6 +219,11 @@ def modes_to_grid(modes: np.ndarray) -> np.ndarray:
     """Raw-array synthesis used in hot loops; caller guarantees symmetry."""
     n = modes.shape[-1]
     return np.fft.ifft2(modes).real * (n * n)
+
+
+def modes_to_complex_grid(modes: np.ndarray) -> np.ndarray:
+    """Complex synthesis: packed modes f + 1j*g of real fields give f, g as (real, imag)."""
+    return np.fft.ifft2(modes) * (modes.shape[-1] ** 2)
 
 
 def grid_to_modes(values: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 These deliberately avoid the FFT/multiplier code paths of the package:
 transforms are literal double loops over wavenumbers and lattice points,
 integrals are dense-lattice Riemann/trapezoid sums over analytic samples.
-The scalar references at the end (one path, one weight, one increment)
-restate single terms of the vectorized estimators for spot checks.
+The scalar references (one path, one weight, one increment) restate
+single terms of the vectorized estimators for spot checks; the kernel
+references at the end are the plain forms of the estimators' hot loops.
 """
 
 import numpy as np
@@ -12,7 +13,14 @@ import numpy as np
 from vortexbsde import brownian
 from vortexbsde.biot_savart import _require_mean_zero
 from vortexbsde.errors import ConfigurationError, NumericalError
-from vortexbsde.torus_field import ScalarField, translate
+from vortexbsde.torus_field import (
+    ScalarField,
+    embed_modes,
+    grid_to_modes,
+    modes_to_grid,
+    translate,
+    wavenumbers,
+)
 
 
 def dft_brute(values: np.ndarray) -> np.ndarray:
@@ -99,3 +107,70 @@ def dump_csv(path: brownian.BrownianPath, stream) -> None:
     stream.write("m,t,B1,B2\n")
     for m, (t, (b1, b2)) in enumerate(zip(path.times, path.values)):
         stream.write(f"{m},{t!r},{b1!r},{b2!r}\n")
+
+
+def bilinear_reference(grid: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of one periodic (P, P) grid at positions (..., 2),
+    wrapping positions with ``% 1.0`` and cell indices with ``% P``."""
+    p = grid.shape[-1]
+    x = (pos[..., 0] % 1.0) * p
+    y = (pos[..., 1] % 1.0) * p
+    i0 = x.astype(np.int64)
+    j0 = y.astype(np.int64)
+    fx = x - i0
+    fy = y - j0
+    i0 %= p
+    j0 %= p
+    i1 = i0 + 1
+    i1[i1 == p] = 0
+    j1 = j0 + 1
+    j1[j1 == p] = 0
+    flat = grid.ravel()
+    base0 = i0 * p
+    base1 = i1 * p
+    v00 = flat.take(base0 + j0)
+    v10 = flat.take(base1 + j0)
+    v01 = flat.take(base0 + j1)
+    v11 = flat.take(base1 + j1)
+    top = v00 + (v10 - v00) * fx
+    bot = v01 + (v11 - v01) * fx
+    return top + (bot - top) * fy
+
+
+def weighted_estimator_two_transform(config, psi_modes, u1, u2):
+    """Reference for the weighted estimator in the linear-solve skeleton's
+    estimator interface: two syntheses per node (the exponent, then the
+    shifted psi), with the exponent's modes summed literally over the steps
+    and over every mode of u_n and |u_n|^2 (no active-mode threshold, no
+    time-axis FFT).  Takes all branches as one chunk.
+    """
+    n, steps, dt, nu = config.N, config.L, config.dt, config.nu
+    sqrt2nu = np.sqrt(2.0 * nu)
+    k_base = wavenumbers(n).astype(np.float64)
+    k_ext = wavenumbers(2 * n).astype(np.float64)
+    v1 = modes_to_grid(np.stack([embed_modes(m, 2) for m in u1]))
+    v2 = modes_to_grid(np.stack([embed_modes(m, 2) for m in u2]))
+    q = grid_to_modes(v1 * v1 + v2 * v2)  # |u_n|^2, exact on the doubled grid
+
+    def phase(d, k):
+        """exp(2 pi i <k, d>) on the k-grid for every branch displacement d."""
+        return np.exp(
+            2j * np.pi * (d[:, 0, None, None] * k[:, None] + d[:, 1, None, None] * k[None, :])
+        )
+
+    def samples(db, disp):
+        bc = db.shape[0]
+        for m in range(1, steps + 1):
+            expo = np.zeros((bc, n, n), dtype=np.complex128)
+            for j in range(m):
+                ell = m - j
+                a = u1[ell] * db[:, j, 0, None, None] + u2[ell] * db[:, j, 1, None, None]
+                expo += a * phase(disp[:, j], k_base) / sqrt2nu
+                # lattice sampling sees extended wavenumbers modulo n
+                qq = q[ell] * phase(disp[:, j], k_ext) * (dt / (4.0 * nu))
+                expo += qq.reshape(bc, 2, n, 2, n).sum(axis=(1, 3))
+            w_minus_1 = np.expm1(-modes_to_grid(expo))
+            psi_shift = modes_to_grid(psi_modes * phase(disp[:, m], k_base))
+            yield m, psi_shift * w_minus_1
+
+    return config.M_inner, samples

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,10 @@ from vortexbsde.bsde_engine import (
     BsdeSolution,
     PicardIterate,
     SolverConfig,
+    _bilinear,
+    _half_plane_modes,
+    _linear_solve,
+    _spectral_point_values,
     alpha_norm,
     bsde_residual,
     bsde_residual_profile,
@@ -39,7 +46,13 @@ from vortexbsde.torus_field import (
 )
 
 from conftest import random_mean_zero_field
-from oracles import girsanov_weight, terminal_value
+from oracles import (
+    bilinear_reference,
+    girsanov_weight,
+    series_sum_brute,
+    terminal_value,
+    weighted_estimator_two_transform,
+)
 
 
 def sin1(n=16):
@@ -228,12 +241,15 @@ class TestLinearSolve:
             brownian, "ensemble_increments", lambda *args: 4e4 * ensemble(*args)
         )
         cfg = SolverConfig(N=16, L=8, M_inner=16, nu=0.3, T=0.2, alpha=0.0, groups=2)
-        with pytest.raises(NumericalError, match="non-finite") as exc:
-            solve_weighted_with_stats(heat_iterate(two_mode(), cfg, 0.0), cfg)
-        assert exc.value.exit_code == 3
-        assert 1 <= exc.value.diagnostics["node"] <= cfg.L
-        with pytest.raises(NumericalError, match="non-finite"):
-            picard_solve(two_mode(), cfg)
+        # the overflow is reported by the error alone, not by numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="non-finite") as exc:
+                solve_weighted_with_stats(heat_iterate(two_mode(), cfg, 0.0), cfg)
+            assert exc.value.exit_code == 3
+            assert 1 <= exc.value.diagnostics["node"] <= cfg.L
+            with pytest.raises(NumericalError, match="non-finite"):
+                picard_solve(two_mode(), cfg)
 
     def test_drift_guard(self):
         cfg = SolverConfig(N=16, L=2, M_inner=8, nu=1e-5, T=2.0, alpha=0.0, groups=2)
@@ -246,6 +262,47 @@ class TestLinearSolve:
         with pytest.raises(ConfigurationError):
             solve_weighted_with_stats(heat_iterate(two_mode(16), SolverConfig(
                 N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2), 0.0), cfg)
+
+
+class TestHotLoopKernels:
+    """The estimators' inner kernels against their plain references."""
+
+    def test_packed_weighted_step_matches_two_transform_reference(self):
+        cfg = SolverConfig(N=16, L=8, M_inner=32, nu=0.3, T=0.2, alpha=0.0)
+        # The reference keeps every mode, so prev must have no modes near
+        # the active-mode threshold: the exact heat iterate has none.
+        prev = heat_iterate(two_mode(), cfg, 0.0)
+        it, stats = solve_weighted_with_stats(prev, cfg)
+        it_ref, stats_ref = _linear_solve(
+            prev, cfg, brownian.TAG_INNER, weighted_estimator_two_transform
+        )
+        pairs = [(it.mode_stack(), it_ref.mode_stack())] + [
+            (getattr(stats, f.name), getattr(stats_ref, f.name))
+            for f in dataclasses.fields(stats)
+        ]
+        for got, ref in pairs:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_padded_bilinear_matches_reference(self):
+        rng = np.random.default_rng(3)
+        p = 64
+        grid = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        padded = np.pad(grid, ((0, 1), (0, 1)), mode="wrap")
+        nodes = np.arange(-3 * p, 3 * p) / p
+        pos = np.concatenate([
+            rng.uniform(-3.0, 3.0, size=(4000, 2)),
+            np.stack(np.meshgrid(nodes, nodes[::7]), axis=-1).reshape(-1, 2),
+            [[-1e-18, 0.5], [0.25, -1e-18], [-1e-18, -1e-18]],
+        ])
+        got = _bilinear(padded, pos[:, 0], pos[:, 1])
+        assert np.max(np.abs(got - bilinear_reference(grid, pos))) < 1e-14
+
+    def test_half_plane_point_values_match_all_modes(self):
+        modes = random_mean_zero_field(16, 9).modes
+        pos = np.random.default_rng(4).uniform(-2.0, 2.0, size=(500, 2))
+        got = _spectral_point_values(_half_plane_modes(modes), pos[:, 0], pos[:, 1])
+        ref = series_sum_brute(modes, pos)
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 class TestDriftedSolve:

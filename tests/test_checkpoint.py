@@ -1,12 +1,17 @@
 import struct
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexbsde.bsde_engine import SolverConfig, picard_solve
 from vortexbsde.checkpoint import (
     FIELD_MAGIC,
     TRAJ_MAGIC,
+    _config_from_dict,
     field_from_bytes,
     field_to_bytes,
     read_field,
@@ -17,7 +22,7 @@ from vortexbsde.checkpoint import (
     write_trajectory,
 )
 from vortexbsde.diagnostics import full_json_report
-from vortexbsde.errors import ConfigurationError
+from vortexbsde.errors import ConfigurationError, VortexError
 from vortexbsde.spectral_oracle import evolve
 from vortexbsde.torus_field import field_from_mode_list
 
@@ -52,6 +57,38 @@ class TestFieldFormat:
         with pytest.raises(ConfigurationError):
             field_from_bytes(b"XXXX" + b"\x00" * 64)
 
+    @pytest.mark.parametrize("cut", [0, 5, 9, 9 + 16 * 16 - 1])
+    def test_truncated_buffer(self, cut):
+        buf = field_to_bytes(field_from_mode_list(16, [(1, 0, -0.5j)]))
+        with pytest.raises(ConfigurationError, match="truncated"):
+            field_from_bytes(buf[:cut])
+
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "f.vbsf"
+        p.write_bytes(field_to_bytes(field_from_mode_list(4, [(1, 0, -0.5j)])) + b"\x00")
+        with pytest.raises(ConfigurationError, match="past its end"):
+            read_field(p)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            read_field(tmp_path / "absent.vbsf")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cut=st.integers(0, 9 + 16 * 16),
+        edits=st.lists(st.tuples(st.integers(0, 9 + 16 * 16 - 1), st.integers(0, 255)), max_size=6),
+    )
+    def test_fuzz_truncated_or_corrupted(self, cut, edits):
+        # anything a damaged checkpoint makes the reader raise is a package error
+        buf = bytearray(field_to_bytes(field_from_mode_list(4, [(1, 0, -0.5j), (0, 1, 0.25)])))
+        for i, value in edits:
+            buf[i] = value
+        try:
+            f, _ = field_from_bytes(bytes(buf[:cut]))
+        except VortexError:
+            return
+        assert np.all(np.isfinite(f.modes))
+
 
 class TestTrajectoryFormat:
     def test_round_trip(self, tmp_path):
@@ -83,6 +120,19 @@ class TestTrajectoryFormat:
         with pytest.raises(ConfigurationError):
             read_trajectory(p)
 
+    def test_truncated(self, tmp_path):
+        traj = evolve(field_from_mode_list(16, [(1, 0, -0.5j)]), 0.2, 0.1, 4)
+        p = tmp_path / "t.vbst"
+        write_trajectory(p, traj)
+        buf = p.read_bytes()
+        for cut in (10, len(buf) - 1):
+            p.write_bytes(buf[:cut])
+            with pytest.raises(ConfigurationError, match="truncated"):
+                read_trajectory(p)
+        p.write_bytes(buf + b"\x00" * 3)
+        with pytest.raises(ConfigurationError, match="past its end"):
+            read_trajectory(p)
+
 
 class TestSolutionBundle:
     def test_round_trip_and_rediagnose(self, tmp_path):
@@ -99,3 +149,12 @@ class TestSolutionBundle:
         assert back.config == sol.config
         # diagnostics must be reproducible from the on-disk record alone
         assert full_json_report(back) == full_json_report(sol)
+
+    def test_config_missing_required_keys(self):
+        with pytest.raises(ConfigurationError, match="M_inner"):
+            _config_from_dict({"N": 16, "L": 4, "nu": 0.1, "T": 0.1})
+
+    def test_bad_json(self, tmp_path):
+        (tmp_path / "solution.json").write_text('{"config": {"N": 16,')
+        with pytest.raises(ConfigurationError, match="not valid JSON"):
+            read_solution_bundle(tmp_path)

@@ -231,6 +231,22 @@ class TestCompareCommand:
         summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
         assert summary["max_l2_diff"] < 0.02  # MC scale at M_inner = 150
 
+    @pytest.mark.parametrize("absent", ["solution_bundle", "trajectory"])
+    def test_missing_input_exit_code_and_manifest(self, tmp_path, absent):
+        paths = dict(zip(("solution_bundle", "trajectory"), self._oracle_as_solution(tmp_path)))
+        paths[absent] = tmp_path / "absent"
+        out = tmp_path / "cmp"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"outdir = {out}\nsolution_bundle = {paths['solution_bundle']}\n"
+            f"trajectory = {paths['trajectory']}\npaths = 2\n",
+        )
+        assert cli.main(["compare", str(cfg)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"]["type"] == "ConfigurationError"
+        assert "absent" in manifest["error"]["message"]
+
     def test_parameter_mismatch(self, tmp_path):
         bundle, _ = self._oracle_as_solution(tmp_path)
         other = evolve(field_from_mode_list(16, [(1, 0, -0.5j)]), 0.9, 0.2, 16)

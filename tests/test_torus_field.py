@@ -113,6 +113,14 @@ class TestScalarFieldInvariants:
         with pytest.raises(DomainError, match="non-finite"):
             ScalarField(modes)
 
+    def test_huge_hermitian_modes_stay_finite(self):
+        modes = np.zeros((N8, N8), complex)
+        modes[1, 0] = 1.7e308 + 1.7e308j
+        modes[-1, 0] = 1.7e308 - 1.7e308j
+        f = ScalarField(modes)
+        assert np.all(np.isfinite(f.modes))
+        assert np.array_equal(f.modes, modes)
+
     def test_modes_immutable(self):
         f = sin1()
         with pytest.raises(ValueError):
