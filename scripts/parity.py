@@ -8,7 +8,9 @@ single-mode config in this directory, at the benchmark's sizes (two-mode
 L = 32, M_inner = 250; single-mode L = 16, M_inner = 1000):
 
 * ``picard_solve``;
-* ``solve_weighted_with_stats`` from the heat iterate;
+* ``solve_weighted_with_stats`` from the heat iterate, and again from the
+  iterate that step returns (iterate 1: on the two-mode config the widest
+  active-mode sets, which the heat iterate does not reach);
 * ``solve_drifted_with_stats`` with M_inner = 50 from the heat iterate.
 
 Prints, for every mode stack and every ``SolveStats`` array, the largest
@@ -83,8 +85,12 @@ def run_tree(tree: Path) -> tuple[dict, dict]:
             iterations[f"{case}.picard"] = [rec["iteration"] for rec in solution.history]
 
             heat = engine.heat_iterate(psi, config, 0.0)
+            first = engine.solve_weighted_with_stats(heat, config)
+            arrays.update(_solve_arrays(f"{case}.weighted", *first))
             arrays.update(
-                _solve_arrays(f"{case}.weighted", *engine.solve_weighted_with_stats(heat, config))
+                _solve_arrays(
+                    f"{case}.weighted_from_1", *engine.solve_weighted_with_stats(first[0], config)
+                )
             )
 
             drifted = dataclasses.replace(config, M_inner=DRIFTED_M)

@@ -57,8 +57,9 @@ from .torus_field import (
 
 TWO_PI = 2.0 * np.pi
 
-#: Working-memory budget (bytes) steering the branch-chunk size.
-_CHUNK_BUDGET = 3 * 10**8
+#: Branches per chunk of the weighted solve: keeps one node's (chunk, N, N)
+#: temporaries in a core's L2 cache.
+_WEIGHTED_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +234,19 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
             # A non-finite sample (e.g. an overflowing Girsanov weight) makes
             # its squared sum non-finite; clipping it would bias the mean.
             with np.errstate(over="ignore", invalid="ignore"):
-                sq = np.square(sample).sum(axis=0)
+                sq = np.einsum("bij,bij->ij", sample, sample)
                 finite = np.all(np.isfinite(sq))
             if not finite:
                 raise NumericalError(
                     "non-finite Monte Carlo sample in linear solve",
                     diagnostics={"node": m},
                 )
-            sum_f[m] += sample.sum(axis=0)
             sumsq_f[m] += sq
+            # group_of is non-decreasing, so the groups of a chunk's runs
+            # are distinct and plain fancy-index addition is exact.
             partial = np.add.reduceat(sample, run_starts, axis=0)
-            np.add.at(group_sum, (run_groups, m), partial)
+            sum_f[m] += partial.sum(axis=0)
+            group_sum[run_groups, m] += partial
 
     return _assemble_iterate(
         prev, config, heat, sum_f, sumsq_f, group_sum, group_counts
@@ -340,20 +343,43 @@ class _ScatterPlan:
         starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
         return cls(order=order, starts=starts, targets=ordered[starts])
 
-    def accumulate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sum values (..., K) into unique targets; returns (targets, sums)."""
+    def accumulate(self, values: np.ndarray) -> np.ndarray:
+        """Sum values (..., K) into the unique ``targets``, in their order."""
         ordered = values[..., self.order]
-        return self.targets, np.add.reduceat(ordered, self.starts, axis=-1)
+        return np.add.reduceat(ordered, self.starts, axis=-1)
 
 
-def _chunk_size(n_branches: int, steps: int, n: int, k_total: int) -> int:
-    per_branch = 16 * (
-        2 * (steps + 1) * (2 * n)  # extended phase tables
-        + 2 * (steps + 1) * n  # base-grid phase tables
-        + 6 * 2 * steps * max(k_total, 1)  # convolution work arrays
-        + 4 * n * n  # per-node field temporaries
-    )
-    return int(np.clip(_CHUNK_BUDGET // max(per_branch, 1), 1, n_branches))
+@dataclass
+class _SubBlock:
+    """Lattice synthesis of complex mode arrays supported on fixed rows and
+    columns of the (N, N) FFT layout: two small matrix products in place of
+    a dense ``ifft2``.  The Nyquist index N/2 stands for k = -N/2, as in
+    ``ifft2``; the phases k*j are reduced mod N before the ``exp``."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    e_rows: np.ndarray  # (N, R): exp(2 pi i k_r j / N)
+    e_cols: np.ndarray  # (C, N): exp(2 pi i k_c j / N)
+
+    @classmethod
+    def build(cls, flat_positions: np.ndarray, n: int):
+        rows = np.unique(flat_positions // n)
+        cols = np.unique(flat_positions % n)
+        k, j = wavenumbers(n), np.arange(n)
+        e_rows = np.exp(TWO_PI * 1j * ((j[:, None] * k[rows]) % n) / n)
+        e_cols = np.exp(TWO_PI * 1j * ((k[cols][:, None] * j) % n) / n)
+        return cls(rows, cols, e_rows, e_cols)
+
+    def slots(self, flat_positions: np.ndarray, n: int) -> np.ndarray:
+        """Flat (R, C) sub-block indices of flat (N, N) mode positions."""
+        r = np.searchsorted(self.rows, flat_positions // n)
+        return r * self.cols.size + np.searchsorted(self.cols, flat_positions % n)
+
+    def synthesise(self, z: np.ndarray) -> np.ndarray:
+        """Lattice values (B, N, N) of the sub-block modes z, shape (B, R*C)."""
+        bc, n, c = z.shape[0], self.e_rows.shape[0], self.cols.size
+        g = np.matmul(self.e_rows, z.reshape(bc, self.rows.size, c))  # (B, N, C)
+        return (g.reshape(bc * n, c) @ self.e_cols).reshape(bc, n, n)
 
 
 def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
@@ -381,76 +407,82 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     mag_a = (np.abs(u1[1:]) + np.abs(u2[1:])).max(axis=0)
     ia1, ia2 = _active_indices(mag_a, thr)
 
-    if ia1.size:
-        w1, w2 = v1[1:], v2[1:]
-        q_modes = grid_to_modes(w1 * w1 + w2 * w2)
-        iq1, iq2 = _active_indices(np.abs(q_modes).max(axis=0), thr)
-        k_ext = wavenumbers(2 * n)
-        kq1, kq2 = k_ext[iq1], k_ext[iq2]
-    else:
-        iq1 = iq2 = kq1 = kq2 = np.empty(0, np.int64)
+    if not ia1.size:  # W = 1 exactly
 
-    k_a, k_q = ia1.size, iq1.size
-    have_drift = k_a > 0
+        def no_correction(db, disp):
+            for m in range(1, steps + 1):
+                yield m, np.zeros((db.shape[0], n, n))
+
+        return _WEIGHTED_CHUNK, no_correction
+
+    w1, w2 = v1[1:], v2[1:]
+    q_modes = grid_to_modes(w1 * w1 + w2 * w2)
+    iq1, iq2 = _active_indices(np.abs(q_modes).max(axis=0), thr)
+    k_ext = wavenumbers(2 * n)
+    kq1, kq2 = k_ext[iq1], k_ext[iq2]
 
     # Frequency-domain coefficient tables for the causal convolutions
     # A_m = sum_{j<m} <u_{m-j}, dB_j> phase_j, Q_m = sum_{j<m} q_{m-j} phase_j.
     pad = 2 * steps
-    if have_drift:
-        cu1 = np.zeros((pad, k_a), dtype=np.complex128)
-        cu2 = np.zeros((pad, k_a), dtype=np.complex128)
-        cu1[1 : steps + 1] = u1[1:, ia1, ia2]
-        cu2[1 : steps + 1] = u2[1:, ia1, ia2]
-        fu1 = np.fft.fft(cu1, axis=0)
-        fu2 = np.fft.fft(cu2, axis=0)
-        cq = np.zeros((pad, k_q), dtype=np.complex128)
-        cq[1 : steps + 1] = q_modes[:, iq1, iq2]
-        fq = np.fft.fft(cq, axis=0)
-        flat_a = ia1 * n + ia2
-        plan_q = _ScatterPlan.build(_fold_positions(kq1, kq2, n)) if k_q else None
+    cu1 = np.zeros((pad, ia1.size), dtype=np.complex128)
+    cu2 = np.zeros((pad, ia1.size), dtype=np.complex128)
+    cu1[1 : steps + 1] = u1[1:, ia1, ia2]
+    cu2[1 : steps + 1] = u2[1:, ia1, ia2]
+    fu1 = np.fft.fft(cu1, axis=0)
+    fu2 = np.fft.fft(cu2, axis=0)
+    cq = np.zeros((pad, iq1.size), dtype=np.complex128)
+    cq[1 : steps + 1] = q_modes[:, iq1, iq2]
+    fq = np.fft.fft(cq, axis=0)
 
-    k_ext_all = wavenumbers(2 * n).astype(np.float64)
-    base_in_ext = wavenumbers(n) % (2 * n)
-    ipsi_modes = 1j * psi_modes
+    # Each node's complex mode array, the exponent plus 1j * the shifted psi
+    # (both real fields), lives on the rows and columns occupied by psi, the
+    # active u modes and the folded |u|^2 targets.
+    ip1, ip2 = np.nonzero(psi_modes)
+    ipsi = 1j * psi_modes[ip1, ip2]
+    flat_p = ip1 * n + ip2
+    flat_a = ia1 * n + ia2
+    plan_q = _ScatterPlan.build(_fold_positions(kq1, kq2, n))
+    block = _SubBlock.build(np.concatenate([flat_p, flat_a, plan_q.targets]), n)
+    slot_p = block.slots(flat_p, n)
+    slot_a = block.slots(flat_a, n)
+    slot_q = block.slots(plan_q.targets, n)
+    size = block.rows.size * block.cols.size
+
+    # Phase tables exp(2 pi i k disp) only at the wavenumbers some term reads.
+    k_base = wavenumbers(n)
+    kx, kx_of = np.unique(np.concatenate([k_base[ip1], k_base[ia1], kq1]), return_inverse=True)
+    ky, ky_of = np.unique(np.concatenate([k_base[ip2], k_base[ia2], kq2]), return_inverse=True)
+    xp, xa, xq = np.split(kx_of, [ip1.size, ip1.size + ia1.size])
+    yp, ya, yq = np.split(ky_of, [ip2.size, ip2.size + ia2.size])
+    kx, ky = kx.astype(np.float64), ky.astype(np.float64)
 
     def samples(db, disp):
         bc = db.shape[0]
-        if not have_drift:  # W = 1 exactly
-            for m in range(1, steps + 1):
-                yield m, np.zeros((bc, n, n))
-            return
-        px_ext = np.exp(TWO_PI * 1j * disp[:, :, 0, None] * k_ext_all)
-        py_ext = np.exp(TWO_PI * 1j * disp[:, :, 1, None] * k_ext_all)
-        px = px_ext[:, :, base_in_ext]
-        py = py_ext[:, :, base_in_ext]
+        px = np.exp(TWO_PI * 1j * disp[:, :, 0, None] * kx)
+        py = np.exp(TWO_PI * 1j * disp[:, :, 1, None] * ky)
 
-        ph_a = px[:, :steps, ia1] * py[:, :steps, ia2]  # (bc, L, K_A)
+        ph_a = px[:, :steps, xa] * py[:, :steps, ya]  # (bc, L, K_A)
         xa1 = db[:, :, 0, None] * ph_a
         xa2 = db[:, :, 1, None] * ph_a
         fa = np.fft.fft(xa1, n=pad, axis=1) * fu1[None, :, :]
         fa += np.fft.fft(xa2, n=pad, axis=1) * fu2[None, :, :]
         a_nodes = np.fft.ifft(fa, axis=1)[:, 1 : steps + 1, :]
-        if k_q:
-            ph_q = px_ext[:, :steps, iq1] * py_ext[:, :steps, iq2]
-            fqq = np.fft.fft(ph_q, n=pad, axis=1) * fq[None, :, :]
-            q_nodes = np.fft.ifft(fqq, axis=1)[:, 1 : steps + 1, :]
+        ph_q = px[:, :steps, xq] * py[:, :steps, yq]
+        fqq = np.fft.fft(ph_q, n=pad, axis=1) * fq[None, :, :]
+        q_nodes = np.fft.ifft(fqq, axis=1)[:, 1 : steps + 1, :]
 
         for m in range(1, steps + 1):
-            # The exponent and the psi shift are real fields, so one complex
-            # synthesis of exponent + 1j * psi_shift returns both.
-            z = ipsi_modes * (px[:, m, :, None] * py[:, m, None, :])
-            z = z.reshape(bc, n * n)
-            z[:, flat_a] += a_nodes[:, m - 1, :] / sqrt2nu
-            if k_q:
-                targets, sums = plan_q.accumulate(q_nodes[:, m - 1, :])
-                z[:, targets] += sums * (dt / (4.0 * nu))
-            z = modes_to_complex_grid(z.reshape(bc, n, n))
+            z = np.zeros((bc, size), dtype=np.complex128)
+            z[:, slot_p] = ipsi * (px[:, m, xp] * py[:, m, yp])
+            z[:, slot_a] += a_nodes[:, m - 1, :] / sqrt2nu
+            z[:, slot_q] += plan_q.accumulate(q_nodes[:, m - 1, :]) * (dt / (4.0 * nu))
+            g = block.synthesise(z)
             # An overflowing weight is left to the skeleton's finiteness check.
             with np.errstate(over="ignore", invalid="ignore"):
-                sample = z.imag * np.expm1(-z.real)
+                sample = g.imag * np.expm1(-g.real)
             yield m, sample
 
-    return _chunk_size(config.M_inner, steps, n, k_a + k_q), samples
+    return _WEIGHTED_CHUNK, samples
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ norms, iteration history, ensemble metadata), ``psi.vbsf`` and
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
@@ -122,11 +123,39 @@ def read_trajectory(path) -> VorticityTrajectory:
         f, offset = field_from_bytes(buf, offset)
         fields.append(f)
     _check_consumed(buf, offset, "trajectory checkpoint")
+    if any(f.grid_size != fields[0].grid_size for f in fields):
+        raise ConfigurationError("trajectory fields disagree on grid size")
     return VorticityTrajectory(tuple(fields), nu=nu, dt=dt)
 
 
 # ---------------------------------------------------------------------------
 # solution bundle
+
+
+#: Top-level keys of ``solution.json`` and the JSON types of their values.
+_BUNDLE_KEYS = {
+    "config": dict,
+    "norms": dict,
+    "history": list,
+    "path_ensemble_meta": dict,
+    "iteration_index": int,
+    "alpha": (int, float),
+}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a ``SolverConfig`` field annotation such as
+    ``int``, ``float``, ``str`` or ``float | None``; floats must be finite."""
+    if value is None:
+        return "None" in annotation
+    if isinstance(value, bool):
+        return False
+    kinds = annotation.split(" | ")
+    if isinstance(value, int):
+        return "int" in kinds or "float" in kinds
+    if isinstance(value, float):
+        return "float" in kinds and math.isfinite(value)
+    return isinstance(value, str) and "str" in kinds
 
 
 def _config_from_dict(d: dict) -> SolverConfig:
@@ -136,7 +165,26 @@ def _config_from_dict(d: dict) -> SolverConfig:
     missing = [f.name for f in fields(SolverConfig) if f.default is MISSING and f.name not in d]
     if missing:
         raise ConfigurationError(f"solution config lacks required keys {missing}")
+    for f in fields(SolverConfig):
+        if f.name in d and not _fits(d[f.name], f.type):
+            raise ConfigurationError(
+                f"solution config key {f.name!r} needs {f.type}, got {d[f.name]!r}"
+            )
     return SolverConfig(**d)
+
+
+def _check_matches_config(psi: ScalarField, traj: VorticityTrajectory, config: SolverConfig):
+    """The bundle's fields must sit on the grids its config describes."""
+    found = {
+        "psi grid size": (psi.grid_size, config.N),
+        "trajectory grid size": (traj.grid_size, config.N),
+        "trajectory step count": (traj.steps, config.L),
+        "trajectory nu": (traj.nu, config.nu),
+        "trajectory dt": (traj.dt, config.dt),
+    }
+    for what, (got, want) in found.items():
+        if not abs(got - want) <= 1e-12 * abs(want):
+            raise ConfigurationError(f"bundle {what} {got!r} disagrees with its config ({want!r})")
 
 
 def write_solution_bundle(directory, solution: BsdeSolution) -> list:
@@ -169,9 +217,20 @@ def read_solution_bundle(directory) -> BsdeSolution:
         doc = json.loads(_read_bytes(directory / "solution.json"))
     except ValueError as exc:
         raise ConfigurationError(f"{directory / 'solution.json'} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{directory / 'solution.json'} is not a JSON object")
+    missing = [key for key in _BUNDLE_KEYS if key not in doc]
+    if missing:
+        raise ConfigurationError(f"{directory / 'solution.json'} lacks keys {missing}")
+    for key, kind in _BUNDLE_KEYS.items():
+        if not isinstance(doc[key], kind):
+            raise ConfigurationError(
+                f"{directory / 'solution.json'} key {key!r} has ill-typed value {doc[key]!r}"
+            )
     config = _config_from_dict(doc["config"])
     psi = read_field(directory / "psi.vbsf")
     traj = read_trajectory(directory / "y_fields.vbst")
+    _check_matches_config(psi, traj, config)
     iterate = PicardIterate(traj.fields, doc["iteration_index"], doc["alpha"])
     return BsdeSolution(
         y=iterate,

@@ -10,6 +10,7 @@ from vortexbsde.bsde_engine import (
     BsdeSolution,
     PicardIterate,
     SolverConfig,
+    _SubBlock,
     _bilinear,
     _half_plane_modes,
     _linear_solve,
@@ -41,6 +42,7 @@ from vortexbsde.torus_field import (
     grid_to_modes,
     inverse_transform,
     l2_norm,
+    modes_to_complex_grid,
     partial_derivative,
     translate,
 )
@@ -267,11 +269,8 @@ class TestLinearSolve:
 class TestHotLoopKernels:
     """The estimators' inner kernels against their plain references."""
 
-    def test_packed_weighted_step_matches_two_transform_reference(self):
-        cfg = SolverConfig(N=16, L=8, M_inner=32, nu=0.3, T=0.2, alpha=0.0)
-        # The reference keeps every mode, so prev must have no modes near
-        # the active-mode threshold: the exact heat iterate has none.
-        prev = heat_iterate(two_mode(), cfg, 0.0)
+    @staticmethod
+    def _assert_weighted_matches_reference(prev, cfg):
         it, stats = solve_weighted_with_stats(prev, cfg)
         it_ref, stats_ref = _linear_solve(
             prev, cfg, brownian.TAG_INNER, weighted_estimator_two_transform
@@ -282,6 +281,47 @@ class TestHotLoopKernels:
         ]
         for got, ref in pairs:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_packed_weighted_step_matches_two_transform_reference(self):
+        cfg = SolverConfig(N=16, L=8, M_inner=32, nu=0.3, T=0.2, alpha=0.0)
+        # The reference keeps every mode, so prev must have no modes near
+        # the active-mode threshold: the exact heat iterate has none.
+        self._assert_weighted_matches_reference(heat_iterate(two_mode(), cfg, 0.0), cfg)
+
+    @pytest.mark.parametrize("case", ["three_chunks", "full_support", "zero_drift"])
+    def test_packed_weighted_step_matches_reference_edge_cases(self, case):
+        cfg = SolverConfig(N=16, L=8, M_inner=32, nu=0.3, T=0.2, alpha=0.0)
+        psi = two_mode()
+        if case == "three_chunks":
+            # chunks of 64, 64 and 22 branches; 16 groups of 9-10 straddle them
+            cfg = dataclasses.replace(cfg, M_inner=150)
+        elif case == "full_support":
+            # every non-Nyquist mode of psi is nonzero, and with no threshold
+            # every mode of u_n and |u_n|^2 is active: the sub-block is the grid
+            cfg = dataclasses.replace(cfg, mode_threshold_rel=0.0)
+            psi = random_mean_zero_field(16, 21) * 2.0
+            assert np.count_nonzero(psi.modes) == 15 * 15 - 1
+        prev = heat_iterate(psi, cfg, 0.0)
+        if case == "zero_drift":
+            prev = iterate_with_zero_interior(psi, cfg.L)
+        self._assert_weighted_matches_reference(prev, cfg)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sub_block_synthesis_matches_ifft2(self, seed):
+        n = 16
+        rng = np.random.default_rng(seed)
+        flat = rng.choice(n * n, size=rng.integers(1, 40), replace=False)
+        # the Nyquist row and column, which folded |u|^2 targets can reach
+        flat = np.unique(np.r_[flat, (n // 2) * n + rng.integers(n), rng.integers(n) * n + n // 2])
+        values = rng.standard_normal((5, flat.size)) + 1j * rng.standard_normal((5, flat.size))
+        dense = np.zeros((5, n * n), dtype=np.complex128)
+        dense[:, flat] = values
+        block = _SubBlock.build(flat, n)
+        z = np.zeros((5, block.rows.size * block.cols.size), dtype=np.complex128)
+        z[:, block.slots(flat, n)] = values
+        ref = modes_to_complex_grid(dense.reshape(5, n, n))
+        got = block.synthesise(z)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_padded_bilinear_matches_reference(self):
         rng = np.random.default_rng(3)

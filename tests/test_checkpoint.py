@@ -4,10 +4,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vortexbsde.bsde_engine import SolverConfig, picard_solve
+from vortexbsde.bsde_engine import BsdeSolution, PicardIterate, SolverConfig, picard_solve
 from vortexbsde.checkpoint import (
     FIELD_MAGIC,
     TRAJ_MAGIC,
@@ -23,7 +23,7 @@ from vortexbsde.checkpoint import (
 )
 from vortexbsde.diagnostics import full_json_report
 from vortexbsde.errors import ConfigurationError, VortexError
-from vortexbsde.spectral_oracle import evolve
+from vortexbsde.spectral_oracle import VorticityTrajectory, evolve
 from vortexbsde.torus_field import field_from_mode_list
 
 from conftest import random_mean_zero_field
@@ -133,6 +133,36 @@ class TestTrajectoryFormat:
         with pytest.raises(ConfigurationError, match="past its end"):
             read_trajectory(p)
 
+    def test_fields_disagree_on_grid_size(self, tmp_path):
+        fields = (field_from_mode_list(4, [(1, 0, -0.5j)]), field_from_mode_list(8, [(1, 0, -0.5j)]))
+        p = tmp_path / "t.vbst"
+        write_trajectory(p, VorticityTrajectory(fields, nu=0.1, dt=0.1))
+        with pytest.raises(ConfigurationError, match="grid size"):
+            read_trajectory(p)
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_fuzz_truncated_or_corrupted(self, tmp_path, data):
+        # anything a damaged trajectory makes the reader raise is a package error
+        p = tmp_path / "t.vbst"
+        write_trajectory(p, evolve(field_from_mode_list(4, [(1, 0, -0.5j), (0, 1, 0.25)]), 0.2, 0.1, 2))
+        buf = bytearray(p.read_bytes())
+        cut = data.draw(st.integers(0, len(buf)))
+        edits = data.draw(
+            st.lists(st.tuples(st.integers(0, len(buf) - 1), st.integers(0, 255)), max_size=6)
+        )
+        for i, value in edits:
+            buf[i] = value
+        p.write_bytes(bytes(buf[:cut]))
+        try:
+            traj = read_trajectory(p)
+        except VortexError:
+            return
+        assert all(np.all(np.isfinite(f.modes)) for f in traj.fields)
+        assert len({f.grid_size for f in traj.fields}) == 1
+
 
 class TestSolutionBundle:
     def test_round_trip_and_rediagnose(self, tmp_path):
@@ -157,4 +187,38 @@ class TestSolutionBundle:
     def test_bad_json(self, tmp_path):
         (tmp_path / "solution.json").write_text('{"config": {"N": 16,')
         with pytest.raises(ConfigurationError, match="not valid JSON"):
+            read_solution_bundle(tmp_path)
+
+    @pytest.mark.parametrize("doc", ["{}", "[]", '"solution"', '{"config": {"N": 16}}'])
+    def test_malformed_document(self, tmp_path, doc):
+        (tmp_path / "solution.json").write_text(doc)
+        with pytest.raises(ConfigurationError, match="solution.json"):
+            read_solution_bundle(tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("N", "16"), ("N", 16.0), ("nu", None), ("nu", float("nan")), ("groups", True), ("alpha", "0")],
+    )
+    def test_config_ill_typed_value(self, key, value):
+        d = {"N": 16, "L": 4, "M_inner": 8, "nu": 0.1, "T": 0.1, "groups": 2, key: value}
+        with pytest.raises(ConfigurationError, match=key):
+            _config_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "key, value, what",
+        [("L", 8, "step count"), ("N", 32, "grid size"), ("nu", 0.2, "nu"), ("T", 0.8, "dt")],
+    )
+    def test_trajectory_disagrees_with_config(self, tmp_path, key, value, what):
+        psi = field_from_mode_list(16, [(1, 0, -0.5j)])
+        traj = evolve(psi, 0.1, 0.1, 4)
+        cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.1, T=0.4, groups=2)
+        sol = BsdeSolution(
+            y=PicardIterate(traj.fields, 1, 0.0), psi=psi, config=cfg,
+            norms={}, history=(), path_ensemble_meta={},
+        )
+        write_solution_bundle(tmp_path, sol)
+        doc = json.loads((tmp_path / "solution.json").read_text())
+        doc["config"][key] = value
+        (tmp_path / "solution.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match=what):
             read_solution_bundle(tmp_path)

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexbsde import cli
 from vortexbsde.bsde_engine import BsdeSolution, PicardIterate, SolverConfig
 from vortexbsde.checkpoint import write_solution_bundle
-from vortexbsde.errors import ConfigurationError
+from vortexbsde.errors import ConfigurationError, VortexError
 from vortexbsde.spectral_oracle import evolve
 from vortexbsde.torus_field import field_from_mode_list
 
@@ -52,6 +54,17 @@ class TestConfigParsing:
     def test_duplicate_key(self):
         with pytest.raises(ConfigurationError, match="line 2"):
             cli._parse_kv_text("a = 1\na = 2\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(max_size=80) | st.text(alphabet="ab =#;.1-\n\t\r\x0b\x1c\u2028", max_size=60))
+    def test_fuzz_kv_text(self, text):
+        # any text is either parsed into non-empty keys and values or rejected
+        # as a package error
+        try:
+            values = cli._parse_kv_text(text)
+        except VortexError:
+            return
+        assert all(k and v and "=" not in k and "#" not in k + v for k, v in values.items())
 
     def test_missing_equals(self):
         with pytest.raises(ConfigurationError, match="line 1"):
@@ -260,6 +273,24 @@ class TestCompareCommand:
             f"trajectory = {bad}\npaths = 2\n",
         )
         assert cli.main(["compare", str(cfg)]) == 2
+
+    def test_bundle_step_count_mismatch_exit_code_and_manifest(self, tmp_path):
+        # config L disagrees with the 16 steps of y_fields.vbst: compare used
+        # to index past the trajectory and die with an IndexError, exit 1
+        bundle, traj_path = self._oracle_as_solution(tmp_path)
+        doc = json.loads((bundle / "solution.json").read_text())
+        doc["config"]["L"] = 32
+        (bundle / "solution.json").write_text(json.dumps(doc))
+        out = tmp_path / "cmp"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"outdir = {out}\nsolution_bundle = {bundle}\ntrajectory = {traj_path}\npaths = 2\n",
+        )
+        assert cli.main(["compare", str(cfg)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"]["type"] == "ConfigurationError"
+        assert "step count" in manifest["error"]["message"]
 
 
 class TestDiagnoseCommand:
