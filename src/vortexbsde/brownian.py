@@ -27,7 +27,6 @@ TAG_SIMULATE = 0x51
 TAG_BRANCH = 0xB2
 TAG_INNER = 0x1E
 TAG_DRIFT = 0xD3
-TAG_COMPARE = 0xC4
 
 
 def stream_key(seed: int, tag: int, index: int = 0) -> list:

@@ -76,8 +76,7 @@ class SolverConfig:
     nu: float
     T: float
     alpha: float | None = None  # None selects alpha from the bound formulas
-    picard_tol: float = 1e-3
-    picard_tol_mode: str = "absolute"  # or "noise_floor_multiple"
+    picard_tol: float = 2.0  # tolerance as a multiple of the Monte Carlo noise floor
     max_iter: int = 8
     base_seed: int = 0
     mode_threshold_rel: float = 1e-7
@@ -92,8 +91,6 @@ class SolverConfig:
             raise ConfigurationError("nu, T and picard_tol must be positive")
         if self.alpha is not None and self.alpha < 0:
             raise ConfigurationError("alpha must be non-negative")
-        if self.picard_tol_mode not in ("absolute", "noise_floor_multiple"):
-            raise ConfigurationError(f"unknown picard_tol_mode {self.picard_tol_mode!r}")
         if not 2 <= self.groups <= self.M_inner:
             raise ConfigurationError("groups must be in [2, M_inner]")
 
@@ -138,7 +135,6 @@ class BsdeSolution:
     config: SolverConfig
     norms: dict
     history: tuple
-    path_ensemble_meta: dict
 
     @property
     def z_fields(self) -> tuple:
@@ -700,17 +696,7 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
         dz_sq = z_alpha_bmo_sq(delta, alpha, dt)
         delta_norm = dy + float(np.sqrt(dz_sq))
         floor = noise_floor(stats, alpha, dt)
-
-        if config.picard_tol_mode == "absolute" and floor > config.picard_tol:
-            raise ConfigurationError(
-                f"Monte Carlo noise floor {floor:.3e} exceeds picard_tol "
-                f"{config.picard_tol:.3e}; increase M_inner"
-            )
-        tol = (
-            config.picard_tol
-            if config.picard_tol_mode == "absolute"
-            else config.picard_tol * floor
-        )
+        tol = config.picard_tol * floor
 
         base_gm = (
             prev_group_modes
@@ -802,20 +788,12 @@ def _finalize_solution(psi, config, iterate, group_modes, history, c0, c1, alpha
         "c0": c0,
         "c1": c1,
     }
-    meta = {
-        "base_seed": config.base_seed,
-        "M_inner": config.M_inner,
-        "groups": config.groups,
-        "inner_tag": brownian.TAG_INNER,
-        "common_random_numbers": True,
-    }
     return BsdeSolution(
         y=iterate,
         psi=psi,
         config=config,
         norms=norms,
         history=history,
-        path_ensemble_meta=meta,
     )
 
 
@@ -899,5 +877,4 @@ def subsample_solution(solution: BsdeSolution, factor: int) -> BsdeSolution:
         config=new_config,
         norms=solution.norms,
         history=solution.history,
-        path_ensemble_meta=solution.path_ensemble_meta,
     )

@@ -20,8 +20,7 @@ self-contained field blocks:
     bytes 18..25 nu, f64
 
 A solution bundle is a directory holding ``solution.json`` (config echo,
-norms, iteration history, ensemble metadata), ``psi.vbsf`` and
-``y_fields.vbst``.
+norms, iteration history), ``psi.vbsf`` and ``y_fields.vbst``.
 """
 
 from __future__ import annotations
@@ -137,15 +136,31 @@ _BUNDLE_KEYS = {
     "config": dict,
     "norms": dict,
     "history": list,
-    "path_ensemble_meta": dict,
     "iteration_index": int,
     "alpha": (int, float),
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+#: Entries of ``norms`` the diagnostics read; each must be a finite number.
+_NORM_KEYS = ("c1", "c0", "alpha", "y_sup", "z_bmo_sq_debiased", "z_bmo_sq_se")
+#: Entries of every ``history`` record the diagnostics read, and the checks
+#: their values must pass; the optional ones are checked only when present.
+_RECORD_KEYS = {
+    "iteration": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "eps_mc": _is_number,
+    "sup_lattice": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "delta_norm": _is_number,
+}
+_OPTIONAL_RECORD_KEYS = ("contraction_ratio", "delta_norm_se")
+
+
 def _fits(value, annotation: str) -> bool:
     """Whether a JSON value fits a ``SolverConfig`` field annotation such as
-    ``int``, ``float``, ``str`` or ``float | None``; floats must be finite."""
+    ``int``, ``float`` or ``float | None``; floats must be finite."""
     if value is None:
         return "None" in annotation
     if isinstance(value, bool):
@@ -155,7 +170,7 @@ def _fits(value, annotation: str) -> bool:
         return "int" in kinds or "float" in kinds
     if isinstance(value, float):
         return "float" in kinds and math.isfinite(value)
-    return isinstance(value, str) and "str" in kinds
+    return False
 
 
 def _config_from_dict(d: dict) -> SolverConfig:
@@ -187,6 +202,20 @@ def _check_matches_config(psi: ScalarField, traj: VorticityTrajectory, config: S
             raise ConfigurationError(f"bundle {what} {got!r} disagrees with its config ({want!r})")
 
 
+def _check_report(where: Path, norms: dict, history: list) -> None:
+    """The norms and history records must hold what the diagnostics read."""
+    bad = [key for key in _NORM_KEYS if not _is_number(norms.get(key))]
+    if bad:
+        raise ConfigurationError(f"{where} norms need finite numbers at {bad}")
+    for i, rec in enumerate(history):
+        if not isinstance(rec, dict):
+            raise ConfigurationError(f"{where} history record {i} is not an object")
+        bad = [key for key, ok in _RECORD_KEYS.items() if key not in rec or not ok(rec[key])]
+        bad += [key for key in _OPTIONAL_RECORD_KEYS if key in rec and not _is_number(rec[key])]
+        if bad:
+            raise ConfigurationError(f"{where} history record {i} has missing or ill-typed {bad}")
+
+
 def write_solution_bundle(directory, solution: BsdeSolution) -> list:
     """Write the bundle; returns the list of files written (relative names)."""
     directory = Path(directory)
@@ -196,7 +225,6 @@ def write_solution_bundle(directory, solution: BsdeSolution) -> list:
         "config": asdict(solution.config),
         "norms": solution.norms,
         "history": list(solution.history),
-        "path_ensemble_meta": solution.path_ensemble_meta,
         "iteration_index": solution.y.iteration_index,
         "alpha": solution.y.alpha,
     }
@@ -231,6 +259,7 @@ def read_solution_bundle(directory) -> BsdeSolution:
     psi = read_field(directory / "psi.vbsf")
     traj = read_trajectory(directory / "y_fields.vbst")
     _check_matches_config(psi, traj, config)
+    _check_report(directory / "solution.json", doc["norms"], doc["history"])
     iterate = PicardIterate(traj.fields, doc["iteration_index"], doc["alpha"])
     return BsdeSolution(
         y=iterate,
@@ -238,5 +267,4 @@ def read_solution_bundle(directory) -> BsdeSolution:
         config=config,
         norms=doc["norms"],
         history=tuple(doc["history"]),
-        path_ensemble_meta=doc["path_ensemble_meta"],
     )

@@ -66,7 +66,7 @@ def single_mode_run():
     psi = single_mode_psi()
     cfg = SolverConfig(
         N=N, L=128, M_inner=2000, nu=0.1, T=0.5,
-        picard_tol=2.0, picard_tol_mode="noise_floor_multiple",
+        picard_tol=2.0,
         max_iter=8, base_seed=42,
     )
     start = time.perf_counter()
@@ -81,7 +81,7 @@ def two_mode_run():
     psi = two_mode_psi()
     cfg = SolverConfig(
         N=N, L=128, M_inner=1000, nu=0.5, T=0.25,
-        picard_tol=2.0, picard_tol_mode="noise_floor_multiple",
+        picard_tol=2.0,
         max_iter=8, base_seed=42,
     )
     return picard_solve(psi, cfg)
@@ -94,7 +94,7 @@ def two_mode_deep_run():
     psi = two_mode_psi()
     cfg = SolverConfig(
         N=N, L=128, M_inner=1000, nu=0.5, T=0.25,
-        picard_tol=1e-3, picard_tol_mode="noise_floor_multiple",
+        picard_tol=1e-3,
         max_iter=8, base_seed=42,
     )
     return picard_solve(psi, cfg)
@@ -105,7 +105,7 @@ def single_mode_512_run():
     psi = single_mode_psi()
     cfg = SolverConfig(
         N=N, L=512, M_inner=2000, nu=0.1, T=0.5,
-        picard_tol=2.0, picard_tol_mode="noise_floor_multiple",
+        picard_tol=2.0,
         max_iter=4, base_seed=42,
     )
     return picard_solve(psi, cfg)
@@ -216,7 +216,7 @@ def test_criterion_5_maximum_principle_five_seeds():
     for seed in (1, 2, 3, 4, 5):
         cfg = SolverConfig(
             N=N, L=64, M_inner=600, nu=0.5, T=0.25,
-            picard_tol=2.0, picard_tol_mode="noise_floor_multiple",
+            picard_tol=2.0,
             max_iter=8, base_seed=seed,
         )
         solution = picard_solve(psi, cfg)
@@ -301,7 +301,7 @@ def test_criterion_9_determinism(tmp_path):
     psi = two_mode_psi()
     cfg = SolverConfig(
         N=16, L=16, M_inner=200, nu=0.5, T=0.25,
-        picard_tol=2.0, picard_tol_mode="noise_floor_multiple",
+        picard_tol=2.0,
         max_iter=4, base_seed=2024,
     )
     a = picard_solve(field_from_mode_list(16, [(1, 0, -0.25j), (0, 2, 0.25)]), cfg)

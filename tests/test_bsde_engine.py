@@ -76,7 +76,7 @@ def zero_field(n):
 def solution_of(it, cfg):
     """Bare solution record around an iterate (no norms or history)."""
     return BsdeSolution(
-        y=it, psi=it.fields[0], config=cfg, norms={}, history=(), path_ensemble_meta={}
+        y=it, psi=it.fields[0], config=cfg, norms={}, history=()
     )
 
 
@@ -423,25 +423,15 @@ class TestPicardSolve:
     def test_single_mode_converges_fast(self):
         cfg = SolverConfig(
             N=16, L=16, M_inner=300, nu=0.1, T=0.4,
-            picard_tol=2.0, picard_tol_mode="noise_floor_multiple", max_iter=4,
+            picard_tol=2.0, max_iter=4,
         )
         sol = picard_solve(sin1(), cfg)
         assert sol.y.iteration_index <= 2
 
-    def test_noise_floor_config_error(self):
-        # alpha = 0 keeps the weighted floor at the raw MC scale, which a
-        # 1e-9 absolute tolerance cannot beat at M_inner = 20.
-        cfg = SolverConfig(
-            N=16, L=16, M_inner=20, nu=0.1, T=0.4, alpha=0.0,
-            picard_tol=1e-9, picard_tol_mode="absolute", max_iter=4,
-        )
-        with pytest.raises(ConfigurationError, match="M_inner"):
-            picard_solve(sin1(), cfg)
-
     def test_non_convergence_carries_history(self):
         cfg = SolverConfig(
             N=16, L=16, M_inner=200, nu=0.5, T=0.25,
-            picard_tol=1e-9, picard_tol_mode="noise_floor_multiple", max_iter=1,
+            picard_tol=1e-9, max_iter=1,
         )
         with pytest.raises(NonConvergenceError) as exc:
             picard_solve(two_mode(), cfg)
@@ -450,7 +440,7 @@ class TestPicardSolve:
     def test_deterministic_rerun(self):
         cfg = SolverConfig(
             N=16, L=16, M_inner=200, nu=0.5, T=0.25,
-            picard_tol=2.0, picard_tol_mode="noise_floor_multiple", max_iter=4,
+            picard_tol=2.0, max_iter=4,
         )
         a = picard_solve(two_mode(), cfg)
         b = picard_solve(two_mode(), cfg)
@@ -460,7 +450,7 @@ class TestPicardSolve:
     def test_fixed_point_consistency(self):
         cfg = SolverConfig(
             N=16, L=16, M_inner=300, nu=0.5, T=0.25,
-            picard_tol=2.0, picard_tol_mode="noise_floor_multiple", max_iter=4,
+            picard_tol=2.0, max_iter=4,
         )
         sol = picard_solve(two_mode(), cfg)
         again, stats = solve_weighted_with_stats(sol.y, cfg)
@@ -490,7 +480,7 @@ class TestPicardSolve:
 
         cfg = SolverConfig(
             N=16, L=32, M_inner=500, nu=0.1, T=0.4,
-            picard_tol=2.0, picard_tol_mode="noise_floor_multiple", max_iter=4,
+            picard_tol=2.0, max_iter=4,
         )
         sol = picard_solve(sin1(), cfg)
         y_traj = VorticityTrajectory(sol.y.fields, nu=cfg.nu, dt=cfg.dt)
@@ -581,8 +571,6 @@ class TestConfigValidation:
             SolverConfig(N=16, L=8, M_inner=8, nu=-0.1, T=0.1)
         with pytest.raises(ConfigurationError):
             SolverConfig(N=16, L=8, M_inner=8, nu=0.1, T=0.1, alpha=-1.0)
-        with pytest.raises(ConfigurationError):
-            SolverConfig(N=16, L=8, M_inner=8, nu=0.1, T=0.1, picard_tol_mode="x")
 
     def test_iterate_validation(self):
         with pytest.raises(ConfigurationError):

@@ -169,7 +169,7 @@ class TestSolutionBundle:
         psi = field_from_mode_list(16, [(1, 0, -0.5j)])
         cfg = SolverConfig(
             N=16, L=16, M_inner=200, nu=0.1, T=0.4,
-            picard_tol=2.0, picard_tol_mode="noise_floor_multiple", max_iter=4,
+            picard_tol=2.0, max_iter=4,
         )
         sol = picard_solve(psi, cfg)
         files = write_solution_bundle(tmp_path / "bundle", sol)
@@ -214,11 +214,64 @@ class TestSolutionBundle:
         cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.1, T=0.4, groups=2)
         sol = BsdeSolution(
             y=PicardIterate(traj.fields, 1, 0.0), psi=psi, config=cfg,
-            norms={}, history=(), path_ensemble_meta={},
+            norms={}, history=(),
         )
         write_solution_bundle(tmp_path, sol)
         doc = json.loads((tmp_path / "solution.json").read_text())
         doc["config"][key] = value
+        (tmp_path / "solution.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match=what):
+            read_solution_bundle(tmp_path)
+
+    @staticmethod
+    def _reported_bundle(directory):
+        """Bundle whose norms and two history records hold what the
+        diagnostics read."""
+        psi = field_from_mode_list(16, [(1, 0, -0.5j)])
+        cfg = SolverConfig(N=16, L=8, M_inner=8, nu=0.1, T=0.4, groups=2)
+        norms = {"c1": 0.5, "c0": 1.0, "alpha": 40.0, "y_sup": 0.5,
+                 "z_bmo_sq_debiased": 0.1, "z_bmo_sq_se": 0.01}
+        history = (
+            {"iteration": 1, "eps_mc": 0.01, "sup_lattice": [0.5] * 9, "delta_norm": 0.2},
+            {"iteration": 2, "eps_mc": 0.01, "sup_lattice": [0.5] * 9, "delta_norm": 0.1,
+             "delta_norm_se": 0.01, "contraction_ratio": 0.5},
+        )
+        sol = BsdeSolution(
+            y=PicardIterate(evolve(psi, 0.1, 0.4, 8).fields, 2, 0.0), psi=psi, config=cfg,
+            norms=norms, history=history,
+        )
+        write_solution_bundle(directory, sol)
+        return sol
+
+    def test_reported_bundle_reads(self, tmp_path):
+        sol = self._reported_bundle(tmp_path)
+        assert set(json.loads((tmp_path / "solution.json").read_text())) == {
+            "schema_version", "config", "norms", "history", "iteration_index", "alpha"
+        }
+        assert full_json_report(read_solution_bundle(tmp_path)) == full_json_report(sol)
+
+    @pytest.mark.parametrize(
+        "where, value, what",
+        [
+            # each of these used to escape from full_json_report as a traceback
+            (("norms",), {}, "norms"),
+            (("norms", "c1"), "x", "c1"),
+            (("history",), [1], "record 0"),
+            (("history",), [{}], "eps_mc"),
+            (("norms", "z_bmo_sq_se"), float("nan"), "z_bmo_sq_se"),
+            (("history", 0, "iteration"), 1.5, "iteration"),
+            (("history", 0, "sup_lattice"), [0.5, "x"], "sup_lattice"),
+            (("history", 1, "contraction_ratio"), "0.5", "contraction_ratio"),
+            (("history", 1, "delta_norm_se"), None, "delta_norm_se"),
+        ],
+    )
+    def test_malformed_report(self, tmp_path, where, value, what):
+        self._reported_bundle(tmp_path)
+        doc = json.loads((tmp_path / "solution.json").read_text())
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
         (tmp_path / "solution.json").write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError, match=what):
             read_solution_bundle(tmp_path)

@@ -13,7 +13,9 @@ from vortexbsde.bsde_engine import BsdeSolution, PicardIterate, SolverConfig
 from vortexbsde.checkpoint import write_solution_bundle
 from vortexbsde.errors import ConfigurationError, VortexError
 from vortexbsde.spectral_oracle import evolve
-from vortexbsde.torus_field import field_from_mode_list
+from vortexbsde.torus_field import field_from_mode_list, l2_norm
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def write_cfg(path: Path, text: str) -> Path:
@@ -41,7 +43,6 @@ psi_modes = 1 0 0 -0.5 ; 0 2 0.5 0
 M_inner = 150
 max_iter = 5
 picard_tol = 2.0
-picard_tol_mode = noise_floor_multiple
 base_seed = 11
 """
 
@@ -92,9 +93,25 @@ class TestConfigParsing:
             cli._parse_modes("1 0 0")
 
     def test_solve_schema_is_solver_config(self):
-        # every solve key feeds SolverConfig, so no inert key can creep back
+        # every solve key feeds SolverConfig, so no inert key can creep back,
+        # and its default is the SolverConfig default
         names = {f.name for f in dataclasses.fields(SolverConfig)}
         assert set(cli.SOLVE_SCHEMA.spec) == names | {"outdir", "psi_modes"}
+        for f in dataclasses.fields(SolverConfig):
+            default = cli.SOLVE_SCHEMA.spec[f.name][1]
+            if f.default is dataclasses.MISSING:
+                assert default is cli._REQUIRED, f.name
+            else:
+                assert default == f.default, f.name
+
+    def test_shipped_configs_parse(self):
+        schemas = {"oracle_": cli.ORACLE_SCHEMA, "solve_": cli.SOLVE_SCHEMA,
+                   "compare_": cli.COMPARE_SCHEMA}
+        configs = sorted(SCRIPTS.glob("*.cfg"))
+        assert configs
+        for path in configs:
+            [schema] = [s for prefix, s in schemas.items() if path.name.startswith(prefix)]
+            schema.parse(cli._parse_kv_text(path.read_text()))
 
     def test_env_config_dir(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path / "a.cfg", "outdir = x\n")
@@ -191,7 +208,7 @@ class TestCompareCommand:
             norms={"c1": 1.0, "c0": 1.0, "alpha": 0.0, "y_sup": 1.0,
                    "z_bmo_sq": 0.0, "z_bmo_sq_debiased": 0.0, "z_bmo_sq_se": 0.0,
                    "z_bmo_group_values": []},
-            history=(), path_ensemble_meta={},
+            history=(),
         )
         bundle = tmp_path / "bundle"
         write_solution_bundle(bundle, sol)
@@ -206,23 +223,48 @@ class TestCompareCommand:
         out = tmp_path / "cmp"
         cfg = write_cfg(
             tmp_path / "c.cfg",
-            f"outdir = {out}\nsolution_bundle = {bundle}\ntrajectory = {traj_path}\npaths = 3\n",
+            f"outdir = {out}\nsolution_bundle = {bundle}\ntrajectory = {traj_path}\n",
         )
         assert cli.main(["compare", str(cfg)]) == 0
         rows = (out / "comparison.csv").read_text().strip().splitlines()[2:]
-        assert len(rows) == 3 * 17
-        assert all(float(r.split(",")[2]) == 0.0 for r in rows)
+        assert len(rows) == 17
+        assert all(float(r.split(",")[1]) == 0.0 for r in rows)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["max_l2_diff"] == 0.0
 
-    def test_zero_paths_rejected(self, tmp_path):
+    def test_one_distance_per_node(self, tmp_path):
+        # Y against the trajectory of 1.1 * psi: row j is ||Y_{L-j} - omega_{L-j}||
+        bundle, _ = self._oracle_as_solution(tmp_path)
+        psi = field_from_mode_list(16, [(1, 0, -0.55j), (0, 2, 0.55)])
+        other = evolve(psi, 0.3, 0.2, 16)
+        from vortexbsde.checkpoint import read_solution_bundle, write_trajectory
+
+        write_trajectory(tmp_path / "other.vbst", other)
+        out = tmp_path / "cmp"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"outdir = {out}\nsolution_bundle = {bundle}\ntrajectory = {tmp_path/'other.vbst'}\n",
+        )
+        assert cli.main(["compare", str(cfg)]) == 0
+        lines = (out / "comparison.csv").read_text().strip().splitlines()
+        assert lines[:2] == ["# schema_version=2", "t,l2_diff"]
+        y = read_solution_bundle(bundle).y.fields
+        expected = [l2_norm(y[16 - j] - other.fields[16 - j]) for j in range(17)]
+        assert [float(r.split(",")[1]) for r in lines[2:]] == expected
+        assert [float(r.split(",")[0]) for r in lines[2:]] == [j * (0.2 / 16) for j in range(17)]
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"schema_version", "max_l2_diff", "mean_l2_diff"}
+        assert summary["max_l2_diff"] == max(expected) > 0.0
+
+    def test_paths_key_rejected(self, tmp_path, capsys):
         bundle, traj_path = self._oracle_as_solution(tmp_path)
         cfg = write_cfg(
             tmp_path / "c.cfg",
             f"outdir = {tmp_path/'cmp'}\nsolution_bundle = {bundle}\n"
-            f"trajectory = {traj_path}\npaths = 0\n",
+            f"trajectory = {traj_path}\npaths = 32\n",
         )
         assert cli.main(["compare", str(cfg)]) == 2
+        assert "'paths'" in capsys.readouterr().err
 
     def test_solution_vs_oracle_below_tolerance(self, tmp_path):
         # end-to-end: solve, evolve the same data, compare; the Monte Carlo
@@ -238,7 +280,7 @@ class TestCompareCommand:
         ccfg = write_cfg(
             tmp_path / "c.cfg",
             f"outdir = {tmp_path/'cmp'}\nsolution_bundle = {out/'solution'}\n"
-            f"trajectory = {tmp_path/'traj'/'trajectory.vbst'}\npaths = 4\n",
+            f"trajectory = {tmp_path/'traj'/'trajectory.vbst'}\n",
         )
         assert cli.main(["compare", str(ccfg)]) == 0
         summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
@@ -252,7 +294,7 @@ class TestCompareCommand:
         cfg = write_cfg(
             tmp_path / "c.cfg",
             f"outdir = {out}\nsolution_bundle = {paths['solution_bundle']}\n"
-            f"trajectory = {paths['trajectory']}\npaths = 2\n",
+            f"trajectory = {paths['trajectory']}\n",
         )
         assert cli.main(["compare", str(cfg)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
@@ -270,7 +312,7 @@ class TestCompareCommand:
         cfg = write_cfg(
             tmp_path / "c.cfg",
             f"outdir = {tmp_path/'cmp'}\nsolution_bundle = {bundle}\n"
-            f"trajectory = {bad}\npaths = 2\n",
+            f"trajectory = {bad}\n",
         )
         assert cli.main(["compare", str(cfg)]) == 2
 
@@ -284,7 +326,7 @@ class TestCompareCommand:
         out = tmp_path / "cmp"
         cfg = write_cfg(
             tmp_path / "c.cfg",
-            f"outdir = {out}\nsolution_bundle = {bundle}\ntrajectory = {traj_path}\npaths = 2\n",
+            f"outdir = {out}\nsolution_bundle = {bundle}\ntrajectory = {traj_path}\n",
         )
         assert cli.main(["compare", str(cfg)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
@@ -306,6 +348,19 @@ class TestDiagnoseCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"]["type"] == "ConfigurationError"
         assert "M_outer" in manifest["error"]["message"]
+
+    @pytest.mark.parametrize("key, value", [("norms", {}), ("history", [{}])])
+    def test_malformed_report_exit_code_and_manifest(self, tmp_path, key, value):
+        bundle, _ = TestCompareCommand()._oracle_as_solution(tmp_path)
+        doc = json.loads((bundle / "solution.json").read_text())
+        doc[key] = value
+        (bundle / "solution.json").write_text(json.dumps(doc))
+        out = tmp_path / "diag"
+        cfg = write_cfg(tmp_path / "d.cfg", f"outdir = {out}\nsolution_bundle = {bundle}\n")
+        assert cli.main(["diagnose", str(cfg)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"]["type"] == "ConfigurationError"
 
     def test_diagnose_solution(self, tmp_path):
         out = tmp_path / "out"

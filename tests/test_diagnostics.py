@@ -19,7 +19,7 @@ def small_solution():
     psi = field_from_mode_list(16, [(1, 0, -0.5j)])
     cfg = SolverConfig(
         N=16, L=32, M_inner=400, nu=0.1, T=0.4,
-        picard_tol=2.0, picard_tol_mode="noise_floor_multiple", max_iter=4,
+        picard_tol=2.0, max_iter=4,
     )
     return picard_solve(psi, cfg)
 
