@@ -11,7 +11,8 @@ L = 32, M_inner = 250; single-mode L = 16, M_inner = 1000):
 * ``solve_weighted_with_stats`` from the heat iterate, and again from the
   iterate that step returns (iterate 1: on the two-mode config the widest
   active-mode sets, which the heat iterate does not reach);
-* ``solve_drifted_with_stats`` with M_inner = 50 from the heat iterate.
+* ``solve_drifted_with_stats`` with M_inner = 50 from the heat iterate,
+  and again from iterate 1, whose velocity carries noise-lifted modes.
 
 Prints, for every mode stack and every ``SolveStats`` array, the largest
 difference between the trees relative to the array's largest magnitude,
@@ -96,6 +97,11 @@ def run_tree(tree: Path) -> tuple[dict, dict]:
             drifted = dataclasses.replace(config, M_inner=DRIFTED_M)
             arrays.update(
                 _solve_arrays(f"{case}.drifted", *engine.solve_drifted_with_stats(heat, drifted))
+            )
+            arrays.update(
+                _solve_arrays(
+                    f"{case}.drifted_from_1", *engine.solve_drifted_with_stats(first[0], drifted)
+                )
             )
     return arrays, iterations
 

@@ -61,6 +61,10 @@ TWO_PI = 2.0 * np.pi
 #: temporaries in a core's L2 cache.
 _WEIGHTED_CHUNK = 64
 
+#: Branches per chunk of the drifted solve: keeps one Euler step's
+#: (chunk * N^2) point temporaries in a core's L2 cache.
+_DRIFTED_CHUNK = 16
+
 
 # ---------------------------------------------------------------------------
 # configuration and data types
@@ -243,6 +247,7 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
             partial = np.add.reduceat(sample, run_starts, axis=0)
             sum_f[m] += partial.sum(axis=0)
             group_sum[run_groups, m] += partial
+    del samples  # frees the estimator's tables before the assembly allocates
 
     return _assemble_iterate(
         prev, config, heat, sum_f, sumsq_f, group_sum, group_counts
@@ -386,8 +391,8 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     # Velocity on the doubled grid, synthesised once: the predictable-
     # evaluation guard reads every node (|h| sqrt(dt) must stay small or the
     # exponential moments are meaningless), |u|^2 reads nodes 1..L.
-    v1 = modes_to_grid(np.stack([embed_modes(m, 2) for m in u1]))
-    v2 = modes_to_grid(np.stack([embed_modes(m, 2) for m in u2]))
+    v1 = modes_to_grid(embed_modes(u1, 2))
+    v2 = modes_to_grid(embed_modes(u2, 2))
     max_h = float(np.max(np.hypot(v1, v2))) / sqrt2nu
     if max_h * np.sqrt(dt) > 1.0:
         raise NumericalError(
@@ -485,31 +490,52 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
 # the drifted-SDE estimator (Girsanov equivalence cross-check)
 
 
-def _bilinear(padded: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a periodic (P, P) grid at the points (x, y).
+def _bilinear_tables(padded: np.ndarray):
+    """``_bilinear``'s table pair for periodic (..., P, P) real grids padded
+    with their first row and column, shape (..., P + 1, P + 1): the padded
+    grids and the (..., P, P + 1) differences of their consecutive rows."""
+    return padded, padded[..., 1:, :] - padded[..., :-1, :]
 
-    ``padded`` is the grid with its first row and column repeated after the
-    last, shape (P + 1, P + 1), so the four corners of every cell are at
-    flat offsets 0, 1, P + 1 and P + 2 from its lower corner.
+
+def _bilinear(tables, x: np.ndarray, y: np.ndarray) -> list:
+    """Bilinear interpolation of periodic (P, P) real grids at the points
+    (x, y), given in grid units: grid node (i, j) sits at (i, j).
+
+    ``tables`` holds one ``(padded, row_diff)`` pair of ``_bilinear_tables``
+    per grid.  Both arrays have the padded row stride P + 1, so a cell's
+    lower corner and its neighbour in the next column sit at flat offsets 0
+    and 1 in each (the latter read through a view shifted by one); the
+    cells and weights are located once for every grid.
     """
-    p = padded.shape[-1] - 1
-    x = x * p
-    y = y * p
+    p = tables[0][0].shape[-1] - 1
     i0 = np.floor(x)
     j0 = np.floor(y)
     fx = x - i0
     fy = y - j0
-    i0 -= p * np.floor(i0 / p)
-    j0 -= p * np.floor(j0 / p)
-    base = (i0 * (p + 1) + j0).astype(np.intp)
-    flat = padded.ravel()
-    v00 = flat.take(base)
-    v01 = flat.take(base + 1)
-    v10 = flat.take(base + (p + 1))
-    v11 = flat.take(base + (p + 2))
-    top = v00 + (v10 - v00) * fx
-    bot = v01 + (v11 - v01) * fx
-    return top + (bot - top) * fy
+    i = i0.astype(np.intp)
+    j = j0.astype(np.intp)
+    if p & (p - 1):
+        i %= p
+        j %= p
+    else:  # the same modulus, cheaper for a power of two
+        i &= p - 1
+        j &= p - 1
+    base = i * (p + 1)
+    base += j
+    out = []
+    for padded, row_diff in tables:
+        v, d = padded.ravel(), row_diff.ravel()
+        top = d.take(base)
+        top *= fx
+        top += v.take(base)  # v00 + (v10 - v00) * fx
+        bot = d[1:].take(base)
+        bot *= fx
+        bot += v[1:].take(base)  # v01 + (v11 - v01) * fx
+        bot -= top
+        bot *= fy
+        bot += top
+        out.append(bot)
+    return out
 
 
 def _half_plane_modes(modes: np.ndarray):
@@ -524,28 +550,60 @@ def _half_plane_modes(modes: np.ndarray):
 def _spectral_point_values(half, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact values at the points (x, y) of a real field with zero mean and
     zero Nyquist modes, from its ``_half_plane_modes``: the other half
-    contributes the complex conjugate."""
+    contributes the complex conjugate, so each mode adds
+    2 (Re c cos theta - Im c sin theta).  Mode-major phases keep every
+    elementwise pass contiguous."""
     k1, k2, coef = half
-    phases = np.exp(TWO_PI * 1j * (x[..., None] * k1 + y[..., None] * k2))
-    return 2.0 * np.real(phases @ coef)
+    theta = np.multiply.outer(TWO_PI * k1, x) + np.multiply.outer(TWO_PI * k2, y)
+    theta = theta.reshape(coef.size, x.size)
+    values = coef.real @ np.cos(theta) - coef.imag @ np.sin(theta)
+    return 2.0 * values.reshape(x.shape)
+
+
+def _velocity_tables(u1: np.ndarray, u2: np.ndarray):
+    """Both velocity components of every node on the 4x oversampled grid.
+
+    Returns the ``_bilinear_tables`` of each component, with a leading node
+    axis, and each component's (L+1, N*N) values on the N lattice, point
+    (i, j) at flat index i * N + j.  One packed synthesis gives both
+    components as (real, imag); they are split into contiguous real tables,
+    since a complex add costs several real ones per point.
+    """
+    n = u1.shape[-1]
+    u_grids = modes_to_complex_grid(embed_modes(u1 + 1j * u2, 4))
+    padded = [
+        np.pad(part, ((0, 0), (0, 1), (0, 1)), mode="wrap")
+        for part in (u_grids.real, u_grids.imag)
+    ]
+    del u_grids  # before the row differences, so the two never coexist
+    tables = [_bilinear_tables(part) for part in padded]
+    # The N lattice is every fourth node of the 4x grid; reshaping the
+    # strided view copies it, so only the tables stay referenced.
+    lattice = [
+        padded[:, : 4 * n : 4, : 4 * n : 4].reshape(u1.shape[0], n * n)
+        for padded, _ in tables
+    ]
+    return tables, lattice
 
 
 def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
     """Samples psi(X_m) - psi(z + disp_m) along Euler-Maruyama paths X.
 
-    Takes all branches as one chunk, so every sum adds the paths in order.
+    Runs in chunks of ``_DRIFTED_CHUNK`` branches.  Paths advance in units
+    of the 4x velocity grid's spacing (an exact rescaling for power-of-two
+    N).  Every node's paths start on the N lattice, whose points are nodes
+    of that grid, so the first Euler step reads the grid instead of
+    interpolating.
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
+    p = 4 * n
+    drift_step = -dt * p
     sqrt2nu = np.sqrt(2.0 * nu)
-    # Pack both components into one complex grid: a single interpolation
-    # pass per step recovers the drift as (real, imag).
-    u_grids = modes_to_complex_grid(
-        np.stack([embed_modes(a, 4) + 1j * embed_modes(b, 4) for a, b in zip(u1, u2)])
-    )
-    u_padded = np.pad(u_grids, ((0, 0), (0, 1), (0, 1)), mode="wrap")
+    ((pad1, diff1), (pad2, diff2)), lattice = _velocity_tables(u1, u2)
+    # lattice point (i, j), at (4i, 4j) in grid units, has flat index i * N + j
+    zx = np.repeat(4.0 * np.arange(n), n)
+    zy = np.tile(4.0 * np.arange(n), n)
     grid_1d = np.arange(n) / n
-    zx = np.repeat(grid_1d, n)  # lattice point (i, j) at flat index i * N + j
-    zy = np.tile(grid_1d, n)
     half = _half_plane_modes(psi_modes)
     k1, k2, coef = half
     # psi(z + d) = 2 Re sum_k coef_k e^{2 pi i <k, d>} e^{2 pi i <k, z>}: a
@@ -556,22 +614,30 @@ def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
 
     def samples(db, disp):
         bc = db.shape[0]
+        noise = sqrt2nu * db
+        noise *= p
         disp_phase = coef * np.exp(
             TWO_PI * 1j * (disp[:, :, 0, None] * k1 + disp[:, :, 1, None] * k2)
         )
         for m in range(1, steps + 1):
-            x = np.tile(zx, (bc, 1))
-            y = np.tile(zy, (bc, 1))
-            for j in range(m):
+            x = zx + (lattice[0][m] * drift_step + noise[:, 0, 0, None])
+            y = zy + (lattice[1][m] * drift_step + noise[:, 0, 1, None])
+            for j in range(1, m):
                 ell = m - j  # left-point field index: time-to-go (m - j) dt
-                drift = _bilinear(u_padded[ell], x, y)
-                x += -drift.real * dt + sqrt2nu * db[:, j, 0, None]
-                y += -drift.imag * dt + sqrt2nu * db[:, j, 1, None]
-            vals = _spectral_point_values(half, x, y)
+                d1, d2 = _bilinear(
+                    ((pad1[ell], diff1[ell]), (pad2[ell], diff2[ell])), x, y
+                )
+                d1 *= drift_step
+                d1 += noise[:, j, 0, None]
+                x += d1
+                d2 *= drift_step
+                d2 += noise[:, j, 1, None]
+                y += d2
+            vals = _spectral_point_values(half, x / p, y / p)
             cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
             yield m, (vals - cv_vals).reshape(bc, n, n)
 
-    return config.M_inner, samples
+    return _DRIFTED_CHUNK, samples
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +693,6 @@ def z_alpha_bmo_sq(stack: np.ndarray, alpha: float, dt: float) -> float:
     w = np.exp(-2.0 * alpha * np.arange(stack.shape[0]) * dt)
     prefixes = _prefix_quadrature(w * g, dt)
     return float(np.max(prefixes))
-
-
-def alpha_norm(delta_stack: np.ndarray, alpha: float, dt: float) -> float:
-    """||dY^alpha||_inf + ||dZ^alpha||_BMO in the scaled convention."""
-    return y_alpha_sup(delta_stack, alpha, dt) + np.sqrt(
-        z_alpha_bmo_sq(delta_stack, alpha, dt)
-    )
 
 
 def noise_floor(stats: SolveStats, alpha: float, dt: float) -> float:
@@ -704,18 +763,21 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
             else current.mode_stack()[None]
         )
         delta_group = stats.group_modes - base_gm
-        group_norms = np.array(
-            [alpha_norm(g, alpha, dt) for g in delta_group]
+        delta_vals = modes_to_grid(delta_group)
+        weights = np.exp(-alpha * np.arange(config.L + 1) * dt)
+        # ||dY^alpha||_inf + ||dZ^alpha||_BMO of each group's delta, as for
+        # the full delta above, with the sup term read off delta_vals
+        group_sups = np.max(weights * np.abs(delta_vals).max(axis=(-2, -1)), axis=1)
+        group_norms = group_sups + np.sqrt(
+            [z_alpha_bmo_sq(g, alpha, dt) for g in delta_group]
         )
         se_delta = float(np.std(group_norms, ddof=1) / np.sqrt(config.groups))
         # Noise floor of the difference estimator itself: with common random
         # numbers the delta fields carry far less noise than the iterates,
         # which is what makes the contraction ratios measurable at all.
-        delta_vals = modes_to_grid(delta_group)
         delta_se_pooled = np.sqrt(
             np.mean(np.var(delta_vals, axis=0, ddof=1), axis=(-2, -1)) / config.groups
         )
-        weights = np.exp(-alpha * np.arange(config.L + 1) * dt)
         delta_floor = 4.0 * float(np.max(weights * delta_se_pooled))
 
         record = {

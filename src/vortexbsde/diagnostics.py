@@ -36,6 +36,8 @@ def assert_alpha_conditions(alpha: float, c0: float, c1: float, nu: float, horiz
     """Numerically verify both inequalities the weight alpha must satisfy."""
     if c1 == 0.0:
         return {"condition1": 0.0, "condition2": 0.0, "ok": True}
+    if alpha == 0.0:  # a legal weight, but it satisfies neither inequality
+        return {"condition1": float("inf"), "condition2": float("inf"), "ok": False}
     cond1 = c0**2 * c1**2 * (nu + horizon * c0 * c1**2) / (alpha * nu**2)
     cond2 = c0**2 * c1**2 / alpha
     ok = cond1 <= 1.0 / 16.0 + 1e-12 and cond2 <= nu / 4.0 + 1e-12

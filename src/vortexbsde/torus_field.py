@@ -299,26 +299,25 @@ def l2_norm(f: ScalarField) -> float:
 
 
 def embed_modes(modes: np.ndarray, factor: int) -> np.ndarray:
-    """Zero-pad a mode array onto a ``factor``-times-larger grid.
+    """Zero-pad (..., N, N) mode arrays onto a ``factor``-times-larger grid.
 
     Nyquist coefficients are split half/half onto +-N/2 so the trigonometric
-    interpolant through the original samples is reproduced exactly.
+    interpolant through the original samples is reproduced exactly; the
+    split needs ``factor >= 2`` to keep +-N/2 apart.
     """
-    n = modes.shape[0]
+    n = modes.shape[-1]
     big_n = factor * n
     half = n // 2
-    shifted = np.fft.fftshift(modes)  # rows/cols ordered k = -half .. half-1
-    tmp = np.zeros((n + 1, n), dtype=np.complex128)
-    tmp[0, :] = 0.5 * shifted[0, :]
-    tmp[n, :] = 0.5 * shifted[0, :]
-    tmp[1:n, :] = shifted[1:, :]
-    ext = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    ext[:, 0] = 0.5 * tmp[:, 0]
-    ext[:, n] = 0.5 * tmp[:, 0]
-    ext[:, 1:n] = tmp[:, 1:]
-    big = np.zeros((big_n, big_n), dtype=np.complex128)
+    lead = modes.shape[:-2]
+    ext = np.zeros(lead + (n + 1, n + 1), dtype=np.complex128)
+    ext[..., :n, :n] = np.fft.fftshift(modes, axes=(-2, -1))  # k = -half .. half-1
+    ext[..., 0, :] *= 0.5
+    ext[..., n, :] = ext[..., 0, :]
+    ext[..., :, 0] *= 0.5
+    ext[..., :, n] = ext[..., :, 0]
+    big = np.zeros(lead + (big_n, big_n), dtype=np.complex128)
     pos = np.arange(-half, half + 1) % big_n
-    big[np.ix_(pos, pos)] += ext
+    big[..., pos[:, None], pos] = ext
     return big
 
 

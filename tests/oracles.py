@@ -12,11 +12,13 @@ import numpy as np
 
 from vortexbsde import brownian
 from vortexbsde.biot_savart import _require_mean_zero
+from vortexbsde.bsde_engine import TWO_PI, _half_plane_modes, _spectral_point_values
 from vortexbsde.errors import ConfigurationError, NumericalError
 from vortexbsde.torus_field import (
     ScalarField,
     embed_modes,
     grid_to_modes,
+    modes_to_complex_grid,
     modes_to_grid,
     translate,
     wavenumbers,
@@ -172,5 +174,49 @@ def weighted_estimator_two_transform(config, psi_modes, u1, u2):
             w_minus_1 = np.expm1(-modes_to_grid(expo))
             psi_shift = modes_to_grid(psi_modes * phase(disp[:, m], k_base))
             yield m, psi_shift * w_minus_1
+
+    return config.M_inner, samples
+
+
+def drifted_estimator_one_chunk(config, psi_modes, u1, u2):
+    """Reference for the drifted estimator in the linear-solve skeleton's
+    estimator interface: every Euler step, the first included, interpolates
+    one packed complex velocity grid (``bilinear_reference``), and all
+    branches form one chunk, so every sum adds the paths in order.
+    """
+    n, steps, dt, nu = config.N, config.L, config.dt, config.nu
+    sqrt2nu = np.sqrt(2.0 * nu)
+    # Pack both components into one complex grid: a single interpolation
+    # pass per step recovers the drift as (real, imag).
+    u_grids = modes_to_complex_grid(
+        np.stack([embed_modes(a, 4) + 1j * embed_modes(b, 4) for a, b in zip(u1, u2)])
+    )
+    grid_1d = np.arange(n) / n
+    zx = np.repeat(grid_1d, n)  # lattice point (i, j) at flat index i * N + j
+    zy = np.tile(grid_1d, n)
+    half = _half_plane_modes(psi_modes)
+    k1, k2, coef = half
+    # psi(z + d) = 2 Re sum_k coef_k e^{2 pi i <k, d>} e^{2 pi i <k, z>}: a
+    # per-branch displacement phase contracted with a fixed lattice table.
+    ex = np.exp(TWO_PI * 1j * np.outer(grid_1d, k1))
+    ey = np.exp(TWO_PI * 1j * np.outer(grid_1d, k2))
+    lattice_phase = (ex[:, None, :] * ey[None, :, :]).reshape(n * n, -1)
+
+    def samples(db, disp):
+        bc = db.shape[0]
+        disp_phase = coef * np.exp(
+            TWO_PI * 1j * (disp[:, :, 0, None] * k1 + disp[:, :, 1, None] * k2)
+        )
+        for m in range(1, steps + 1):
+            x = np.tile(zx, (bc, 1))
+            y = np.tile(zy, (bc, 1))
+            for j in range(m):
+                ell = m - j  # left-point field index: time-to-go (m - j) dt
+                drift = bilinear_reference(u_grids[ell], np.stack([x, y], axis=-1))
+                x += -drift.real * dt + sqrt2nu * db[:, j, 0, None]
+                y += -drift.imag * dt + sqrt2nu * db[:, j, 1, None]
+            vals = _spectral_point_values(half, x, y)
+            cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
+            yield m, (vals - cv_vals).reshape(bc, n, n)
 
     return config.M_inner, samples

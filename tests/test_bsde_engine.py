@@ -11,11 +11,13 @@ from vortexbsde.bsde_engine import (
     PicardIterate,
     SolverConfig,
     _SubBlock,
+    _DRIFTED_CHUNK,
     _bilinear,
+    _bilinear_tables,
     _half_plane_modes,
     _linear_solve,
     _spectral_point_values,
-    alpha_norm,
+    _velocity_tables,
     bsde_residual,
     bsde_residual_profile,
     coarsen_path,
@@ -50,6 +52,7 @@ from vortexbsde.torus_field import (
 from conftest import random_mean_zero_field
 from oracles import (
     bilinear_reference,
+    drifted_estimator_one_chunk,
     girsanov_weight,
     series_sum_brute,
     terminal_value,
@@ -326,16 +329,67 @@ class TestHotLoopKernels:
     def test_padded_bilinear_matches_reference(self):
         rng = np.random.default_rng(3)
         p = 64
-        grid = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        padded = np.pad(grid, ((0, 1), (0, 1)), mode="wrap")
+        grids = rng.standard_normal((2, p, p))
         nodes = np.arange(-3 * p, 3 * p) / p
         pos = np.concatenate([
             rng.uniform(-3.0, 3.0, size=(4000, 2)),
             np.stack(np.meshgrid(nodes, nodes[::7]), axis=-1).reshape(-1, 2),
             [[-1e-18, 0.5], [0.25, -1e-18], [-1e-18, -1e-18]],
         ])
-        got = _bilinear(padded, pos[:, 0], pos[:, 1])
-        assert np.max(np.abs(got - bilinear_reference(grid, pos))) < 1e-14
+        tables = [_bilinear_tables(np.pad(g, ((0, 1), (0, 1)), mode="wrap")) for g in grids]
+        got = _bilinear(tables, pos[:, 0] * p, pos[:, 1] * p)
+        for g, grid in zip(got, grids):
+            assert np.max(np.abs(g - bilinear_reference(grid, pos))) < 1e-14
+
+    def test_bilinear_wraps_any_grid_size(self):
+        # P = 48 wraps cell indices by a remainder, not a bit mask
+        rng = np.random.default_rng(8)
+        p = 48
+        grid = rng.standard_normal((p, p))
+        x, y = rng.integers(0, 64 * p, size=(2, 2000)) / 64.0  # exact under shifts
+        tables = [_bilinear_tables(np.pad(grid, ((0, 1), (0, 1)), mode="wrap"))]
+        (got,) = _bilinear(tables, x, y)
+        for shift in (-3 * p, -p, p, 2 * p):
+            assert np.array_equal(_bilinear(tables, x + shift, y - shift)[0], got)
+        # dividing by 48 rounds the reference's positions
+        ref = bilinear_reference(grid, np.stack([x, y], axis=-1) / p)
+        assert np.max(np.abs(got - ref)) < 1e-13
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_lattice_read_is_bilinear_at_lattice_points(self, n):
+        # the drifted estimator's first Euler step reads these lattice
+        # values in place of interpolating at the lattice points
+        stack = random_mean_zero_field(n, 5).modes * np.linspace(1.0, 0.5, 5)[:, None, None]
+        u1, u2 = velocity_modes(stack)
+        tables, lattice = _velocity_tables(u1, u2)
+        zx, zy = np.repeat(4.0 * np.arange(n), n), np.tile(4.0 * np.arange(n), n)
+        assert lattice[0].shape == (5, n * n)
+        for m in range(5):
+            got = _bilinear([(padded[m], diff[m]) for padded, diff in tables], zx, zy)
+            assert np.array_equal(lattice[0][m], got[0])
+            assert np.array_equal(lattice[1][m], got[1])
+
+    @pytest.mark.parametrize("case", ["heat", "weighted_iterate", "n12"])
+    def test_drifted_step_matches_one_chunk_reference(self, case):
+        # 37 branches: chunks of 16, 16 and 5, with 16 groups of 2-3
+        # branches straddling the chunk boundaries
+        n = 12 if case == "n12" else 16  # 12: grid units are not exact scalings
+        cfg = SolverConfig(N=n, L=8, M_inner=37, nu=0.3, T=0.2, alpha=0.0)
+        assert _DRIFTED_CHUNK == 16
+        prev = heat_iterate(two_mode(n), cfg, 0.0)
+        if case == "weighted_iterate":
+            # noise lifts every velocity mode off zero
+            prev = solve_weighted_with_stats(prev, dataclasses.replace(cfg, M_inner=64))[0]
+        it, stats = solve_drifted_with_stats(prev, cfg)
+        it_ref, stats_ref = _linear_solve(
+            prev, cfg, brownian.TAG_DRIFT, drifted_estimator_one_chunk
+        )
+        pairs = [(it.mode_stack(), it_ref.mode_stack())] + [
+            (getattr(stats, f.name), getattr(stats_ref, f.name))
+            for f in dataclasses.fields(stats)
+        ]
+        for got, ref in pairs:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_half_plane_point_values_match_all_modes(self):
         modes = random_mean_zero_field(16, 9).modes
@@ -457,9 +511,11 @@ class TestPicardSolve:
         delta = again.mode_stack() - sol.y.mode_stack()
         from vortexbsde.bsde_engine import noise_floor
 
-        assert alpha_norm(delta, sol.norms["alpha"], cfg.dt) < noise_floor(
-            stats, sol.norms["alpha"], cfg.dt
+        alpha = sol.norms["alpha"]
+        norm = y_alpha_sup(delta, alpha, cfg.dt) + np.sqrt(
+            z_alpha_bmo_sq(delta, alpha, cfg.dt)
         )
+        assert norm < noise_floor(stats, alpha, cfg.dt)
 
     def test_alpha_selection_satisfies_conditions(self):
         from vortexbsde.diagnostics import assert_alpha_conditions

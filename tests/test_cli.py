@@ -196,6 +196,21 @@ class TestSolveCommand:
         cfg = write_cfg(tmp_path / "s.cfg", text)
         assert cli.main(["solve", str(cfg)]) == 3
 
+    def test_zero_alpha_writes_diagnostics(self, tmp_path):
+        out = tmp_path / "out"
+        text = (
+            f"outdir = {out}\nN = 16\nL = 8\nnu = 0.3\nT = 0.2\n"
+            "psi_modes = 1 0 0 -0.5\nM_inner = 40\nalpha = 0\n"
+        )
+        cfg = write_cfg(tmp_path / "s.cfg", text)
+        assert cli.main(["solve", str(cfg)]) == 0
+        conditions = json.loads((out / "diagnostics.json").read_text())["constants"]
+        assert conditions["alpha"] == 0.0
+        assert conditions["alpha_conditions"] == {
+            "condition1": float("inf"), "condition2": float("inf"), "ok": False
+        }
+        assert json.loads((out / "manifest.json").read_text())["status"] == "success"
+
 
 class TestCompareCommand:
     def _oracle_as_solution(self, tmp_path):
@@ -361,6 +376,18 @@ class TestDiagnoseCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["error"]["type"] == "ConfigurationError"
+
+    def test_zero_alpha_bundle(self, tmp_path):
+        out = tmp_path / "out"
+        TestSolveCommand().test_zero_alpha_writes_diagnostics(tmp_path)
+        dcfg = write_cfg(
+            tmp_path / "d.cfg",
+            f"outdir = {tmp_path/'diag'}\nsolution_bundle = {out/'solution'}\n",
+        )
+        assert cli.main(["diagnose", str(dcfg)]) == 0
+        doc = json.loads((tmp_path / "diag" / "diagnostics.json").read_text())
+        assert doc == json.loads((out / "diagnostics.json").read_text())
+        assert not doc["constants"]["alpha_conditions"]["ok"]
 
     def test_diagnose_solution(self, tmp_path):
         out = tmp_path / "out"

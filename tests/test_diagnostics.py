@@ -58,6 +58,10 @@ class TestAlphaConditions:
     def test_zero_data(self):
         assert assert_alpha_conditions(0.0, 1.0, 0.0, 0.1, 0.5)["ok"]
 
+    def test_zero_alpha_with_data_fails(self):
+        res = assert_alpha_conditions(0.0, 1.0, 1.0, 0.1, 0.5)
+        assert res == {"condition1": np.inf, "condition2": np.inf, "ok": False}
+
 
 class TestMaxPrinciple:
     def test_real_solution_passes(self, small_solution):
