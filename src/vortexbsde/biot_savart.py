@@ -17,8 +17,6 @@ Poisson problems, which is also what the tests check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
@@ -28,7 +26,6 @@ from .torus_field import (
     _nyquist_mask,
     l2_norm,
     partial_derivative,
-    sobolev_norm,
     _sobolev_symbol,
     wavenumbers,
 )
@@ -37,18 +34,6 @@ from .torus_field import (
 LAMBDA_1 = 4.0 * np.pi**2
 
 _MEAN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BiotSavartConstants:
-    """Constants entering the solver's a priori bound formulas."""
-
-    lambda1: float
-    c0: float  # elliptic constant ||K_j f||_{k,2} <= c0 ||f||_{k-1,2}
-
-    def __post_init__(self):
-        if not (self.lambda1 > 0 and np.isfinite(self.c0) and self.c0 > 0):
-            raise ConfigurationError("invalid Biot-Savart constants")
 
 
 def _require_mean_zero(f: ScalarField, what: str) -> None:
@@ -61,16 +46,6 @@ def _inv_ksq(n: int) -> np.ndarray:
     ksq = k[:, None] ** 2 + k[None, :] ** 2
     ksq[0, 0] = np.inf  # k = 0 mode is annihilated, never divided
     return 1.0 / ksq
-
-
-def green_solve(f: ScalarField) -> ScalarField:
-    """Solve Lap g = -f with mean-zero data and mean-zero solution."""
-    _require_mean_zero(f, "Poisson right-hand side")
-    n = f.grid_size
-    g = f.modes * (_inv_ksq(n) / LAMBDA_1)
-    g[0, 0] = 0.0
-    g[_nyquist_mask(n)] = 0.0
-    return ScalarField(g, mean_zero_required=True)
 
 
 def velocity_modes(omega_modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,33 +137,3 @@ def closed_form_c0(k_order: int, n: int) -> float:
         ratio = mult * np.sqrt(s_hi / s_lo)
         best = max(best, float(np.max(ratio[nonzero])))
     return best
-
-
-def measure_c0(k_order: int, trials: int, n: int = 32, seed: int = 0) -> float:
-    """Empirical max of ||K_j f||_{k,2} / ||f||_{k-1,2} over random trial fields."""
-    if trials < 1:
-        raise ConfigurationError("C0 measurement needs at least one trial")
-    if not 1 <= k_order <= 3:
-        raise ConfigurationError(f"C0 is measured for orders 1..3, got {k_order}")
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0xC0]))
-    best = 0.0
-    for _ in range(trials):
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        f = ScalarField(0.5 * (raw + np.conj(raw[(-np.arange(n)) % n][:, (-np.arange(n)) % n])))
-        m = f.modes.copy()
-        m[0, 0] = 0.0
-        ny = _nyquist_mask(n)
-        m[ny] = 0.0
-        f = ScalarField(m, mean_zero_required=True)
-        denom = sobolev_norm(f, k_order - 1)
-        if denom == 0.0:
-            continue
-        u = apply_K(f)
-        for comp in (u.component1, u.component2):
-            best = max(best, sobolev_norm(comp, k_order) / denom)
-    return best
-
-
-def constants_for_grid(n: int, k_order: int = 1) -> BiotSavartConstants:
-    """Closed-form constants used by the solver's bound formulas."""
-    return BiotSavartConstants(lambda1=LAMBDA_1, c0=closed_form_c0(k_order, n))

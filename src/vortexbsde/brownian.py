@@ -4,8 +4,10 @@ Every Gaussian increment is produced by the Philox counter-based generator:
 the pair of 64-bit words at counter position m of the keyed stream yields,
 through uniform conversion and the inverse normal CDF, the two components
 of increment m.  Any increment is therefore computable without generating
-its predecessors, and branching a path never perturbs the parent's
-randomness: fresh futures simply use a different key.
+its predecessors.  ``simulate`` draws one path; ``ensemble_increments``
+draws the solver's branch families, one counter block per member, so each
+member is reproducible in isolation and the purposes (single paths, the
+weighted and the drifted solve) never share randomness.
 
 Keys are two 64-bit words: (seed, purpose_tag << 48 | stream_index).
 """
@@ -17,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
 # Purpose tags keep independent uses of the same base seed non-colliding.
 TAG_SIMULATE = 0x51
-TAG_BRANCH = 0xB2
 TAG_INNER = 0x1E
 TAG_DRIFT = 0xD3
 
@@ -94,38 +95,6 @@ def simulate(seed: int, steps: int, horizon: float) -> BrownianPath:
     dt = horizon / steps
     key = stream_key(seed, TAG_SIMULATE)
     return BrownianPath(raw_increments(key, steps, dt), dt, tuple(key))
-
-
-def branch(
-    path: BrownianPath, t_index: int, branch_seed: int, steps_after: int | None = None
-) -> BrownianPath:
-    """Path agreeing with ``path`` up to node t_index, fresh afterwards.
-
-    Fresh increments come from the branch_seed-keyed stream at the absolute
-    counter positions of the steps they replace, so distinct branch seeds
-    give independent futures and the parent path is never re-read.
-    """
-    if not 0 <= t_index <= path.steps:
-        raise DomainError(f"branch node {t_index} outside [0, {path.steps}]")
-    if steps_after is None:
-        steps_after = path.steps - t_index
-    if steps_after < 0:
-        raise ConfigurationError("steps_after must be non-negative")
-    key = stream_key(branch_seed, TAG_BRANCH)
-    parts = [path.increments[:t_index]]
-    if steps_after > 0:
-        parts.append(raw_increments(key, steps_after, path.dt, counter_start=t_index))
-    inc = np.vstack(parts) if len(parts) > 1 else parts[0]
-    if inc.shape[0] == 0:
-        raise ConfigurationError("branched path would have zero steps")
-    return BrownianPath(inc, path.dt, tuple(key))
-
-
-def scaled_displacement(path: BrownianPath, m: int, nu: float) -> np.ndarray:
-    """sqrt(2*nu) * B at node m, the spatial displacement of the flow."""
-    if not 0 <= m <= path.steps:
-        raise DomainError(f"node {m} outside [0, {path.steps}]")
-    return np.sqrt(2.0 * nu) * path.values[m]
 
 
 def ensemble_increments(

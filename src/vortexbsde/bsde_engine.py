@@ -908,11 +908,6 @@ def bsde_residual_profile(solution: BsdeSolution, path: brownian.BrownianPath) -
     return norms
 
 
-def bsde_residual(solution: BsdeSolution, path: brownian.BrownianPath) -> float:
-    """Max over t-nodes of the pathwise residual norm; O(sqrt(dt)) in the step."""
-    return float(np.max(bsde_residual_profile(solution, path)))
-
-
 # ---------------------------------------------------------------------------
 # helpers for dyadic refinement studies
 

@@ -254,7 +254,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _build_psi(parsed: dict) -> ScalarField:
-    return field_from_mode_list(parsed["N"], parsed["psi_modes"], mean_zero_required=True)
+    return field_from_mode_list(parsed["N"], parsed["psi_modes"])
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,6 @@ def _advection_modes(omega_modes: np.ndarray) -> tuple[np.ndarray, float]:
     return adv, max_u
 
 
-def nonlinear_term(omega: ScalarField) -> ScalarField:
-    """u . grad(omega) with u = K(omega), formed dealiased (3/2 padding)."""
-    _require_mean_zero(omega, "vorticity of the nonlinear term")
-    adv, _ = _advection_modes(omega.modes)
-    return ScalarField(adv, mean_zero_required=True)
-
-
 def _cfl_or_raise(dt: float, max_u: float, n: int, horizon: float) -> None:
     cfl = dt * max_u * 2.0 * np.pi * (n // 2)
     if cfl > CFL_LIMIT:
@@ -164,17 +157,6 @@ def field_at(traj: VorticityTrajectory, tau: float) -> ScalarField:
         return traj.fields[lo]
     modes = (1.0 - frac) * traj.fields[lo].modes + frac * traj.fields[hi].modes
     return ScalarField(modes, mean_zero_required=True)
-
-
-def evaluate(traj: VorticityTrajectory, tau: float, x) -> float:
-    """Point value omega(tau, x): spectral (exact) in x, linear in tau."""
-    f = field_at(traj, tau)
-    n = f.grid_size
-    k = wavenumbers(n).astype(np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    e1 = np.exp(2j * np.pi * k * x[0])
-    e2 = np.exp(2j * np.pi * k * x[1])
-    return float(np.real(e1 @ f.modes @ e2))
 
 
 def enstrophy(f: ScalarField) -> float:

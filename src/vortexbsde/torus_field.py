@@ -62,26 +62,6 @@ def _hermitian_conjugate(modes: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GridSignal:
-    """Real samples on the uniform N x N lattice x_j = j/N."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ConfigurationError(f"grid signal must be square, got {vals.shape}")
-        _validate_grid_size(vals.shape[0])
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def grid_size(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class ScalarField:
     """Real periodic scalar field held as truncated Fourier coefficients."""
 
@@ -162,12 +142,8 @@ class VectorField:
         return self.component1.grid_size
 
 
-def field_from_mode_list(
-    n: int,
-    entries,
-    mean_zero_required: bool = True,
-) -> ScalarField:
-    """Build a field from (k1, k2, amplitude) entries.
+def field_from_mode_list(n: int, entries) -> ScalarField:
+    """Build a mean-zero field from (k1, k2, amplitude) entries.
 
     Each entry adds ``amp * exp(2*pi*i*<k,x>)`` together with its Hermitian
     partner at -k, so real fields are specified by half the spectrum, e.g.
@@ -182,37 +158,16 @@ def field_from_mode_list(
             raise ConfigurationError(
                 f"mode ({k1},{k2}) not resolved on an N={n} grid"
             )
-        if mean_zero_required and k1 == 0 and k2 == 0:
+        if k1 == 0 and k2 == 0:
             raise DomainError("mean-zero field cannot carry a k=0 mode")
         amp = complex(amp)
         modes[k1 % n, k2 % n] += amp
         modes[(-k1) % n, (-k2) % n] += np.conj(amp)
-    return ScalarField(modes, mean_zero_required)
+    return ScalarField(modes, mean_zero_required=True)
 
 
 # ---------------------------------------------------------------------------
 # transforms
-
-
-def forward_transform(g: GridSignal) -> ScalarField:
-    """Discrete analysis transform: fhat(k) = (1/N^2) sum_j g(x_j) e^{-2 pi i <k,x_j>}."""
-    n = g.grid_size
-    modes = np.fft.fft2(g.values) / (n * n)
-    return ScalarField(modes)
-
-
-def inverse_transform(f: ScalarField) -> GridSignal:
-    """Synthesis on the N x N lattice; imaginary residue below 1e-10 is discarded."""
-    n = f.grid_size
-    values = np.fft.ifft2(f.modes) * (n * n)
-    scale = max(float(np.max(np.abs(values))), 1.0)
-    resid = float(np.max(np.abs(values.imag)))
-    if resid > _IMAG_TOL * scale:
-        raise DomainError(
-            f"inverse transform produced imaginary residue {resid:.3e}; "
-            "mode array is not a real field"
-        )
-    return GridSignal(values.real)
 
 
 def modes_to_grid(modes: np.ndarray) -> np.ndarray:
@@ -269,8 +224,6 @@ def translate(f: ScalarField, a) -> ScalarField:
 # ---------------------------------------------------------------------------
 # norms
 
-MAX_SOBOLEV_ORDER = 4
-
 
 def _sobolev_symbol(n: int, k_order: int) -> np.ndarray:
     """sum over |alpha| <= k of (2*pi*k1)^(2a1) * (2*pi*k2)^(2a2)."""
@@ -284,16 +237,6 @@ def _sobolev_symbol(n: int, k_order: int) -> np.ndarray:
     return sym
 
 
-def sobolev_norm(f: ScalarField, k_order: int) -> float:
-    """W^{k,2} norm computed spectrally; order 0 is the plain L^2 norm."""
-    if not 0 <= k_order <= MAX_SOBOLEV_ORDER:
-        raise ConfigurationError(
-            f"Sobolev order must be in [0, {MAX_SOBOLEV_ORDER}], got {k_order}"
-        )
-    sym = _sobolev_symbol(f.grid_size, k_order)
-    return float(np.sqrt(np.sum(sym * np.abs(f.modes) ** 2)))
-
-
 def l2_norm(f: ScalarField) -> float:
     return float(np.sqrt(np.sum(np.abs(f.modes) ** 2)))
 
@@ -305,6 +248,8 @@ def embed_modes(modes: np.ndarray, factor: int) -> np.ndarray:
     interpolant through the original samples is reproduced exactly; the
     split needs ``factor >= 2`` to keep +-N/2 apart.
     """
+    if factor < 2:
+        raise ConfigurationError(f"embedding factor must be >= 2, got {factor}")
     n = modes.shape[-1]
     big_n = factor * n
     half = n // 2
@@ -321,9 +266,9 @@ def embed_modes(modes: np.ndarray, factor: int) -> np.ndarray:
     return big
 
 
-def oversampled_values(f: ScalarField, factor: int = SUP_NORM_OVERSAMPLE) -> np.ndarray:
-    """Samples on a ``factor``-times-finer lattice via zero-padded synthesis."""
-    return modes_to_grid(embed_modes(f.modes, factor))
+def oversampled_values(f: ScalarField) -> np.ndarray:
+    """Samples on a SUP_NORM_OVERSAMPLE-times-finer lattice via zero-padded synthesis."""
+    return modes_to_grid(embed_modes(f.modes, SUP_NORM_OVERSAMPLE))
 
 
 def sup_norm(f: ScalarField) -> float:

@@ -6,16 +6,20 @@ integrals are dense-lattice Riemann/trapezoid sums over analytic samples.
 The scalar references (one path, one weight, one increment) restate
 single terms of the vectorized estimators for spot checks; the kernel
 references at the end are the plain forms of the estimators' hot loops.
+``sobolev_norm`` and ``measure_c0`` bound the elliptic constant that
+``closed_form_c0`` gives in closed form from below, over random trial fields.
 """
 
 import numpy as np
 
 from vortexbsde import brownian
-from vortexbsde.biot_savart import _require_mean_zero
+from vortexbsde.biot_savart import _require_mean_zero, apply_K
 from vortexbsde.bsde_engine import TWO_PI, _half_plane_modes, _spectral_point_values
 from vortexbsde.errors import ConfigurationError, NumericalError
 from vortexbsde.torus_field import (
     ScalarField,
+    _nyquist_mask,
+    _sobolev_symbol,
     embed_modes,
     grid_to_modes,
     modes_to_complex_grid,
@@ -71,12 +75,50 @@ def integral_2d(func, samples: int = 2048) -> float:
     return float(np.mean(vals))
 
 
+MAX_SOBOLEV_ORDER = 4
+
+
+def sobolev_norm(f: ScalarField, k_order: int) -> float:
+    """W^{k,2} norm computed spectrally; order 0 is the plain L^2 norm."""
+    if not 0 <= k_order <= MAX_SOBOLEV_ORDER:
+        raise ConfigurationError(
+            f"Sobolev order must be in [0, {MAX_SOBOLEV_ORDER}], got {k_order}"
+        )
+    sym = _sobolev_symbol(f.grid_size, k_order)
+    return float(np.sqrt(np.sum(sym * np.abs(f.modes) ** 2)))
+
+
+def measure_c0(k_order: int, trials: int, n: int = 32, seed: int = 0) -> float:
+    """Empirical max of ||K_j f||_{k,2} / ||f||_{k-1,2} over random trial fields."""
+    if trials < 1:
+        raise ConfigurationError("C0 measurement needs at least one trial")
+    if not 1 <= k_order <= 3:
+        raise ConfigurationError(f"C0 is measured for orders 1..3, got {k_order}")
+    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0xC0]))
+    best = 0.0
+    for _ in range(trials):
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        f = ScalarField(0.5 * (raw + np.conj(raw[(-np.arange(n)) % n][:, (-np.arange(n)) % n])))
+        m = f.modes.copy()
+        m[0, 0] = 0.0
+        ny = _nyquist_mask(n)
+        m[ny] = 0.0
+        f = ScalarField(m, mean_zero_required=True)
+        denom = sobolev_norm(f, k_order - 1)
+        if denom == 0.0:
+            continue
+        u = apply_K(f)
+        for comp in (u.component1, u.component2):
+            best = max(best, sobolev_norm(comp, k_order) / denom)
+    return best
+
+
 def terminal_value(psi: ScalarField, path: brownian.BrownianPath, nu: float) -> ScalarField:
     """xi = psi( . + sqrt(2*nu) B_T), the terminal random field along a path."""
     _require_mean_zero(psi, "terminal data psi")
     if path.steps < 1:
         raise ConfigurationError("path has no steps")
-    return translate(psi, brownian.scaled_displacement(path, path.steps, nu))
+    return translate(psi, np.sqrt(2.0 * nu) * path.values[path.steps])
 
 
 def girsanov_weight(h_values, increments, dt: float) -> float:

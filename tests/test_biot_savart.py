@@ -4,28 +4,24 @@ from hypothesis import given, settings, strategies as st
 
 from vortexbsde.biot_savart import (
     LAMBDA_1,
-    BiotSavartConstants,
     apply_K,
     closed_form_c0,
-    constants_for_grid,
     curl,
     divergence,
-    green_solve,
-    measure_c0,
     verify_elliptic_estimates,
 )
 from vortexbsde.errors import ConfigurationError, DomainError
 from vortexbsde.torus_field import (
     ScalarField,
     field_from_mode_list,
-    inverse_transform,
     l2_norm,
+    modes_to_grid,
     partial_derivative,
-    sobolev_norm,
     translate,
 )
 
 from conftest import random_mean_zero_field
+from oracles import measure_c0, sobolev_norm
 
 N = 32
 X = np.arange(N) / N
@@ -33,37 +29,6 @@ X = np.arange(N) / N
 
 def sin1(n=N):
     return field_from_mode_list(n, [(1, 0, -0.5j)])
-
-
-class TestGreenSolve:
-    def test_zero(self):
-        f = ScalarField(np.zeros((N, N)), mean_zero_required=True)
-        assert np.all(green_solve(f).modes == 0)
-
-    def test_single_mode_analytic(self):
-        # Lap g = -sin(2 pi x1) has the hand-derived solution sin/(4 pi^2);
-        # substituting: Lap(sin/(4pi^2)) = -4pi^2 * sin / (4pi^2) = -sin.
-        g = green_solve(sin1())
-        expect = sin1().modes / (4 * np.pi**2)
-        assert np.max(np.abs(g.modes - expect)) < 1e-14
-        grid = inverse_transform(g).values
-        analytic = np.sin(2 * np.pi * X)[:, None] / (4 * np.pi**2)
-        assert np.max(np.abs(grid - analytic)) < 1e-10
-
-    def test_diagonal_mode_analytic(self):
-        f = field_from_mode_list(N, [(1, 1, 0.5)])  # cos(2 pi (x1+x2)), |k|^2 = 2
-        g = green_solve(f)
-        assert np.max(np.abs(g.modes - f.modes / (8 * np.pi**2))) < 1e-14
-
-    def test_rejects_nonzero_mean(self):
-        modes = np.zeros((N, N), complex)
-        modes[0, 0] = 1.0
-        with pytest.raises(DomainError):
-            green_solve(ScalarField(modes))
-
-    def test_output_mean_zero(self):
-        g = green_solve(random_mean_zero_field(N, 31))
-        assert g.modes[0, 0] == 0.0
 
 
 class TestApplyK:
@@ -76,7 +41,7 @@ class TestApplyK:
         # Lap u2 = d(sin)/dx1 = 2 pi cos solves as u2 = -cos/(2 pi); u1 = 0.
         u = apply_K(sin1())
         assert l2_norm(u.component1) == 0.0
-        grid = inverse_transform(u.component2).values
+        grid = modes_to_grid(u.component2.modes)
         analytic = -np.cos(2 * np.pi * X)[:, None] / (2 * np.pi) * np.ones(N)
         assert np.max(np.abs(grid - analytic)) < 1e-10
 
@@ -179,16 +144,7 @@ class TestC0:
             measured = measure_c0(order, trials=100, n=16, seed=5)
             assert measured <= closed_form_c0(order, 16) * (1 + 1e-12)
 
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ConfigurationError):
-            measure_c0(1, trials=0)
-
     def test_order_range(self):
         with pytest.raises(ConfigurationError):
             closed_form_c0(4, N)
 
-    def test_constants_validation(self):
-        c = constants_for_grid(N)
-        assert c.lambda1 == pytest.approx(4 * np.pi**2)
-        with pytest.raises(ConfigurationError):
-            BiotSavartConstants(lambda1=-1.0, c0=1.0)

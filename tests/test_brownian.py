@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vortexbsde import brownian
-from vortexbsde.errors import ConfigurationError, DomainError
+from vortexbsde.errors import ConfigurationError
 
 from oracles import dump_csv, increment_at
 
@@ -58,69 +58,40 @@ class TestSimulate:
 
 
 class TestBranch:
+    """The solver's branch families: members of one ``ensemble_increments`` draw."""
+
     def test_branch_at_zero_is_fresh(self):
-        p = brownian.simulate(11, 16, 0.5)
-        q = brownian.branch(p, 0, branch_seed=999)
-        assert q.steps == p.steps
-        assert not np.array_equal(q.increments, p.increments)
-
-    def test_branch_at_end_keeps_path(self):
-        p = brownian.simulate(11, 16, 0.5)
-        q = brownian.branch(p, p.steps, branch_seed=999)
-        assert np.array_equal(q.increments, p.increments)
-
-    def test_agreement_up_to_branch_node(self):
-        p = brownian.simulate(11, 16, 0.5)
-        q = brownian.branch(p, 7, branch_seed=5)
-        assert np.array_equal(q.increments[:7], p.increments[:7])
-        assert not np.array_equal(q.increments[7:], p.increments[7:])
+        # A branch family shares no increment with a path, or with a family
+        # of another purpose, drawn from the same seed.
+        path = brownian.simulate(11, 16, 0.5)
+        inner = brownian.ensemble_increments(11, brownian.TAG_INNER, 1, 16, path.dt)[0]
+        drift = brownian.ensemble_increments(11, brownian.TAG_DRIFT, 1, 16, path.dt)[0]
+        assert not np.any(inner == path.increments)
+        assert not np.any(inner == drift)
 
     def test_branch_independence(self):
-        # Two branch seeds share the past, and their futures decorrelate:
-        # Monte Carlo correlation below 4/sqrt(samples).
-        p = brownian.simulate(13, 4, 1.0)
+        # Disjoint sets of members decorrelate: Monte Carlo correlation of
+        # their sums below 4/sqrt(samples).
         n = 20_000
-        a = np.array([brownian.branch(p, 2, s).increments[2:].sum() for s in range(n)])
-        b = np.array(
-            [brownian.branch(p, 2, s + n).increments[2:].sum() for s in range(n)]
-        )
-        rho = np.corrcoef(a, b)[0, 1]
+        inc = brownian.ensemble_increments(13, brownian.TAG_INNER, 2 * n, 2, 0.5)
+        sums = inc.sum(axis=(1, 2))
+        rho = np.corrcoef(sums[:n], sums[n:])[0, 1]
         assert abs(rho) < 4 / np.sqrt(n)
 
     def test_branched_variance_consistency(self):
         # Var(B_T) over a branched ensemble matches T within 5%.
         p = brownian.simulate(17, 8, 1.0)
         m = 3
-        tails = brownian.ensemble_increments(55, brownian.TAG_BRANCH, 100_000, 8 - m, p.dt)
+        tails = brownian.ensemble_increments(55, brownian.TAG_INNER, 100_000, 8 - m, p.dt)
         b_t = p.values[m, 0] + tails[:, :, 0].sum(axis=1)
         expect = (8 - m) * p.dt
         assert abs(b_t.var() - expect) < 0.05 * 1.0
 
     def test_out_of_range(self):
-        p = brownian.simulate(11, 16, 0.5)
-        with pytest.raises(DomainError):
-            brownian.branch(p, 17, 0)
-
-
-class TestScaledDisplacement:
-    def test_origin(self):
-        p = brownian.simulate(19, 8, 1.0)
-        assert np.all(brownian.scaled_displacement(p, 0, 0.3) == 0.0)
-
-    def test_unit_scaling(self):
-        p = brownian.simulate(19, 8, 1.0)
-        d = brownian.scaled_displacement(p, 5, 0.5)
-        assert np.array_equal(d, p.values[5])
-
-    def test_arithmetic(self):
-        p = brownian.simulate(19, 8, 1.0)
-        d = brownian.scaled_displacement(p, 8, 0.1)
-        assert np.allclose(d, np.sqrt(0.2) * p.values[8], rtol=1e-15)
-
-    def test_out_of_range(self):
-        p = brownian.simulate(19, 8, 1.0)
-        with pytest.raises(DomainError):
-            brownian.scaled_displacement(p, 9, 0.1)
+        with pytest.raises(ConfigurationError):
+            brownian.ensemble_increments(0, brownian.TAG_INNER, 0, 4, 0.1)
+        with pytest.raises(ConfigurationError):
+            brownian.ensemble_increments(0, brownian.TAG_INNER, 4, 0, 0.1)
 
 
 class TestMisc:

@@ -18,7 +18,6 @@ from vortexbsde.bsde_engine import (
     _linear_solve,
     _spectral_point_values,
     _velocity_tables,
-    bsde_residual,
     bsde_residual_profile,
     coarsen_path,
     heat_iterate,
@@ -42,9 +41,9 @@ from vortexbsde.torus_field import (
     _nyquist_mask,
     field_from_mode_list,
     grid_to_modes,
-    inverse_transform,
     l2_norm,
     modes_to_complex_grid,
+    modes_to_grid,
     partial_derivative,
     translate,
 )
@@ -138,7 +137,7 @@ class TestGirsanovWeight:
         steps, dt = 8, 0.05
         t = np.arange(steps) * dt
         h = np.stack([np.sin(t) + 0.5, np.cos(2 * t)], axis=1)
-        inc = brownian.ensemble_increments(31, brownian.TAG_BRANCH, 100_000, steps, dt)
+        inc = brownian.ensemble_increments(31, brownian.TAG_INNER, 100_000, steps, dt)
         expo = -(inc * h[None]).sum(axis=(1, 2)) - 0.5 * float(np.sum(h * h)) * dt
         weights = np.exp(expo)
         se = weights.std(ddof=1) / np.sqrt(len(weights))
@@ -211,11 +210,11 @@ class TestLinearSolve:
                 expo = np.zeros((n, n))
                 for j in range(m):
                     ell = m - j
-                    uu1 = inverse_transform(translate(u1f[ell], d[j])).values
-                    uu2 = inverse_transform(translate(u2f[ell], d[j])).values
+                    uu1 = modes_to_grid(translate(u1f[ell], d[j]).modes)
+                    uu2 = modes_to_grid(translate(u2f[ell], d[j]).modes)
                     expo += (uu1 * db[b, j, 0] + uu2 * db[b, j, 1]) / s2n
                     expo += (uu1**2 + uu2**2) * dt / (4 * nu)
-                psib = inverse_transform(translate(psi, d[m])).values
+                psib = modes_to_grid(translate(psi, d[m]).modes)
                 acc += psib * (np.exp(-expo) - 1.0)
             mc = grid_to_modes(acc / cfg.M_inner)
             mc[0, 0] = 0.0
@@ -532,7 +531,7 @@ class TestPicardSolve:
     def test_feynman_kac_identity_pointwise(self):
         # Y(t, x) read as omega(T - t, x + sqrt(2 nu) B_t) from the solver
         # agrees with the deterministic reference evaluated the same way.
-        from vortexbsde.spectral_oracle import VorticityTrajectory, evaluate, evolve
+        from vortexbsde.spectral_oracle import VorticityTrajectory, evolve, field_at
 
         cfg = SolverConfig(
             N=16, L=32, M_inner=500, nu=0.1, T=0.4,
@@ -544,17 +543,15 @@ class TestPicardSolve:
         path = brownian.simulate(77, cfg.L, cfg.T)
         for j in (0, 7, 19, 32):
             tau = cfg.T - j * cfg.dt
-            shift = brownian.scaled_displacement(path, j, cfg.nu)
-            for x in ((0.0, 0.0), (0.3, 0.7)):
-                pt = (x[0] + shift[0], x[1] + shift[1])
-                assert abs(evaluate(y_traj, tau, pt) - evaluate(traj, tau, pt)) < 5e-3
+            pts = np.array([(0.0, 0.0), (0.3, 0.7)]) + np.sqrt(2 * cfg.nu) * path.values[j]
+            got = series_sum_brute(field_at(y_traj, tau).modes, pts)
+            ref = series_sum_brute(field_at(traj, tau).modes, pts)
+            assert np.max(np.abs(got - ref)) < 5e-3
 
 
 class TestWeightedNorms:
     def test_alpha_zero_matches_plain_norms(self):
         stack = heat_mode_stack(two_mode().modes, 0.3, 0.05, 8)
-        from vortexbsde.torus_field import modes_to_grid
-
         plain_sup = float(np.max(np.abs(modes_to_grid(stack))))
         assert y_alpha_sup(stack, 0.0, 0.05) == pytest.approx(plain_sup, rel=1e-12)
         # alpha = 0 BMO equals the unweighted max-window gradient integral
@@ -581,7 +578,7 @@ class TestResidual:
         it = heat_iterate(zero_field(16), cfg, 0.0)
         sol = solution_of(it, cfg)
         path = brownian.simulate(5, cfg.L, cfg.T)
-        assert bsde_residual(sol, path) == 0.0
+        assert np.max(bsde_residual_profile(sol, path)) == 0.0
 
     def test_terminal_node_exact_zero(self):
         sol = self._exact_solution()
@@ -607,7 +604,7 @@ class TestResidual:
         sol = self._exact_solution()
         path = brownian.simulate(5, 32, sol.config.T)
         with pytest.raises(DomainError):
-            bsde_residual(sol, path)
+            bsde_residual_profile(sol, path)
 
     def test_coarsen_path_consistency(self):
         path = brownian.simulate(9, 16, 0.5)

@@ -4,28 +4,27 @@ from hypothesis import given, settings, strategies as st
 
 from vortexbsde.errors import ConfigurationError, DomainError
 from vortexbsde.torus_field import (
-    GridSignal,
     ScalarField,
     VectorField,
+    embed_modes,
     field_from_mode_list,
-    forward_transform,
-    inverse_transform,
+    grid_to_modes,
     l2_norm,
+    modes_to_grid,
     partial_derivative,
-    sobolev_norm,
     sup_norm,
     translate,
 )
 
 from conftest import random_mean_zero_field
-from oracles import dft_brute, l2_quadrature, series_sum_brute
+from oracles import dft_brute, l2_quadrature, series_sum_brute, sobolev_norm
 
 N8 = 8
 X8 = np.arange(N8) / N8
 
 
 def grid_of(func):
-    return GridSignal(func(X8[:, None], X8[None, :]) + np.zeros((N8, N8)))
+    return func(X8[:, None], X8[None, :]) + np.zeros((N8, N8))
 
 
 def sin1():
@@ -34,63 +33,73 @@ def sin1():
 
 class TestForwardTransform:
     def test_zero_signal(self):
-        f = forward_transform(GridSignal(np.zeros((N8, N8))))
-        assert np.all(f.modes == 0)
+        assert np.all(grid_to_modes(np.zeros((N8, N8))) == 0)
 
     def test_cosine_matches_brute_force(self):
         g = grid_of(lambda x, y: np.cos(2 * np.pi * x))
-        f = forward_transform(g)
-        brute = dft_brute(g.values)
-        assert np.max(np.abs(f.modes - brute)) < 1e-13
-        assert abs(f.modes[1, 0] - 0.5) < 1e-13
-        assert abs(f.modes[-1, 0] - 0.5) < 1e-13
+        modes = grid_to_modes(g)
+        brute = dft_brute(g)
+        assert np.max(np.abs(modes - brute)) < 1e-13
+        assert abs(modes[1, 0] - 0.5) < 1e-13
+        assert abs(modes[-1, 0] - 0.5) < 1e-13
         mask = np.ones((N8, N8), bool)
         mask[1, 0] = mask[-1, 0] = False
-        assert np.max(np.abs(f.modes[mask])) < 1e-13
+        assert np.max(np.abs(modes[mask])) < 1e-13
 
     def test_sine_x2_matches_brute_force(self):
         g = grid_of(lambda x, y: np.sin(2 * np.pi * y))
-        f = forward_transform(g)
-        brute = dft_brute(g.values)
-        assert np.max(np.abs(f.modes - brute)) < 1e-13
-        assert abs(f.modes[0, 1] - (-0.5j)) < 1e-13
-        assert abs(f.modes[0, -1] - 0.5j) < 1e-13
+        modes = grid_to_modes(g)
+        brute = dft_brute(g)
+        assert np.max(np.abs(modes - brute)) < 1e-13
+        assert abs(modes[0, 1] - (-0.5j)) < 1e-13
+        assert abs(modes[0, -1] - 0.5j) < 1e-13
 
     def test_rejects_odd_grid(self):
         with pytest.raises(ConfigurationError):
-            GridSignal(np.zeros((7, 7)))
+            ScalarField(np.zeros((7, 7)))
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ConfigurationError):
-            GridSignal(np.zeros((2, 2)))
+            ScalarField(np.zeros((2, 2)))
 
 
 class TestInverseTransform:
     def test_zero_modes(self):
-        g = inverse_transform(ScalarField(np.zeros((N8, N8))))
-        assert np.all(g.values == 0)
+        assert np.all(modes_to_grid(ScalarField(np.zeros((N8, N8))).modes) == 0)
 
     def test_cosine_modes_match_series_sum(self):
         modes = np.zeros((N8, N8), complex)
         modes[1, 0] = 0.5
         modes[-1, 0] = 0.5
         f = ScalarField(modes)
-        g = inverse_transform(f)
+        values = modes_to_grid(f.modes)
         pts = np.stack([np.repeat(X8, N8), np.tile(X8, N8)], axis=1)
         brute = series_sum_brute(modes, pts).reshape(N8, N8)
-        assert np.max(np.abs(g.values - brute)) < 1e-13
-        assert np.max(np.abs(g.values - np.cos(2 * np.pi * X8)[:, None])) < 1e-13
+        assert np.max(np.abs(values - brute)) < 1e-13
+        assert np.max(np.abs(values - np.cos(2 * np.pi * X8)[:, None])) < 1e-13
 
     def test_round_trip_random_field(self):
         f = random_mean_zero_field(16, seed=3)
-        back = forward_transform(inverse_transform(f))
-        assert np.max(np.abs(back.modes - f.modes)) < 1e-12
+        back = grid_to_modes(modes_to_grid(f.modes))
+        assert np.max(np.abs(back - f.modes)) < 1e-12
 
     def test_grid_round_trip(self, rng):
         vals = rng.standard_normal((16, 16))
-        g = GridSignal(vals)
-        back = inverse_transform(forward_transform(g))
-        assert np.max(np.abs(back.values - vals)) < 1e-12 * np.max(np.abs(vals))
+        back = modes_to_grid(grid_to_modes(vals))
+        assert np.max(np.abs(back - vals)) < 1e-12 * np.max(np.abs(vals))
+
+
+class TestEmbedModes:
+    def test_nyquist_split_needs_factor_two(self):
+        # A unit Nyquist mode: with factor 1 the positions +-N/2 coincide
+        # and half of each coefficient would be lost.
+        modes = np.zeros((N8, N8), complex)
+        modes[4, 1] = modes[4, 7] = 1.0
+        with pytest.raises(ConfigurationError):
+            embed_modes(modes, 1)
+        for factor in (2, 4):
+            fine = modes_to_grid(embed_modes(modes, factor))
+            assert np.max(np.abs(fine[::factor, ::factor] - modes_to_grid(modes))) < 1e-13
 
 
 class TestScalarFieldInvariants:
@@ -142,9 +151,9 @@ class TestPartialDerivative:
 
     def test_d1_sine_is_scaled_cosine(self):
         d = partial_derivative(sin1(), 1)
-        g = inverse_transform(d)
+        values = modes_to_grid(d.modes)
         expect = 2 * np.pi * np.cos(2 * np.pi * X8)[:, None] * np.ones(N8)
-        assert np.max(np.abs(g.values - expect)) < 1e-12
+        assert np.max(np.abs(values - expect)) < 1e-12
 
     def test_d2_of_x1_only_field_vanishes(self):
         d = partial_derivative(sin1(), 2)
