@@ -5,7 +5,9 @@
 Imports the ``vortexbsde`` package of each tree in turn (from its ``src``
 directory) and, for base seeds 42, 1 and 7, runs on the two-mode and the
 single-mode config in this directory, at the benchmark's sizes (two-mode
-L = 32, M_inner = 250; single-mode L = 16, M_inner = 1000):
+L = 32, M_inner = 250; single-mode L = 16, M_inner = 1000), and on the
+two-mode config with psi on the modes (2,0) and (0,2), whose weighted step
+repeats with period 1/2 along both axes:
 
 * ``picard_solve``;
 * ``solve_weighted_with_stats`` from the heat iterate, and again from the
@@ -38,8 +40,12 @@ import numpy as np
 SCRIPTS = Path(__file__).resolve().parent
 SEEDS = (42, 1, 7)
 CONFIGS = {
-    "two_mode": ("solve_two_mode.cfg", {"L": 32, "M_inner": 250}),
-    "single_mode": ("solve_single_mode.cfg", {"L": 16, "M_inner": 1000}),
+    "two_mode": ("solve_two_mode.cfg", {"L": "32", "M_inner": "250"}),
+    "single_mode": ("solve_single_mode.cfg", {"L": "16", "M_inner": "1000"}),
+    "even_modes": (
+        "solve_two_mode.cfg",
+        {"L": "32", "M_inner": "250", "psi_modes": "2 0 0 -0.25 ; 0 2 0.25 0"},
+    ),
 }
 DRIFTED_M = 50
 REL_TOL = 1e-12
@@ -73,13 +79,14 @@ def run_tree(tree: Path) -> tuple[dict, dict]:
     engine, cli = load_package(tree)
     names = [f.name for f in dataclasses.fields(engine.SolverConfig)]
     arrays, iterations = {}, {}
-    for label, (cfg_name, size) in CONFIGS.items():
-        parsed = cli.SOLVE_SCHEMA.parse(cli._parse_kv_text((SCRIPTS / cfg_name).read_text()))
+    for label, (cfg_name, overrides) in CONFIGS.items():
+        text = cli._parse_kv_text((SCRIPTS / cfg_name).read_text())
+        parsed = cli.SOLVE_SCHEMA.parse({**text, **overrides})
         psi = cli._build_psi(parsed)
         for seed in SEEDS:
             case = f"{label}.seed{seed}"
             kwargs = {n: parsed[n] for n in names if n in parsed}
-            config = engine.SolverConfig(**{**kwargs, **size, "base_seed": seed})
+            config = engine.SolverConfig(**{**kwargs, "base_seed": seed})
             solution = engine.picard_solve(psi, config)
             modes = solution.y.mode_stack()
             arrays[f"{case}.picard.modes"] = (modes, float(np.max(np.abs(modes))))

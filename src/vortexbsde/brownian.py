@@ -9,7 +9,7 @@ draws the solver's branch families, one counter block per member, so each
 member is reproducible in isolation and the purposes (single paths, the
 weighted and the drifted solve) never share randomness.
 
-Keys are two 64-bit words: (seed, purpose_tag << 48 | stream_index).
+Keys are two 64-bit words: (seed, purpose_tag << 48).
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ TAG_INNER = 0x1E
 TAG_DRIFT = 0xD3
 
 
-def stream_key(seed: int, tag: int, index: int = 0) -> list:
-    if not 0 <= index < (1 << 48):
-        raise ConfigurationError("stream index out of range")
-    return [seed & _MASK64, ((tag & 0xFFFF) << 48) | index]
+def stream_key(seed: int, tag: int) -> list:
+    return [seed & _MASK64, (tag & 0xFFFF) << 48]
 
 
 def _words_to_normals(words: np.ndarray) -> np.ndarray:
@@ -42,9 +40,9 @@ def _words_to_normals(words: np.ndarray) -> np.ndarray:
     return ndtri(u)
 
 
-def raw_increments(key, n_steps: int, dt: float, counter_start: int = 0) -> np.ndarray:
+def raw_increments(key, n_steps: int, dt: float) -> np.ndarray:
     """(n_steps, 2) Gaussian increments with variance dt per component."""
-    bitgen = np.random.Philox(counter=counter_start, key=key)
+    bitgen = np.random.Philox(counter=0, key=key)
     words = bitgen.random_raw(4 * n_steps).reshape(n_steps, 4)[:, :2]
     return _words_to_normals(words) * np.sqrt(dt)
 

@@ -197,8 +197,11 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
     increments and displacements, branch chunking and the sum,
     sum-of-squares and group accumulation.  ``estimator(config, psi_modes,
     u1, u2)`` returns ``(chunk, samples)``; ``samples(db, disp)`` yields
-    ``(m, sample)`` for nodes m = 1..L, ``sample`` being the (branches, N, N)
-    lattice values of the correction for one chunk of branches.
+    ``(m, sample)`` for nodes m = 1..L, ``sample`` being the (branches, n1,
+    n2) values of the correction for one chunk of branches on the lattice
+    cell at the origin, which the correction repeats with periods n1 and n2
+    dividing N ((N, N) is the whole lattice).  The cell is read off the
+    samples' shape; its sums are repeated over the lattice before assembly.
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     m_inner, n_groups = config.M_inner, config.groups
@@ -224,6 +227,7 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
     sumsq_f = np.zeros((steps + 1, n, n))
     group_sum = np.zeros((n_groups, steps + 1, n, n))
 
+    cell = (n, n)
     for b0 in range(0, m_inner, chunk):
         b1 = min(b0 + chunk, m_inner)
         run_starts = np.flatnonzero(
@@ -231,6 +235,8 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
         )
         run_groups = group_of[b0:b1][run_starts]
         for m, sample in samples(db[b0:b1], disp[b0:b1]):
+            cell = sample.shape[1:]
+            n1, n2 = cell
             # A non-finite sample (e.g. an overflowing Girsanov weight) makes
             # its squared sum non-finite; clipping it would bias the mean.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -241,17 +247,28 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
                     "non-finite Monte Carlo sample in linear solve",
                     diagnostics={"node": m},
                 )
-            sumsq_f[m] += sq
+            sumsq_f[m, :n1, :n2] += sq
             # group_of is non-decreasing, so the groups of a chunk's runs
             # are distinct and plain fancy-index addition is exact.
             partial = np.add.reduceat(sample, run_starts, axis=0)
-            sum_f[m] += partial.sum(axis=0)
-            group_sum[run_groups, m] += partial
+            sum_f[m, :n1, :n2] += partial.sum(axis=0)
+            group_sum[run_groups, m, :n1, :n2] += partial
     del samples  # frees the estimator's tables before the assembly allocates
+    if cell != (n, n):
+        for acc in (sum_f, sumsq_f, group_sum):
+            _repeat_cell(acc, *cell)
 
     return _assemble_iterate(
         prev, config, heat, sum_f, sumsq_f, group_sum, group_counts
     )
+
+
+def _repeat_cell(values: np.ndarray, n1: int, n2: int) -> None:
+    """Copy the (n1, n2) cell at the origin of (..., N, N) ``values`` over
+    the whole lattice, in place, by one broadcast assignment."""
+    n = values.shape[-1]
+    tiles = values.reshape(values.shape[:-2] + (n // n1, n1, n // n2, n2))
+    tiles[...] = tiles[..., :1, :, :1, :]
 
 
 def _assemble_iterate(prev, config, heat, sum_f, sumsq_f, group_sum, group_counts):
@@ -350,26 +367,44 @@ class _ScatterPlan:
         return np.add.reduceat(ordered, self.starts, axis=-1)
 
 
+def _lattice_period(k: np.ndarray, n: int) -> int:
+    """Period n / gcd(n, |k|...) on the N lattice of a sum of modes k."""
+    return n // int(np.gcd.reduce(np.abs(k), initial=n))
+
+
 @dataclass
 class _SubBlock:
     """Lattice synthesis of complex mode arrays supported on fixed rows and
     columns of the (N, N) FFT layout: two small matrix products in place of
     a dense ``ifft2``.  The Nyquist index N/2 stands for k = -N/2, as in
-    ``ifft2``; the phases k*j are reduced mod N before the ``exp``."""
+    ``ifft2``; the phases k*j are reduced mod N before the ``exp``.
+
+    Such a sum repeats on the lattice with period n_a = N / gcd(N, |k|) of
+    the occupied wavenumbers along each axis, so only the (n1, n2) cell at
+    the origin is synthesised.  With the phases reduced mod N, equivalent
+    lattice points have identical phase rows, so the cell holds exactly the
+    values the full lattice would repeat."""
 
     rows: np.ndarray
     cols: np.ndarray
-    e_rows: np.ndarray  # (N, R): exp(2 pi i k_r j / N)
-    e_cols: np.ndarray  # (C, N): exp(2 pi i k_c j / N)
+    e_rows: np.ndarray  # (n1, R): exp(2 pi i k_r j / N)
+    e_cols: np.ndarray  # (C, n2): exp(2 pi i k_c j / N)
 
     @classmethod
     def build(cls, flat_positions: np.ndarray, n: int):
         rows = np.unique(flat_positions // n)
         cols = np.unique(flat_positions % n)
-        k, j = wavenumbers(n), np.arange(n)
-        e_rows = np.exp(TWO_PI * 1j * ((j[:, None] * k[rows]) % n) / n)
-        e_cols = np.exp(TWO_PI * 1j * ((k[cols][:, None] * j) % n) / n)
+        k = wavenumbers(n)
+        j1 = np.arange(_lattice_period(k[rows], n))
+        j2 = np.arange(_lattice_period(k[cols], n))
+        e_rows = np.exp(TWO_PI * 1j * ((j1[:, None] * k[rows]) % n) / n)
+        e_cols = np.exp(TWO_PI * 1j * ((k[cols][:, None] * j2) % n) / n)
         return cls(rows, cols, e_rows, e_cols)
+
+    @property
+    def cell(self) -> tuple:
+        """The (n1, n2) lattice cell the synthesised values repeat on."""
+        return self.e_rows.shape[0], self.e_cols.shape[1]
 
     def slots(self, flat_positions: np.ndarray, n: int) -> np.ndarray:
         """Flat (R, C) sub-block indices of flat (N, N) mode positions."""
@@ -377,14 +412,16 @@ class _SubBlock:
         return r * self.cols.size + np.searchsorted(self.cols, flat_positions % n)
 
     def synthesise(self, z: np.ndarray) -> np.ndarray:
-        """Lattice values (B, N, N) of the sub-block modes z, shape (B, R*C)."""
-        bc, n, c = z.shape[0], self.e_rows.shape[0], self.cols.size
-        g = np.matmul(self.e_rows, z.reshape(bc, self.rows.size, c))  # (B, N, C)
-        return (g.reshape(bc * n, c) @ self.e_cols).reshape(bc, n, n)
+        """Cell values (B, n1, n2) of the sub-block modes z, shape (B, R*C)."""
+        bc, c = z.shape[0], self.cols.size
+        n1, n2 = self.cell
+        g = np.matmul(self.e_rows, z.reshape(bc, self.rows.size, c))  # (B, n1, C)
+        return (g.reshape(bc * n1, c) @ self.e_cols).reshape(bc, n1, n2)
 
 
 def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
-    """Samples psi(z + disp_m) * (W_m - 1) over Girsanov-weighted branches."""
+    """Samples psi(z + disp_m) * (W_m - 1) over Girsanov-weighted branches,
+    on the lattice cell of the ``_SubBlock`` its modes occupy."""
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     sqrt2nu = np.sqrt(2.0 * nu)
 
@@ -408,11 +445,11 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     mag_a = (np.abs(u1[1:]) + np.abs(u2[1:])).max(axis=0)
     ia1, ia2 = _active_indices(mag_a, thr)
 
-    if not ia1.size:  # W = 1 exactly
+    if not ia1.size:  # W = 1 exactly: a zero correction on the 1x1 cell
 
         def no_correction(db, disp):
             for m in range(1, steps + 1):
-                yield m, np.zeros((db.shape[0], n, n))
+                yield m, np.zeros((db.shape[0], 1, 1))
 
         return _WEIGHTED_CHUNK, no_correction
 
@@ -462,15 +499,22 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
         px = np.exp(TWO_PI * 1j * disp[:, :, 0, None] * kx)
         py = np.exp(TWO_PI * 1j * disp[:, :, 1, None] * ky)
 
+        # The generator's locals live across every yield, so the time-axis
+        # temporaries are updated in place and dropped before the node loop.
         ph_a = px[:, :steps, xa] * py[:, :steps, ya]  # (bc, L, K_A)
-        xa1 = db[:, :, 0, None] * ph_a
-        xa2 = db[:, :, 1, None] * ph_a
-        fa = np.fft.fft(xa1, n=pad, axis=1) * fu1[None, :, :]
-        fa += np.fft.fft(xa2, n=pad, axis=1) * fu2[None, :, :]
+        fa = np.fft.fft(db[:, :, 0, None] * ph_a, n=pad, axis=1)
+        fa *= fu1
+        fa2 = np.fft.fft(db[:, :, 1, None] * ph_a, n=pad, axis=1)
+        del ph_a
+        fa2 *= fu2
+        fa += fa2
+        del fa2
         a_nodes = np.fft.ifft(fa, axis=1)[:, 1 : steps + 1, :]
-        ph_q = px[:, :steps, xq] * py[:, :steps, yq]
-        fqq = np.fft.fft(ph_q, n=pad, axis=1) * fq[None, :, :]
+        del fa
+        fqq = np.fft.fft(px[:, :steps, xq] * py[:, :steps, yq], n=pad, axis=1)
+        fqq *= fq
         q_nodes = np.fft.ifft(fqq, axis=1)[:, 1 : steps + 1, :]
+        del fqq
 
         for m in range(1, steps + 1):
             z = np.zeros((bc, size), dtype=np.complex128)
@@ -868,44 +912,47 @@ def _phase_grid(n: int, shift: np.ndarray) -> np.ndarray:
     return np.exp(TWO_PI * 1j * (k[:, None] * shift[0] + k[None, :] * shift[1]))
 
 
-def bsde_residual_profile(solution: BsdeSolution, path: brownian.BrownianPath) -> np.ndarray:
+def bsde_residual_profile(solution: BsdeSolution, paths) -> np.ndarray:
     """L2(x) norm, per t-node, of the discrete backward-equation defect
 
         xi - Y(t) - sum_s <Z, K(Y)> dt - sqrt(2 nu) sum_s <Z, dB_s>
 
-    with left-point sums, everything expressed spectrally through the
+    along each of the Brownian ``paths``: one row of the (paths, L+1) result
+    per path.  Left-point sums, everything expressed spectrally through the
     Markovian reduction (translations are phase factors, norms Parseval).
+    The path-independent terms are formed once for all paths.
     """
     config = solution.config
     steps, nu, dt = config.L, config.nu, config.dt
-    if path.steps != steps or abs(path.dt - dt) > 1e-12 * dt:
-        raise DomainError("residual path must share the solver time grid")
+    for path in paths:
+        if path.steps != steps or abs(path.dt - dt) > 1e-12 * dt:
+            raise DomainError("residual path must share the solver time grid")
     n = config.N
     stack = solution.y.mode_stack()
     adv, _ = _advection_modes(stack)  # <grad omega, u>(tau) per node, dealiased
+    drift = dt * adv
     k = wavenumbers(n).astype(np.float64)
     w1 = TWO_PI * 1j * k[:, None] * stack
     w2 = TWO_PI * 1j * k[None, :] * stack
 
     sqrt2nu = np.sqrt(2.0 * nu)
-    disp = sqrt2nu * path.values
-    xi = stack[0] * _phase_grid(n, disp[steps])
-
-    norms = np.zeros(steps + 1)
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for j in range(steps, -1, -1):
-        ell = steps - j  # field index at BSDE time t_j
-        resid = xi - stack[ell] * _phase_grid(n, disp[j]) - acc
-        norms[j] = np.sqrt(np.sum(np.abs(resid) ** 2))
-        if j > 0:
-            ph = _phase_grid(n, disp[j - 1])
-            ell_prev = steps - (j - 1)
-            acc = acc + ph * (
-                dt * adv[ell_prev]
-                + sqrt2nu
-                * (w1[ell_prev] * path.increments[j - 1, 0] + w2[ell_prev] * path.increments[j - 1, 1])
-            )
-    return norms
+    profiles = np.zeros((len(paths), steps + 1))
+    for norms, path in zip(profiles, paths):
+        disp = sqrt2nu * path.values
+        ph = _phase_grid(n, disp[steps])
+        xi = stack[0] * ph
+        acc = np.zeros((n, n), dtype=np.complex128)
+        for j in range(steps, -1, -1):
+            ell = steps - j  # field index at BSDE time t_j; ph is at disp[j]
+            resid = xi - stack[ell] * ph - acc
+            norms[j] = np.sqrt(np.sum(np.abs(resid) ** 2))
+            if j > 0:
+                ph = _phase_grid(n, disp[j - 1])
+                db = path.increments[j - 1]
+                acc = acc + ph * (
+                    drift[ell + 1] + sqrt2nu * (w1[ell + 1] * db[0] + w2[ell + 1] * db[1])
+                )
+    return profiles
 
 
 # ---------------------------------------------------------------------------

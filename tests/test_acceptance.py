@@ -277,11 +277,9 @@ def test_criterion_8_pathwise_residual(single_mode_512_run):
     solution = single_mode_512_run
     cfg = solution.config
     coarse = subsample_solution(solution, 2)
-    sq_fine, sq_coarse = [], []
-    for p in range(32):
-        path = brownian.simulate(1000 + p, cfg.L, cfg.T)
-        sq_fine.append(bsde_residual_profile(solution, path) ** 2)
-        sq_coarse.append(bsde_residual_profile(coarse, coarsen_path(path, 2)) ** 2)
+    paths = [brownian.simulate(1000 + p, cfg.L, cfg.T) for p in range(32)]
+    sq_fine = bsde_residual_profile(solution, paths) ** 2
+    sq_coarse = bsde_residual_profile(coarse, [coarsen_path(p, 2) for p in paths]) ** 2
     # ensemble rms per node, maximized over nodes (L2-over-paths residual)
     ens_fine = float(np.max(np.sqrt(np.mean(sq_fine, axis=0))))
     ens_coarse = float(np.max(np.sqrt(np.mean(sq_coarse, axis=0))))

@@ -46,6 +46,7 @@ from vortexbsde.torus_field import (
     modes_to_grid,
     partial_derivative,
     translate,
+    wavenumbers,
 )
 
 from conftest import random_mean_zero_field
@@ -268,6 +269,45 @@ class TestLinearSolve:
                 N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2), 0.0), cfg)
 
 
+def weighted_case(case, n=16):
+    """(prev, config, cell) of an edge case of the weighted step: ``cell``
+    is the lattice cell its sub-block repeats on, None without a sub-block."""
+    cfg = SolverConfig(N=n, L=8, M_inner=32, nu=0.3, T=0.2, alpha=0.0)
+    psi, cell = two_mode(n), (n, n // 2)  # period 1/2 in x2
+    if case == "three_chunks":
+        # chunks of 64, 64 and 22 branches; 16 groups of 9-10 straddle them
+        cfg = dataclasses.replace(cfg, M_inner=150)
+    elif case == "full_support":
+        # every non-Nyquist mode of psi is nonzero, and with no threshold
+        # every mode of u_n and |u_n|^2 is active: the sub-block is the grid
+        cfg = dataclasses.replace(cfg, mode_threshold_rel=0.0)
+        psi, cell = random_mean_zero_field(n, 21) * 2.0, (n, n)
+        assert np.count_nonzero(psi.modes) == (n - 1) ** 2 - 1
+    elif case == "zero_drift":
+        return iterate_with_zero_interior(psi, cfg.L), cfg, None
+    elif case == "single_mode":
+        psi, cell = sin1(n), (n, 1)  # constant along x2
+    elif case == "even_modes":
+        psi = field_from_mode_list(n, [(2, 0, -0.5j), (0, 2, 0.5)])
+        cell = (n // 2, n // 2)
+    elif case == "nyquist_fold":
+        # |u|^2 of the (N/4, 0) mode folds onto the Nyquist row: rows 0,
+        # N/4, N/2 and 3N/4, period 1/4 in x1
+        psi = field_from_mode_list(n, [(n // 4, 0, -0.5j), (0, 1, 0.5)])
+        cell = (4, n)
+    elif case == "noise_lifted":
+        # psi repeats with period 1/2 in x2, but noise on every mode of the
+        # interior nodes makes the velocity fill the lattice; with no
+        # threshold the reference keeps exactly the engine's modes
+        cfg = dataclasses.replace(cfg, mode_threshold_rel=0.0)
+        stack = heat_iterate(psi, cfg, 0.0).mode_stack()
+        for m in range(1, cfg.L + 1):
+            stack[m] += 1e-3 * random_mean_zero_field(n, 30 + m).modes
+        prev = PicardIterate(tuple(ScalarField(f) for f in stack), 0, 0.0)
+        return prev, cfg, (n, n)
+    return heat_iterate(psi, cfg, 0.0), cfg, cell
+
+
 class TestHotLoopKernels:
     """The estimators' inner kernels against their plain references."""
 
@@ -290,40 +330,57 @@ class TestHotLoopKernels:
         # the active-mode threshold: the exact heat iterate has none.
         self._assert_weighted_matches_reference(heat_iterate(two_mode(), cfg, 0.0), cfg)
 
-    @pytest.mark.parametrize("case", ["three_chunks", "full_support", "zero_drift"])
-    def test_packed_weighted_step_matches_reference_edge_cases(self, case):
-        cfg = SolverConfig(N=16, L=8, M_inner=32, nu=0.3, T=0.2, alpha=0.0)
-        psi = two_mode()
-        if case == "three_chunks":
-            # chunks of 64, 64 and 22 branches; 16 groups of 9-10 straddle them
-            cfg = dataclasses.replace(cfg, M_inner=150)
-        elif case == "full_support":
-            # every non-Nyquist mode of psi is nonzero, and with no threshold
-            # every mode of u_n and |u_n|^2 is active: the sub-block is the grid
-            cfg = dataclasses.replace(cfg, mode_threshold_rel=0.0)
-            psi = random_mean_zero_field(16, 21) * 2.0
-            assert np.count_nonzero(psi.modes) == 15 * 15 - 1
-        prev = heat_iterate(psi, cfg, 0.0)
-        if case == "zero_drift":
-            prev = iterate_with_zero_interior(psi, cfg.L)
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "three_chunks",
+            "full_support",
+            "zero_drift",
+            "single_mode",
+            "even_modes",
+            "nyquist_fold",
+            "noise_lifted",
+        ],
+    )
+    def test_packed_weighted_step_matches_reference_edge_cases(self, case, monkeypatch):
+        prev, cfg, cell = weighted_case(case)
+        blocks = []
+        build = _SubBlock.build
+        monkeypatch.setattr(
+            _SubBlock, "build", classmethod(lambda cls, *a: blocks.append(build(*a)) or blocks[-1])
+        )
         self._assert_weighted_matches_reference(prev, cfg)
+        assert [b.cell for b in blocks] == ([] if cell is None else [cell])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sub_block_synthesis_matches_ifft2(self, seed):
         n = 16
         rng = np.random.default_rng(seed)
-        flat = rng.choice(n * n, size=rng.integers(1, 40), replace=False)
-        # the Nyquist row and column, which folded |u|^2 targets can reach
-        flat = np.unique(np.r_[flat, (n // 2) * n + rng.integers(n), rng.integers(n) * n + n // 2])
-        values = rng.standard_normal((5, flat.size)) + 1j * rng.standard_normal((5, flat.size))
-        dense = np.zeros((5, n * n), dtype=np.complex128)
-        dense[:, flat] = values
-        block = _SubBlock.build(flat, n)
-        z = np.zeros((5, block.rows.size * block.cols.size), dtype=np.complex128)
-        z[:, block.slots(flat, n)] = values
-        ref = modes_to_complex_grid(dense.reshape(5, n, n))
-        got = block.synthesise(z)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        k = wavenumbers(n)
+        # modes whose wavenumbers share the factor f_a along axis a, and
+        # include f_a itself, repeat on the cell (N / f1, N / f2); (8, 16)
+        # occupies only the Nyquist row and row 0, and column 0
+        for f1, f2 in [(1, 1), (2, 1), (1, 4), (4, 2), (8, 16)]:
+            rows, cols = np.flatnonzero(k % f1 == 0), np.flatnonzero(k % f2 == 0)
+            size = rng.integers(1, 40)
+            flat = rng.choice(rows, size) * n + rng.choice(cols, size)
+            flat = np.r_[flat, (f1 % n) * n + f2 % n]
+            # the Nyquist row and column, which folded |u|^2 targets can reach
+            if (n // 2) % f1 == 0:
+                flat = np.r_[flat, (n // 2) * n + rng.choice(cols)]
+            if (n // 2) % f2 == 0:
+                flat = np.r_[flat, rng.choice(rows) * n + n // 2]
+            flat = np.unique(flat)
+            values = rng.standard_normal((5, flat.size)) + 1j * rng.standard_normal((5, flat.size))
+            dense = np.zeros((5, n * n), dtype=np.complex128)
+            dense[:, flat] = values
+            block = _SubBlock.build(flat, n)
+            assert block.cell == (n // f1, n // f2)
+            z = np.zeros((5, block.rows.size * block.cols.size), dtype=np.complex128)
+            z[:, block.slots(flat, n)] = values
+            ref = modes_to_complex_grid(dense.reshape(5, n, n))
+            got = np.tile(block.synthesise(z), (1, f1, f2))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_padded_bilinear_matches_reference(self):
         rng = np.random.default_rng(3)
@@ -377,7 +434,7 @@ class TestHotLoopKernels:
         assert _DRIFTED_CHUNK == 16
         prev = heat_iterate(two_mode(n), cfg, 0.0)
         if case == "weighted_iterate":
-            # noise lifts every velocity mode off zero
+            # noise lifts the velocity modes on the weighted step's cell
             prev = solve_weighted_with_stats(prev, dataclasses.replace(cfg, M_inner=64))[0]
         it, stats = solve_drifted_with_stats(prev, cfg)
         it_ref, stats_ref = _linear_solve(
@@ -578,12 +635,12 @@ class TestResidual:
         it = heat_iterate(zero_field(16), cfg, 0.0)
         sol = solution_of(it, cfg)
         path = brownian.simulate(5, cfg.L, cfg.T)
-        assert np.max(bsde_residual_profile(sol, path)) == 0.0
+        assert np.max(bsde_residual_profile(sol, [path])) == 0.0
 
     def test_terminal_node_exact_zero(self):
         sol = self._exact_solution()
         path = brownian.simulate(6, sol.config.L, sol.config.T)
-        prof = bsde_residual_profile(sol, path)
+        (prof,) = bsde_residual_profile(sol, [path])
         assert prof[-1] == 0.0
 
     def test_residual_shrinks_with_refinement(self):
@@ -591,20 +648,34 @@ class TestResidual:
         # dyadic refinement (order 1/2); loose band at this small scale.
         fine = self._exact_solution(steps=128)
         coarse = subsample_solution(fine, 2)
-        sq_f, sq_c = [], []
-        for p in range(12):
-            path = brownian.simulate(100 + p, 128, fine.config.T)
-            sq_f.append(bsde_residual_profile(fine, path) ** 2)
-            sq_c.append(bsde_residual_profile(coarse, coarsen_path(path, 2)) ** 2)
+        paths = [brownian.simulate(100 + p, 128, fine.config.T) for p in range(12)]
+        sq_f = bsde_residual_profile(fine, paths) ** 2
+        sq_c = bsde_residual_profile(coarse, [coarsen_path(p, 2) for p in paths]) ** 2
         rms_f = np.sqrt(np.mean([s.max() for s in sq_f]))
         rms_c = np.sqrt(np.mean([s.max() for s in sq_c]))
         assert 1.15 <= rms_c / rms_f <= 1.8
 
     def test_grid_mismatch(self):
         sol = self._exact_solution()
+        good = brownian.simulate(5, sol.config.L, sol.config.T)
         path = brownian.simulate(5, 32, sol.config.T)
         with pytest.raises(DomainError):
-            bsde_residual_profile(sol, path)
+            bsde_residual_profile(sol, [good, path])
+
+    def test_each_profile_independent_of_the_others(self):
+        # a path's profile is the same alone and among other paths
+        sol = self._exact_solution(steps=32)
+        it = sol.y
+        stack = it.mode_stack()
+        stack[1:, 1, 1] = stack[1:, -1, -1] = 0.05  # a nonzero advection term
+        sol = solution_of(
+            PicardIterate(tuple(ScalarField(m) for m in stack), 0, 0.0), sol.config
+        )
+        paths = [brownian.simulate(40 + p, 32, sol.config.T) for p in range(3)]
+        together = bsde_residual_profile(sol, paths)
+        assert together.shape == (3, 33)
+        for path, row in zip(paths, together):
+            assert np.array_equal(bsde_residual_profile(sol, [path])[0], row)
 
     def test_coarsen_path_consistency(self):
         path = brownian.simulate(9, 16, 0.5)
