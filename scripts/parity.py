@@ -16,10 +16,13 @@ repeats with period 1/2 along both axes:
 * ``solve_drifted_with_stats`` with M_inner = 50 from the heat iterate,
   and again from iterate 1, whose velocity carries noise-lifted modes.
 
-Prints, for every mode stack and every ``SolveStats`` array, the largest
-difference between the trees relative to the array's largest magnitude,
-and compares the Picard iteration counts of the histories.  Exits 1 if a
-relative difference exceeds 1e-12 or an iteration count differs.
+Prints, for every mode stack, every ``SolveStats`` array, every numeric
+entry of each Picard history record (keyed by iteration) and every entry
+of the solution's ``norms``, the largest difference between the trees
+relative to the entry's largest magnitude, and compares the Picard
+iteration counts of the histories.  Exits 1 if a relative difference
+exceeds 1e-12, an entry of OLD_TREE is missing from NEW_TREE or an
+iteration count differs.
 
 A statistics array whose largest magnitude in OLD_TREE is below 1e-13 of
 its solve's mode stack holds rounding error only (the standard errors of a
@@ -74,6 +77,21 @@ def _solve_arrays(prefix: str, iterate, stats) -> dict:
     return out
 
 
+def _report_arrays(prefix: str, solution) -> dict:
+    """Every numeric history entry, per iteration, and every norms entry,
+    each as an array with its own scale."""
+    entries = {f"{prefix}.norms.{key}": value for key, value in solution.norms.items()}
+    for rec in solution.history:
+        for key, value in rec.items():
+            entries[f"{prefix}.history{rec['iteration']}.{key}"] = value
+    out = {}
+    for name, value in entries.items():
+        if isinstance(value, (int, float, list)):
+            a = np.asarray(value, dtype=np.float64)
+            out[name] = (a, float(np.max(np.abs(a), initial=0.0)))
+    return out
+
+
 def run_tree(tree: Path) -> tuple[dict, dict]:
     """Output arrays and Picard iteration counts of every case, by name."""
     engine, cli = load_package(tree)
@@ -91,6 +109,7 @@ def run_tree(tree: Path) -> tuple[dict, dict]:
             modes = solution.y.mode_stack()
             arrays[f"{case}.picard.modes"] = (modes, float(np.max(np.abs(modes))))
             iterations[f"{case}.picard"] = [rec["iteration"] for rec in solution.history]
+            arrays.update(_report_arrays(f"{case}.picard", solution))
 
             heat = engine.heat_iterate(psi, config, 0.0)
             first = engine.solve_weighted_with_stats(heat, config)
@@ -132,6 +151,10 @@ def main(argv=None) -> int:
     old, new = (run_tree(Path(p).resolve()) for p in argv)
     bad, worst = 0, 0.0
     for name, (a, field_scale) in old[0].items():
+        if name not in new[0]:
+            bad += 1
+            print(f"{name:48s} missing from {argv[1]}")
+            continue
         rel, note = compare(a, new[0][name][0], field_scale)
         bad += rel > REL_TOL
         worst = max(worst, rel)

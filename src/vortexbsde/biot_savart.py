@@ -33,13 +33,6 @@ from .torus_field import (
 #: Spectral gap of the torus: smallest nonzero eigenvalue of -Lap.
 LAMBDA_1 = 4.0 * np.pi**2
 
-_MEAN_TOL = 1e-12
-
-
-def _require_mean_zero(f: ScalarField, what: str) -> None:
-    if abs(f.modes[0, 0]) > _MEAN_TOL * max(1.0, float(np.max(np.abs(f.modes)))):
-        raise DomainError(f"{what} must be mean-zero (fhat(0) = {f.modes[0, 0]:.3e})")
-
 
 def _inv_ksq(n: int) -> np.ndarray:
     k = wavenumbers(n).astype(np.float64)
@@ -65,12 +58,8 @@ def velocity_modes(omega_modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_K(omega: ScalarField) -> VectorField:
     """Velocity field of a mean-zero vorticity; divergence-free, curl = omega."""
-    _require_mean_zero(omega, "vorticity")
     u1, u2 = velocity_modes(omega.modes)
-    return VectorField(
-        ScalarField(u1, mean_zero_required=True),
-        ScalarField(u2, mean_zero_required=True),
-    )
+    return VectorField(ScalarField(u1), ScalarField(u2))
 
 
 def divergence(u: VectorField) -> ScalarField:
@@ -86,7 +75,6 @@ def verify_elliptic_estimates(f: ScalarField) -> dict:
 
     Returns the achieved ratios per component together with pass flags.
     """
-    _require_mean_zero(f, "field")
     norm_f = l2_norm(f)
     if norm_f == 0.0:
         raise DomainError("elliptic-estimate ratios are undefined for the zero field")

@@ -71,14 +71,6 @@ class BrownianPath:
         return self.increments.shape[0]
 
     @property
-    def horizon(self) -> float:
-        return self.steps * self.dt
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.dt
-
-    @property
     def values(self) -> np.ndarray:
         """B at the grid nodes, (L+1, 2), starting exactly at the origin."""
         return self._values

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import brownian
-from .biot_savart import _require_mean_zero, closed_form_c0, velocity_modes
+from .biot_savart import closed_form_c0, velocity_modes
 from .errors import ConfigurationError, DomainError, NonConvergenceError, NumericalError
 from .spectral_oracle import _advection_modes
 from .torus_field import (
@@ -48,7 +48,6 @@ from .torus_field import (
     _nyquist_mask,
     embed_modes,
     grid_to_modes,
-    gradient,
     modes_to_complex_grid,
     modes_to_grid,
     sup_norm,
@@ -132,19 +131,15 @@ class PicardIterate:
 
 @dataclass(frozen=True)
 class BsdeSolution:
-    """Converged solution pair: Y as field trajectory, Z as its gradients."""
+    """Converged solution pair: Y as field trajectory; Z at node tau is the
+    spatial gradient of omega(tau, .), translated by sqrt(2*nu) B_t along a
+    path."""
 
     y: PicardIterate
     psi: ScalarField
     config: SolverConfig
     norms: dict
     history: tuple
-
-    @property
-    def z_fields(self) -> tuple:
-        """Z at node tau is the spatial gradient of omega(tau, .); the pathwise
-        process is this field translated by sqrt(2*nu) B_t."""
-        return tuple(gradient(f) for f in self.y.fields)
 
 
 @dataclass
@@ -177,7 +172,7 @@ def heat_mode_stack(psi_modes: np.ndarray, nu: float, dt: float, steps: int) -> 
 def heat_iterate(psi: ScalarField, config: SolverConfig, alpha: float) -> PicardIterate:
     """Iterate 0: the h = 0 solve, i.e. the Markovian form of E{xi(x)|F_t}."""
     stack = heat_mode_stack(psi.modes, config.nu, config.dt, config.L)
-    fields = tuple(ScalarField(m, mean_zero_required=True) for m in stack)
+    fields = tuple(ScalarField(m) for m in stack)
     return PicardIterate(fields, 0, alpha)
 
 
@@ -192,10 +187,10 @@ def _lattice_sup(stack: np.ndarray) -> np.ndarray:
 def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator):
     """One Picard step: heat control variate plus a Monte Carlo correction.
 
-    Owns what both estimators share: the grid and mean-zero checks, Nyquist
-    hygiene, the velocity of ``prev``, the exact heat stack, the keyed
-    increments and displacements, branch chunking and the sum,
-    sum-of-squares and group accumulation.  ``estimator(config, psi_modes,
+    Owns what both estimators share: the grid check, Nyquist hygiene, the
+    velocity of ``prev``, the exact heat stack, the keyed increments and
+    displacements, branch chunking and the sum, sum-of-squares and group
+    accumulation.  ``estimator(config, psi_modes,
     u1, u2)`` returns ``(chunk, samples)``; ``samples(db, disp)`` yields
     ``(m, sample)`` for nodes m = 1..L, ``sample`` being the (branches, n1,
     n2) values of the correction for one chunk of branches on the lattice
@@ -207,7 +202,6 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
     m_inner, n_groups = config.M_inner, config.groups
     if prev.steps != steps or prev.fields[0].grid_size != n:
         raise ConfigurationError("iterate grid does not match solver config")
-    _require_mean_zero(prev.fields[0], "iterate terminal slice")
 
     omega = prev.mode_stack()
     omega[:, _nyquist_mask(n)] = 0.0  # multiplier-application hygiene
@@ -295,7 +289,7 @@ def _assemble_iterate(prev, config, heat, sum_f, sumsq_f, group_sum, group_count
     gmodes += heat[None]
     gmodes[:, 0] = heat[0][None]
 
-    fields = tuple(ScalarField(m, mean_zero_required=True) for m in out)
+    fields = tuple(ScalarField(m) for m in out)
     iterate = PicardIterate(fields, prev.iteration_index + 1, prev.alpha)
     stats = SolveStats(
         se_grid=se_grid,
@@ -770,7 +764,6 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
     """
     if psi.grid_size != config.N:
         raise ConfigurationError("psi grid does not match solver config")
-    _require_mean_zero(psi, "terminal data psi")
     dt = config.dt
     c1 = sup_norm(psi)
     c0 = closed_form_c0(1, config.N)
@@ -869,9 +862,7 @@ def _finalize_solution(psi, config, iterate, group_modes, history, c0, c1, alpha
     bmo_sq = z_alpha_bmo_sq(stack, 0.0, dt)
     if group_modes is not None:
         g = group_modes.shape[0]
-        group_bmo_sq = np.array(
-            [_prefix_quadrature(grad_norm_sq_profile(gm), dt)[-1] for gm in group_modes]
-        )
+        group_bmo_sq = np.array([z_alpha_bmo_sq(gm, 0.0, dt) for gm in group_modes])
         se_bmo_sq = float(np.std(group_bmo_sq, ddof=1) / np.sqrt(g))
         # Quadratic functionals of a mean carry an O(1/M) noise bias;
         # batch means estimate and remove it (bias of a group mean is G

@@ -5,7 +5,7 @@ Field checkpoint (usually ``.vbsf``), little-endian throughout:
     bytes 0..3   magic "VBSF"
     bytes 4..5   format version, u16 (currently 1)
     bytes 6..7   grid size N, u16
-    byte  8      mean_zero flag, u8
+    byte  8      mean-zero byte, u8: always 1 (every field is mean-zero)
     then N*N coefficients as f64 (re, im) pairs in row-major k-order:
     entry (i1, i2) is fhat(k) with k_a = fftfreq(N)[i_a] * N, rows varying
     slowest (numpy C order of the mode array).
@@ -48,7 +48,7 @@ _TRAJ_HEADER = struct.Struct("<4sHIdd")
 
 def field_to_bytes(f: ScalarField) -> bytes:
     n = f.grid_size
-    header = _FIELD_HEADER.pack(FIELD_MAGIC, FORMAT_VERSION, n, int(f.mean_zero_required))
+    header = _FIELD_HEADER.pack(FIELD_MAGIC, FORMAT_VERSION, n, 1)
     flat = np.empty((n * n, 2), dtype="<f8")
     flat[:, 0] = f.modes.real.ravel()
     flat[:, 1] = f.modes.imag.ravel()
@@ -77,6 +77,8 @@ def field_from_bytes(buf: bytes, offset: int = 0) -> tuple[ScalarField, int]:
         raise ConfigurationError("not a field checkpoint (bad magic)")
     if version != FORMAT_VERSION:
         raise ConfigurationError(f"unsupported field format version {version}")
+    if mean_zero != 1:
+        raise ConfigurationError(f"field checkpoint mean-zero byte is {mean_zero}, not 1")
     offset += _FIELD_HEADER.size
     count = n * n
     if len(buf) - offset < 16 * count:
@@ -87,7 +89,7 @@ def field_from_bytes(buf: bytes, offset: int = 0) -> tuple[ScalarField, int]:
     flat = np.frombuffer(buf, dtype="<f8", count=2 * count, offset=offset).reshape(count, 2)
     modes = (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
     offset += 16 * count
-    return ScalarField(modes, mean_zero_required=bool(mean_zero)), offset
+    return ScalarField(modes), offset
 
 
 def write_field(path, f: ScalarField) -> None:
@@ -116,6 +118,9 @@ def read_trajectory(path) -> VorticityTrajectory:
         raise ConfigurationError("not a trajectory checkpoint (bad magic)")
     if version != FORMAT_VERSION:
         raise ConfigurationError(f"unsupported trajectory format version {version}")
+    # A NaN passes every later comparison with dt and nu, so reject it here.
+    if not (0 < dt < math.inf and 0 < nu < math.inf):
+        raise ConfigurationError(f"trajectory needs finite positive dt and nu, got {dt!r}, {nu!r}")
     offset = _TRAJ_HEADER.size
     fields = []
     for _ in range(steps + 1):

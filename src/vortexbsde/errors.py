@@ -18,8 +18,8 @@ class ConfigurationError(VortexError):
 
 
 class DomainError(VortexError):
-    """Input outside an operation's mathematical domain (e.g. non-mean-zero
-    vorticity handed to the velocity solve)."""
+    """Input outside an operation's mathematical domain (e.g. a mode array
+    with a nonzero mean fhat(0), which no field may carry)."""
 
     exit_code = 2
 

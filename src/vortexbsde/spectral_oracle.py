@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biot_savart import _require_mean_zero, velocity_modes
+from .biot_savart import velocity_modes
 from .errors import ConfigurationError, DomainError
 from .torus_field import (
     ScalarField,
@@ -115,7 +115,6 @@ def evolve(omega0: ScalarField, nu: float, horizon: float, steps: int) -> Vortic
         raise ConfigurationError("nu and T must be positive")
     if steps < 1:
         raise ConfigurationError("need at least one time step")
-    _require_mean_zero(omega0, "initial vorticity")
     n = omega0.grid_size
     dt = horizon / steps
     k = wavenumbers(n).astype(np.float64)
@@ -125,8 +124,7 @@ def evolve(omega0: ScalarField, nu: float, horizon: float, steps: int) -> Vortic
 
     w = omega0.modes.copy()
     w[ny] = 0.0
-    w[0, 0] = 0.0
-    fields = [ScalarField(w, mean_zero_required=True)]
+    fields = [ScalarField(w)]
     for _ in range(steps):
         adv1, max_u = _advection_modes(w)
         _cfl_or_raise(dt, max_u, n, horizon)
@@ -137,7 +135,7 @@ def evolve(omega0: ScalarField, nu: float, horizon: float, steps: int) -> Vortic
         w = decay * w + 0.5 * dt * (decay * k1 + k2)
         w[ny] = 0.0
         w[0, 0] = 0.0
-        fields.append(ScalarField(w, mean_zero_required=True))
+        fields.append(ScalarField(w))
     return VorticityTrajectory(tuple(fields), nu=nu, dt=dt)
 
 
@@ -156,7 +154,7 @@ def field_at(traj: VorticityTrajectory, tau: float) -> ScalarField:
     if hi == lo or frac == 0.0:
         return traj.fields[lo]
     modes = (1.0 - frac) * traj.fields[lo].modes + frac * traj.fields[hi].modes
-    return ScalarField(modes, mean_zero_required=True)
+    return ScalarField(modes)
 
 
 def enstrophy(f: ScalarField) -> float:

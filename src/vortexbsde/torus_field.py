@@ -14,8 +14,11 @@ for both +-N/2 and is zeroed by every multiplier operation (derivative,
 translation, Fourier multiplier) so real-valuedness and multiplier
 antisymmetry stay consistent.
 
-Fields are immutable after construction; all operations are pure and safe
-to share across workers.
+Every field is mean-zero by construction: the constructor rejects a
+fhat(0) beyond roundoff and then sets it to exactly 0, because the
+velocity operator K, and with it every solver, is defined only on
+mean-zero vorticity.  Fields are immutable after construction; all
+operations are pure and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ SUP_NORM_OVERSAMPLE = 4
 #: Imaginary residue above this (relative to field scale) means a broken
 #: Hermitian symmetry rather than roundoff.
 _IMAG_TOL = 1e-10
+
+#: A mean fhat(0) above this (relative to field scale) is a nonzero mean
+#: rather than roundoff.
+_MEAN_TOL = 1e-12
 
 
 def _validate_grid_size(n: int) -> None:
@@ -63,10 +70,10 @@ def _hermitian_conjugate(modes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real periodic scalar field held as truncated Fourier coefficients."""
+    """Real mean-zero periodic scalar field held as truncated Fourier
+    coefficients."""
 
     modes: np.ndarray
-    mean_zero_required: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.modes, dtype=np.complex128)
@@ -86,12 +93,9 @@ class ScalarField:
         # Symmetrize exactly so the invariant holds bit-for-bit downstream;
         # halving first keeps entries near the float maximum finite.
         m = 0.5 * m + 0.5 * _hermitian_conjugate(m)
-        if self.mean_zero_required:
-            if abs(m[0, 0]) > _IMAG_TOL * scale:
-                raise DomainError(
-                    f"mean-zero field has fhat(0) = {m[0, 0]:.3e}"
-                )
-            m[0, 0] = 0.0
+        if abs(m[0, 0]) > _MEAN_TOL * scale:
+            raise DomainError(f"field must be mean-zero (fhat(0) = {m[0, 0]:.3e})")
+        m[0, 0] = 0.0
         m.setflags(write=False)
         object.__setattr__(self, "modes", m)
 
@@ -99,29 +103,20 @@ class ScalarField:
     def grid_size(self) -> int:
         return self.modes.shape[0]
 
-    def mean(self) -> float:
-        return float(self.modes[0, 0].real)
-
     # -- small immutable algebra used throughout the solvers ---------------
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         if self.grid_size != other.grid_size:
             raise ConfigurationError("grid size mismatch in field addition")
-        return ScalarField(
-            self.modes + other.modes,
-            self.mean_zero_required and other.mean_zero_required,
-        )
+        return ScalarField(self.modes + other.modes)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         if self.grid_size != other.grid_size:
             raise ConfigurationError("grid size mismatch in field subtraction")
-        return ScalarField(
-            self.modes - other.modes,
-            self.mean_zero_required and other.mean_zero_required,
-        )
+        return ScalarField(self.modes - other.modes)
 
     def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(self.modes * float(c), self.mean_zero_required)
+        return ScalarField(self.modes * float(c))
 
     __rmul__ = __mul__
 
@@ -163,7 +158,7 @@ def field_from_mode_list(n: int, entries) -> ScalarField:
         amp = complex(amp)
         modes[k1 % n, k2 % n] += amp
         modes[(-k1) % n, (-k2) % n] += np.conj(amp)
-    return ScalarField(modes, mean_zero_required=True)
+    return ScalarField(modes)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +185,10 @@ def grid_to_modes(values: np.ndarray) -> np.ndarray:
 # multiplier operations
 
 
-def _apply_multiplier(f: ScalarField, mult: np.ndarray, mean_zero: bool) -> ScalarField:
+def _apply_multiplier(f: ScalarField, mult: np.ndarray) -> ScalarField:
     out = f.modes * mult
     out[_nyquist_mask(f.grid_size)] = 0.0
-    return ScalarField(out, mean_zero)
+    return ScalarField(out)
 
 
 def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
@@ -204,12 +199,7 @@ def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
     k = wavenumbers(n)
     mult = TWO_PI * 1j * (k[:, None] if axis == 1 else k[None, :])
     mult = np.broadcast_to(mult, (n, n))
-    # A derivative always kills the mean, so the result is mean-zero.
-    return _apply_multiplier(f, mult, True)
-
-
-def gradient(f: ScalarField) -> VectorField:
-    return VectorField(partial_derivative(f, 1), partial_derivative(f, 2))
+    return _apply_multiplier(f, mult)
 
 
 def translate(f: ScalarField, a) -> ScalarField:
@@ -218,7 +208,7 @@ def translate(f: ScalarField, a) -> ScalarField:
     n = f.grid_size
     k = wavenumbers(n)
     phase = np.exp(TWO_PI * 1j * (k[:, None] * a[0] + k[None, :] * a[1]))
-    return _apply_multiplier(f, phase, f.mean_zero_required)
+    return _apply_multiplier(f, phase)
 
 
 # ---------------------------------------------------------------------------

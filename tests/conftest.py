@@ -15,7 +15,7 @@ def random_mean_zero_field(n: int, seed: int, decay: float = 1.5) -> ScalarField
     modes = 0.5 * (raw + np.conj(raw[np.ix_(idx, idx)]))
     modes[0, 0] = 0.0
     modes[_nyquist_mask(n)] = 0.0
-    return ScalarField(modes, mean_zero_required=True)
+    return ScalarField(modes)
 
 
 @pytest.fixture

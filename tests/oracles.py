@@ -13,7 +13,7 @@ references at the end are the plain forms of the estimators' hot loops.
 import numpy as np
 
 from vortexbsde import brownian
-from vortexbsde.biot_savart import _require_mean_zero, apply_K
+from vortexbsde.biot_savart import apply_K
 from vortexbsde.bsde_engine import TWO_PI, _half_plane_modes, _spectral_point_values
 from vortexbsde.errors import ConfigurationError, NumericalError
 from vortexbsde.torus_field import (
@@ -98,12 +98,10 @@ def measure_c0(k_order: int, trials: int, n: int = 32, seed: int = 0) -> float:
     best = 0.0
     for _ in range(trials):
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        f = ScalarField(0.5 * (raw + np.conj(raw[(-np.arange(n)) % n][:, (-np.arange(n)) % n])))
-        m = f.modes.copy()
+        m = 0.5 * (raw + np.conj(raw[(-np.arange(n)) % n][:, (-np.arange(n)) % n]))
         m[0, 0] = 0.0
-        ny = _nyquist_mask(n)
-        m[ny] = 0.0
-        f = ScalarField(m, mean_zero_required=True)
+        m[_nyquist_mask(n)] = 0.0
+        f = ScalarField(m)
         denom = sobolev_norm(f, k_order - 1)
         if denom == 0.0:
             continue
@@ -115,7 +113,6 @@ def measure_c0(k_order: int, trials: int, n: int = 32, seed: int = 0) -> float:
 
 def terminal_value(psi: ScalarField, path: brownian.BrownianPath, nu: float) -> ScalarField:
     """xi = psi( . + sqrt(2*nu) B_T), the terminal random field along a path."""
-    _require_mean_zero(psi, "terminal data psi")
     if path.steps < 1:
         raise ConfigurationError("path has no steps")
     return translate(psi, np.sqrt(2.0 * nu) * path.values[path.steps])
@@ -149,7 +146,8 @@ def increment_at(key, m: int, dt: float) -> np.ndarray:
 def dump_csv(path: brownian.BrownianPath, stream) -> None:
     """Write the path as CSV rows (m, t, B1, B2) for debugging."""
     stream.write("m,t,B1,B2\n")
-    for m, (t, (b1, b2)) in enumerate(zip(path.times, path.values)):
+    times = np.arange(path.steps + 1) * path.dt
+    for m, (t, (b1, b2)) in enumerate(zip(times, path.values)):
         stream.write(f"{m},{t!r},{b1!r},{b2!r}\n")
 
 

@@ -160,13 +160,13 @@ def test_criterion_3_heat_equation_reduction():
     cfg = SolverConfig(
         N=N, L=128, M_inner=1000, nu=0.5, T=0.25, alpha=0.0, base_seed=42
     )
-    zero = ScalarField(np.zeros((N, N)), mean_zero_required=True)
+    zero = ScalarField(np.zeros((N, N)))
     prev = PicardIterate((psi,) + (zero,) * cfg.L, 0, 0.0)
     it, stats = solve_weighted_with_stats(prev, cfg)
     heat = heat_mode_stack(psi.modes, cfg.nu, cfg.dt, cfg.L)
     worst = 0.0
     for m in range(cfg.L + 1):
-        err = l2_norm(it.fields[m] - ScalarField(heat[m], mean_zero_required=True))
+        err = l2_norm(it.fields[m] - ScalarField(heat[m]))
         allowance = max(3.0 * stats.pooled_se[m], 1e-12)
         worst = max(worst, err / allowance)
         assert err <= allowance

@@ -33,7 +33,7 @@ def sin1(n=N):
 
 class TestApplyK:
     def test_zero(self):
-        u = apply_K(ScalarField(np.zeros((N, N)), mean_zero_required=True))
+        u = apply_K(ScalarField(np.zeros((N, N))))
         assert l2_norm(u.component1) == 0.0
         assert l2_norm(u.component2) == 0.0
 
@@ -120,7 +120,7 @@ class TestEllipticEstimates:
 
     def test_zero_field_rejected(self):
         with pytest.raises(DomainError):
-            verify_elliptic_estimates(ScalarField(np.zeros((N, N)), mean_zero_required=True))
+            verify_elliptic_estimates(ScalarField(np.zeros((N, N))))
 
 
 class TestC0:

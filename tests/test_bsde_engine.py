@@ -44,7 +44,6 @@ from vortexbsde.torus_field import (
     l2_norm,
     modes_to_complex_grid,
     modes_to_grid,
-    partial_derivative,
     translate,
     wavenumbers,
 )
@@ -73,7 +72,7 @@ def path_from_increments(inc, dt):
 
 
 def zero_field(n):
-    return ScalarField(np.zeros((n, n)), mean_zero_required=True)
+    return ScalarField(np.zeros((n, n)))
 
 
 def solution_of(it, cfg):
@@ -191,7 +190,7 @@ class TestLinearSolve:
         )
         stack[0] = psi.modes
         prev = PicardIterate(
-            tuple(ScalarField(m, mean_zero_required=True) for m in stack), 0, 0.0
+            tuple(ScalarField(m) for m in stack), 0, 0.0
         )
         it, _ = solve_weighted_with_stats(prev, cfg)
 
@@ -201,8 +200,8 @@ class TestLinearSolve:
             cfg.base_seed, brownian.TAG_INNER, cfg.M_inner, steps, dt
         )
         u1m, u2m = velocity_modes(stack)
-        u1f = [ScalarField(m, mean_zero_required=True) for m in u1m]
-        u2f = [ScalarField(m, mean_zero_required=True) for m in u2m]
+        u1f = [ScalarField(m) for m in u1m]
+        u2f = [ScalarField(m) for m in u2m]
         heat = heat_mode_stack(psi.modes, nu, dt, steps)
         for m in range(1, steps + 1):
             acc = np.zeros((n, n))
@@ -465,14 +464,11 @@ class TestDriftedSolve:
             assert np.max(np.abs(it_w.fields[m].modes - it_d.fields[m].modes)) < 1e-15
 
     def test_non_mean_zero_terminal_slice_rejected(self):
-        # fhat(0) = 1e-11 passes the field constructor's 1e-10 roundoff
-        # allowance but not the solver's mean-zero check
-        cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.3, T=0.2, alpha=0.0, groups=2)
+        # fhat(0) = 1e-11 is beyond roundoff, so no such slice can be built
         modes = two_mode().modes.copy()
         modes[0, 0] = 1e-11
-        prev = iterate_with_zero_interior(ScalarField(modes), cfg.L)
         with pytest.raises(DomainError, match="mean-zero"):
-            solve_drifted_with_stats(prev, cfg)
+            ScalarField(modes)
 
     def test_agreement_with_weighted_small(self):
         prev_psi = two_mode()
@@ -494,32 +490,6 @@ class TestDriftedSolve:
         # both estimators expose comparable variance summaries for reporting
         assert st_w.pooled_se.shape == st_d.pooled_se.shape
         assert np.all(np.isfinite(st_w.pooled_se)) and np.all(np.isfinite(st_d.pooled_se))
-
-
-class TestExtractZ:
-    def test_zero_iterate(self):
-        cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.3, T=0.2, groups=2)
-        it = heat_iterate(zero_field(16), cfg, 0.0)
-        zs = solution_of(it, cfg).z_fields
-        assert all(l2_norm(z.component1) == 0 and l2_norm(z.component2) == 0 for z in zs)
-
-    def test_single_mode_gradient(self):
-        cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.1, T=0.2, groups=2)
-        it = heat_iterate(sin1(), cfg, 0.0)
-        zs = solution_of(it, cfg).z_fields
-        for m, z in enumerate(zs):
-            amp = np.exp(-4 * np.pi**2 * 0.1 * m * cfg.dt)
-            expect = field_from_mode_list(16, [(1, 0, 0.5 * 2 * np.pi * amp)])
-            assert np.max(np.abs(z.component1.modes - expect.modes)) < 1e-12
-            assert l2_norm(z.component2) == 0.0
-
-    def test_gradient_symmetry(self):
-        cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.1, T=0.2, groups=2)
-        it = heat_iterate(random_mean_zero_field(16, 9), cfg, 0.0)
-        for z in solution_of(it, cfg).z_fields:
-            lhs = partial_derivative(z.component1, 2)
-            rhs = partial_derivative(z.component2, 1)
-            assert l2_norm(lhs - rhs) < 1e-12 * max(l2_norm(lhs), 1e-30)
 
 
 class TestPicardSolve:

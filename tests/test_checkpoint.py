@@ -36,7 +36,6 @@ class TestFieldFormat:
         write_field(p, f)
         g = read_field(p)
         assert np.array_equal(g.modes, f.modes)
-        assert g.mean_zero_required == f.mean_zero_required
 
     def test_documented_byte_layout(self):
         # header: magic 'VBSF', version u16, N u16, mean_zero u8 (little endian),
@@ -56,6 +55,14 @@ class TestFieldFormat:
     def test_bad_magic(self):
         with pytest.raises(ConfigurationError):
             field_from_bytes(b"XXXX" + b"\x00" * 64)
+
+    def test_mean_zero_byte_other_than_one_rejected(self, tmp_path):
+        buf = bytearray(field_to_bytes(field_from_mode_list(4, [(1, 0, -0.5j)])))
+        buf[8] = 0
+        p = tmp_path / "f.vbsf"
+        p.write_bytes(bytes(buf))
+        with pytest.raises(ConfigurationError, match="mean-zero byte"):
+            read_field(p)
 
     @pytest.mark.parametrize("cut", [0, 5, 9, 9 + 16 * 16 - 1])
     def test_truncated_buffer(self, cut):
@@ -113,6 +120,18 @@ class TestTrajectoryFormat:
         assert magic == TRAJ_MAGIC
         assert (version, steps) == (1, 4)
         assert dt == traj.dt and nu == 0.2
+
+    @pytest.mark.parametrize("key", ["dt", "nu"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_non_finite_or_non_positive_header_rejected(self, tmp_path, key, value):
+        traj = evolve(field_from_mode_list(16, [(1, 0, -0.5j)]), 0.2, 0.1, 4)
+        p = tmp_path / "t.vbst"
+        write_trajectory(p, traj)
+        buf = bytearray(p.read_bytes())
+        struct.pack_into("<d", buf, {"dt": 10, "nu": 18}[key], value)
+        p.write_bytes(bytes(buf))
+        with pytest.raises(ConfigurationError, match="finite positive dt and nu"):
+            read_trajectory(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.vbst"

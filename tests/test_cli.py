@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,25 @@ class TestCompareCommand:
         assert manifest["status"] == "error"
         assert manifest["error"]["type"] == "ConfigurationError"
         assert "absent" in manifest["error"]["message"]
+
+    @pytest.mark.parametrize("offset", [10, 18], ids=["dt", "nu"])
+    def test_nan_trajectory_header_exit_code_and_manifest(self, tmp_path, offset):
+        # a NaN dt or nu passes every later comparison: a NaN dt used to end
+        # compare in a ValueError traceback without a manifest, a NaN nu was
+        # accepted silently
+        bundle, traj_path = self._oracle_as_solution(tmp_path)
+        buf = bytearray(traj_path.read_bytes())
+        struct.pack_into("<d", buf, offset, float("nan"))
+        traj_path.write_bytes(bytes(buf))
+        out = tmp_path / "cmp"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"outdir = {out}\nsolution_bundle = {bundle}\ntrajectory = {traj_path}\n",
+        )
+        assert cli.main(["compare", str(cfg)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"]["type"] == "ConfigurationError"
 
     def test_parameter_mismatch(self, tmp_path):
         bundle, _ = self._oracle_as_solution(tmp_path)

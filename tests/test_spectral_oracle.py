@@ -32,7 +32,7 @@ def two_mode(n=N):
 
 def advection(omega: ScalarField) -> ScalarField:
     """u . grad(omega) as the integrator forms it (dealiased, mean-zero)."""
-    return ScalarField(_advection_modes(omega.modes)[0], mean_zero_required=True)
+    return ScalarField(_advection_modes(omega.modes)[0])
 
 
 class TestNonlinearTerm:
@@ -41,7 +41,7 @@ class TestNonlinearTerm:
         assert l2_norm(advection(sin1())) < 1e-14
 
     def test_zero_field(self):
-        z = ScalarField(np.zeros((N, N)), mean_zero_required=True)
+        z = ScalarField(np.zeros((N, N)))
         assert l2_norm(advection(z)) == 0.0
 
     def test_two_mode_analytic(self):
@@ -73,7 +73,7 @@ class TestEvolve:
         assert abs(amp - exact) / exact < 1e-6
 
     def test_zero_initial_data(self):
-        z = ScalarField(np.zeros((N, N)), mean_zero_required=True)
+        z = ScalarField(np.zeros((N, N)))
         traj = evolve(z, 0.3, 0.2, 8)
         assert all(l2_norm(f) == 0.0 for f in traj.fields)
 

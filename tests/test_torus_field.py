@@ -110,10 +110,14 @@ class TestScalarFieldInvariants:
             ScalarField(modes)
 
     def test_mean_zero_flag_enforced(self):
+        # every field is mean-zero: a nonzero fhat(0) is rejected, and one
+        # within roundoff is set to exactly 0
         modes = np.zeros((N8, N8), complex)
         modes[0, 0] = 1.0
-        with pytest.raises(DomainError):
-            ScalarField(modes, mean_zero_required=True)
+        with pytest.raises(DomainError, match="mean-zero"):
+            ScalarField(modes)
+        modes[0, 0] = 1e-13
+        assert ScalarField(modes).modes[0, 0] == 0.0
 
     def test_nan_mode_rejected(self):
         # a NaN fails every comparison, so only an explicit check catches it
@@ -163,10 +167,6 @@ class TestPartialDerivative:
         with pytest.raises(ConfigurationError):
             partial_derivative(sin1(), 3)
 
-    def test_mean_zero_propagates(self):
-        f = random_mean_zero_field(16, seed=5)
-        assert partial_derivative(f, 1).mean_zero_required
-
 
 class TestTranslate:
     def test_identity_shift(self):
@@ -202,10 +202,6 @@ class TestTranslate:
         lhs = partial_derivative(translate(f, (a1, a2)), 1)
         rhs = translate(partial_derivative(f, 1), (a1, a2))
         assert np.max(np.abs(lhs.modes - rhs.modes)) < 1e-12
-
-    def test_mean_zero_propagates(self):
-        f = random_mean_zero_field(16, seed=15)
-        assert translate(f, (0.3, 0.4)).mean_zero_required
 
 
 class TestSobolevNorm:
