@@ -4,17 +4,16 @@ Every Gaussian increment is produced by the Philox counter-based generator:
 the pair of 64-bit words at counter position m of the keyed stream yields,
 through uniform conversion and the inverse normal CDF, the two components
 of increment m.  Any increment is therefore computable without generating
-its predecessors.  ``simulate`` draws one path; ``ensemble_increments``
-draws the solver's branch families, one counter block per member, so each
-member is reproducible in isolation and the purposes (single paths, the
-weighted and the drifted solve) never share randomness.
+its predecessors.  ``ensemble_increments`` draws a family of paths' increments,
+one counter block per member, so each member is reproducible in isolation;
+``simulate`` returns one path's increments, member 0 of its own family.
+The purposes (single paths, the weighted and the drifted solve) never share
+randomness.
 
 Keys are two 64-bit words: (seed, purpose_tag << 48).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -40,51 +39,14 @@ def _words_to_normals(words: np.ndarray) -> np.ndarray:
     return ndtri(u)
 
 
-def raw_increments(key, n_steps: int, dt: float) -> np.ndarray:
-    """(n_steps, 2) Gaussian increments with variance dt per component."""
-    bitgen = np.random.Philox(counter=0, key=key)
-    words = bitgen.random_raw(4 * n_steps).reshape(n_steps, 4)[:, :2]
-    return _words_to_normals(words) * np.sqrt(dt)
-
-
-@dataclass(frozen=True)
-class BrownianPath:
-    """Discrete 2D Brownian trajectory on a uniform grid over [0, T]."""
-
-    increments: np.ndarray  # (L, 2)
-    dt: float
-    key: tuple
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=np.float64)
-        if inc.ndim != 2 or inc.shape[1] != 2 or inc.shape[0] < 1:
-            raise ConfigurationError(f"increments must be (L, 2), got {inc.shape}")
-        inc = inc.copy()
-        inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
-        values = np.vstack([np.zeros((1, 2)), np.cumsum(inc, axis=0)])
-        values.setflags(write=False)
-        object.__setattr__(self, "_values", values)
-
-    @property
-    def steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        """B at the grid nodes, (L+1, 2), starting exactly at the origin."""
-        return self._values
-
-
-def simulate(seed: int, steps: int, horizon: float) -> BrownianPath:
-    """Simulate a path; content is a pure function of (seed, steps, horizon)."""
+def simulate(seed: int, steps: int, horizon: float) -> np.ndarray:
+    """(steps, 2) increments of one path over [0, horizon], variance
+    horizon / steps per component; a pure function of (seed, steps, horizon)."""
     if steps < 1:
         raise ConfigurationError("need at least one step")
     if horizon <= 0:
         raise ConfigurationError("horizon must be positive")
-    dt = horizon / steps
-    key = stream_key(seed, TAG_SIMULATE)
-    return BrownianPath(raw_increments(key, steps, dt), dt, tuple(key))
+    return ensemble_increments(seed, TAG_SIMULATE, 1, steps, horizon / steps)[0]
 
 
 def ensemble_increments(

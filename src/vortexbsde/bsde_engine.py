@@ -35,7 +35,7 @@ threshold):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .spectral_oracle import _advection_modes
 from .torus_field import (
     ScalarField,
     _nyquist_mask,
+    _phase_grid,
     embed_modes,
     grid_to_modes,
     modes_to_complex_grid,
@@ -90,10 +91,14 @@ class SolverConfig:
             raise ConfigurationError("N must be even and >= 4")
         if min(self.L, self.M_inner, self.max_iter) < 1:
             raise ConfigurationError("all counts must be >= 1")
-        if self.nu <= 0 or self.T <= 0 or self.picard_tol <= 0:
-            raise ConfigurationError("nu, T and picard_tol must be positive")
-        if self.alpha is not None and self.alpha < 0:
-            raise ConfigurationError("alpha must be non-negative")
+        for name in ("nu", "T", "picard_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
+        if self.alpha is not None and not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigurationError(f"alpha must be finite and non-negative, got {self.alpha!r}")
+        if not 0 <= self.mode_threshold_rel < 1:  # NaN or >= 1 selects no velocity mode
+            raise ConfigurationError("mode_threshold_rel must be in [0, 1)")
         if not 2 <= self.groups <= self.M_inner:
             raise ConfigurationError("groups must be in [2, M_inner]")
 
@@ -898,28 +903,23 @@ def _finalize_solution(psi, config, iterate, group_modes, history, c0, c1, alpha
 # pathwise residual of the backward equation
 
 
-def _phase_grid(n: int, shift: np.ndarray) -> np.ndarray:
-    k = wavenumbers(n).astype(np.float64)
-    return np.exp(TWO_PI * 1j * (k[:, None] * shift[0] + k[None, :] * shift[1]))
-
-
-def bsde_residual_profile(solution: BsdeSolution, paths) -> np.ndarray:
+def bsde_residual_profile(stack: np.ndarray, nu: float, dt: float, increments) -> np.ndarray:
     """L2(x) norm, per t-node, of the discrete backward-equation defect
 
         xi - Y(t) - sum_s <Z, K(Y)> dt - sqrt(2 nu) sum_s <Z, dB_s>
 
-    along each of the Brownian ``paths``: one row of the (paths, L+1) result
-    per path.  Left-point sums, everything expressed spectrally through the
+    of the (L+1, N, N) mode stack omega(tau_m, .) with time step ``dt``,
+    along each Brownian path whose (L, 2) increments are one row of the
+    (paths, L, 2) ``increments``: one row of the (paths, L+1) result per
+    path.  Left-point sums, everything expressed spectrally through the
     Markovian reduction (translations are phase factors, norms Parseval).
     The path-independent terms are formed once for all paths.
     """
-    config = solution.config
-    steps, nu, dt = config.L, config.nu, config.dt
-    for path in paths:
-        if path.steps != steps or abs(path.dt - dt) > 1e-12 * dt:
-            raise DomainError("residual path must share the solver time grid")
-    n = config.N
-    stack = solution.y.mode_stack()
+    steps = stack.shape[0] - 1
+    increments = np.asarray(increments, dtype=np.float64)
+    if increments.ndim != 3 or increments.shape[1:] != (steps, 2):
+        raise DomainError(f"increments must be (paths, {steps}, 2), got {increments.shape}")
+    n = stack.shape[-1]
     adv, _ = _advection_modes(stack)  # <grad omega, u>(tau) per node, dealiased
     drift = dt * adv
     k = wavenumbers(n).astype(np.float64)
@@ -927,9 +927,9 @@ def bsde_residual_profile(solution: BsdeSolution, paths) -> np.ndarray:
     w2 = TWO_PI * 1j * k[None, :] * stack
 
     sqrt2nu = np.sqrt(2.0 * nu)
-    profiles = np.zeros((len(paths), steps + 1))
-    for norms, path in zip(profiles, paths):
-        disp = sqrt2nu * path.values
+    profiles = np.zeros((increments.shape[0], steps + 1))
+    for norms, inc in zip(profiles, increments):
+        disp = sqrt2nu * np.vstack([np.zeros((1, 2)), np.cumsum(inc, axis=0)])
         ph = _phase_grid(n, disp[steps])
         xi = stack[0] * ph
         acc = np.zeros((n, n), dtype=np.complex128)
@@ -939,37 +939,8 @@ def bsde_residual_profile(solution: BsdeSolution, paths) -> np.ndarray:
             norms[j] = np.sqrt(np.sum(np.abs(resid) ** 2))
             if j > 0:
                 ph = _phase_grid(n, disp[j - 1])
-                db = path.increments[j - 1]
+                db = inc[j - 1]
                 acc = acc + ph * (
                     drift[ell + 1] + sqrt2nu * (w1[ell + 1] * db[0] + w2[ell + 1] * db[1])
                 )
     return profiles
-
-
-# ---------------------------------------------------------------------------
-# helpers for dyadic refinement studies
-
-
-def coarsen_path(path: brownian.BrownianPath, factor: int) -> brownian.BrownianPath:
-    """The same Brownian path on an every-``factor``-nodes subgrid."""
-    if path.steps % factor != 0:
-        raise ConfigurationError("path length not divisible by coarsening factor")
-    inc = path.increments.reshape(path.steps // factor, factor, 2).sum(axis=1)
-    return brownian.BrownianPath(inc, path.dt * factor, path.key)
-
-
-def subsample_solution(solution: BsdeSolution, factor: int) -> BsdeSolution:
-    """Solution restricted to every ``factor``-th time node (exact)."""
-    config = solution.config
-    if config.L % factor != 0:
-        raise ConfigurationError("L not divisible by subsampling factor")
-    fields = solution.y.fields[::factor]
-    new_config = replace(config, L=config.L // factor)
-    it = PicardIterate(tuple(fields), solution.y.iteration_index, solution.y.alpha)
-    return BsdeSolution(
-        y=it,
-        psi=solution.psi,
-        config=new_config,
-        norms=solution.norms,
-        history=solution.history,
-    )

@@ -218,9 +218,7 @@ class RunManifest:
         if error is not None:
             self.doc["error"] = error
         self.outdir.mkdir(parents=True, exist_ok=True)
-        (self.outdir / "manifest.json").write_text(
-            json.dumps(self.doc, sort_keys=True, indent=1, default=_json_default) + "\n"
-        )
+        _write_json(self.outdir / "manifest.json", self.doc)
 
 
 def _json_default(obj):
@@ -249,8 +247,17 @@ def _config_echo(parsed: dict) -> dict:
     return echo
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _write_json(path: Path, doc: dict) -> Path:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1, default=_json_default) + "\n")
+    return path
+
+
+def _write_csv(path: Path, header: str, rows) -> Path:
+    """Schema line, ``header``, then one line of comma-separated reprs per row."""
+    with open(path, "w") as fh:
+        fh.write(f"# schema_version={CSV_SCHEMA_VERSION}\n{header}\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    return path
 
 
 def _build_psi(parsed: dict) -> ScalarField:
@@ -270,16 +277,12 @@ def cmd_oracle(parsed: dict, manifest: RunManifest) -> None:
         traj_path = outdir / "trajectory.vbst"
         checkpoint.write_trajectory(traj_path, traj)
         manifest.add_output(traj_path)
-        csv_path = outdir / "oracle_series.csv"
-        with open(csv_path, "w") as fh:
-            fh.write(f"# schema_version={CSV_SCHEMA_VERSION}\n")
-            fh.write("tau,enstrophy,energy,sup_omega\n")
-            for m, f in enumerate(traj.fields):
-                tau = m * traj.dt
-                fh.write(
-                    f"{tau!r},{enstrophy(f)!r},{kinetic_energy(f)!r},{sup_norm(f)!r}\n"
-                )
-        manifest.add_output(csv_path)
+        rows = [
+            (m * traj.dt, enstrophy(f), kinetic_energy(f), sup_norm(f))
+            for m, f in enumerate(traj.fields)
+        ]
+        header = "tau,enstrophy,energy,sup_omega"
+        manifest.add_output(_write_csv(outdir / "oracle_series.csv", header, rows))
 
 
 def cmd_solve(parsed: dict, manifest: RunManifest) -> None:
@@ -292,9 +295,8 @@ def cmd_solve(parsed: dict, manifest: RunManifest) -> None:
         bundle_dir = outdir / "solution"
         for name in checkpoint.write_solution_bundle(bundle_dir, solution):
             manifest.add_output(bundle_dir / name)
-        diag_path = outdir / "diagnostics.json"
-        _write_json(diag_path, diagnostics.full_json_report(solution))
-        manifest.add_output(diag_path)
+        report = diagnostics.full_json_report(solution)
+        manifest.add_output(_write_json(outdir / "diagnostics.json", report))
 
 
 def cmd_compare(parsed: dict, manifest: RunManifest) -> None:
@@ -323,23 +325,13 @@ def cmd_compare(parsed: dict, manifest: RunManifest) -> None:
             rows.append((t, diff))
     diffs = [diff for _, diff in rows]
     with manifest.time_phase("write"):
-        csv_path = outdir / "comparison.csv"
-        with open(csv_path, "w") as fh:
-            fh.write(f"# schema_version={CSV_SCHEMA_VERSION}\n")
-            fh.write("t,l2_diff\n")
-            for t, diff in rows:
-                fh.write(f"{t!r},{diff!r}\n")
-        manifest.add_output(csv_path)
-        summary_path = outdir / "summary.json"
-        _write_json(
-            summary_path,
-            {
-                "schema_version": CSV_SCHEMA_VERSION,
-                "max_l2_diff": max(diffs),
-                "mean_l2_diff": sum(diffs) / len(diffs),
-            },
-        )
-        manifest.add_output(summary_path)
+        manifest.add_output(_write_csv(outdir / "comparison.csv", "t,l2_diff", rows))
+        summary = {
+            "schema_version": CSV_SCHEMA_VERSION,
+            "max_l2_diff": max(diffs),
+            "mean_l2_diff": sum(diffs) / len(diffs),
+        }
+        manifest.add_output(_write_json(outdir / "summary.json", summary))
 
 
 def cmd_diagnose(parsed: dict, manifest: RunManifest) -> None:
@@ -347,9 +339,8 @@ def cmd_diagnose(parsed: dict, manifest: RunManifest) -> None:
     with manifest.time_phase("load"):
         solution = checkpoint.read_solution_bundle(parsed["solution_bundle"])
     with manifest.time_phase("write"):
-        diag_path = outdir / "diagnostics.json"
-        _write_json(diag_path, diagnostics.full_json_report(solution))
-        manifest.add_output(diag_path)
+        report = diagnostics.full_json_report(solution)
+        manifest.add_output(_write_json(outdir / "diagnostics.json", report))
 
 
 _COMMANDS = {

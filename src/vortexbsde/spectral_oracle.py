@@ -111,8 +111,8 @@ def _cfl_or_raise(dt: float, max_u: float, n: int, horizon: float) -> None:
 
 def evolve(omega0: ScalarField, nu: float, horizon: float, steps: int) -> VorticityTrajectory:
     """Integrate the vorticity equation from omega0 over [0, horizon]."""
-    if nu <= 0 or horizon <= 0:
-        raise ConfigurationError("nu and T must be positive")
+    if not (np.isfinite(nu) and np.isfinite(horizon) and nu > 0 and horizon > 0):
+        raise ConfigurationError("nu and T must be finite and positive")
     if steps < 1:
         raise ConfigurationError("need at least one time step")
     n = omega0.grid_size

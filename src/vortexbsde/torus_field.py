@@ -202,13 +202,16 @@ def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
     return _apply_multiplier(f, mult)
 
 
+def _phase_grid(n: int, shift: np.ndarray) -> np.ndarray:
+    """exp(2*pi*i*<k, shift>) on the (n, n) wavenumber grid."""
+    k = wavenumbers(n).astype(np.float64)
+    return np.exp(TWO_PI * 1j * (k[:, None] * shift[0] + k[None, :] * shift[1]))
+
+
 def translate(f: ScalarField, a) -> ScalarField:
     """Shift x -> f(x + a): multiply fhat(k) by exp(2*pi*i*<k,a>)."""
     a = np.asarray(a, dtype=np.float64) % 1.0
-    n = f.grid_size
-    k = wavenumbers(n)
-    phase = np.exp(TWO_PI * 1j * (k[:, None] * a[0] + k[None, :] * a[1]))
-    return _apply_multiplier(f, phase)
+    return _apply_multiplier(f, _phase_grid(f.grid_size, a))
 
 
 # ---------------------------------------------------------------------------

@@ -111,11 +111,12 @@ def measure_c0(k_order: int, trials: int, n: int = 32, seed: int = 0) -> float:
     return best
 
 
-def terminal_value(psi: ScalarField, path: brownian.BrownianPath, nu: float) -> ScalarField:
-    """xi = psi( . + sqrt(2*nu) B_T), the terminal random field along a path."""
-    if path.steps < 1:
+def terminal_value(psi: ScalarField, increments, nu: float) -> ScalarField:
+    """xi = psi( . + sqrt(2*nu) B_T), the terminal random field along the
+    path with (L, 2) ``increments``."""
+    if len(increments) < 1:
         raise ConfigurationError("path has no steps")
-    return translate(psi, np.sqrt(2.0 * nu) * path.values[path.steps])
+    return translate(psi, np.sqrt(2.0 * nu) * np.cumsum(increments, axis=0)[-1])
 
 
 def girsanov_weight(h_values, increments, dt: float) -> float:
@@ -143,11 +144,13 @@ def increment_at(key, m: int, dt: float) -> np.ndarray:
     return brownian._words_to_normals(words) * np.sqrt(dt)
 
 
-def dump_csv(path: brownian.BrownianPath, stream) -> None:
-    """Write the path as CSV rows (m, t, B1, B2) for debugging."""
+def dump_csv(increments, dt: float, stream) -> None:
+    """Write the path with (L, 2) ``increments`` as CSV rows (m, t, B1, B2)
+    for debugging."""
     stream.write("m,t,B1,B2\n")
-    times = np.arange(path.steps + 1) * path.dt
-    for m, (t, (b1, b2)) in enumerate(zip(times, path.values)):
+    values = np.vstack([np.zeros((1, 2)), np.cumsum(increments, axis=0)])
+    times = np.arange(len(values)) * dt
+    for m, (t, (b1, b2)) in enumerate(zip(times, values)):
         stream.write(f"{m},{t!r},{b1!r},{b2!r}\n")
 
 

@@ -31,13 +31,11 @@ from vortexbsde.biot_savart import (
 from vortexbsde.bsde_engine import (
     SolverConfig,
     bsde_residual_profile,
-    coarsen_path,
     heat_iterate,
     heat_mode_stack,
     picard_solve,
     solve_drifted_with_stats,
     solve_weighted_with_stats,
-    subsample_solution,
 )
 from vortexbsde.diagnostics import contraction_check, max_principle_check, z_bmo_check
 from vortexbsde.spectral_oracle import evolve
@@ -276,10 +274,13 @@ def test_criterion_7_contraction(two_mode_run, two_mode_deep_run):
 def test_criterion_8_pathwise_residual(single_mode_512_run):
     solution = single_mode_512_run
     cfg = solution.config
-    coarse = subsample_solution(solution, 2)
-    paths = [brownian.simulate(1000 + p, cfg.L, cfg.T) for p in range(32)]
-    sq_fine = bsde_residual_profile(solution, paths) ** 2
-    sq_coarse = bsde_residual_profile(coarse, [coarsen_path(p, 2) for p in paths]) ** 2
+    stack = solution.y.mode_stack()
+    paths = np.stack([brownian.simulate(1000 + p, cfg.L, cfg.T) for p in range(32)])
+    coarse_paths = paths.reshape(32, cfg.L // 2, 2, 2).sum(axis=2)
+    sq_fine = bsde_residual_profile(stack, cfg.nu, cfg.dt, paths) ** 2
+    sq_coarse = (
+        bsde_residual_profile(stack[::2], cfg.nu, cfg.T / (cfg.L // 2), coarse_paths) ** 2
+    )
     # ensemble rms per node, maximized over nodes (L2-over-paths residual)
     ens_fine = float(np.max(np.sqrt(np.mean(sq_fine, axis=0))))
     ens_coarse = float(np.max(np.sqrt(np.mean(sq_coarse, axis=0))))

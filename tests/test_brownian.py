@@ -13,23 +13,18 @@ class TestSimulate:
     def test_bit_reproducible(self):
         a = brownian.simulate(123, 16, 0.5)
         b = brownian.simulate(123, 16, 0.5)
-        assert np.array_equal(a.increments, b.increments)
-        assert np.array_equal(a.values, b.values)
+        assert a.shape == (16, 2)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         a = brownian.simulate(1, 16, 0.5)
         b = brownian.simulate(2, 16, 0.5)
-        assert not np.array_equal(a.increments, b.increments)
-
-    def test_starts_at_origin_and_prefix_sums(self):
-        p = brownian.simulate(5, 32, 1.0)
-        assert np.all(p.values[0] == 0.0)
-        assert np.allclose(p.values[1:], np.cumsum(p.increments, axis=0))
+        assert not np.array_equal(a, b)
 
     def test_random_access_matches_bulk(self):
         # Counter-based contract: increment m is computable in isolation.
         key = brownian.stream_key(99, brownian.TAG_SIMULATE)
-        bulk = brownian.raw_increments(key, 20, 0.01)
+        bulk = brownian.ensemble_increments(99, brownian.TAG_SIMULATE, 1, 20, 0.01)[0]
         for m in (0, 7, 19):
             inc = increment_at(key, m, 0.01)
             assert np.array_equal(inc, bulk[m])
@@ -64,9 +59,9 @@ class TestBranch:
         # A branch family shares no increment with a path, or with a family
         # of another purpose, drawn from the same seed.
         path = brownian.simulate(11, 16, 0.5)
-        inner = brownian.ensemble_increments(11, brownian.TAG_INNER, 1, 16, path.dt)[0]
-        drift = brownian.ensemble_increments(11, brownian.TAG_DRIFT, 1, 16, path.dt)[0]
-        assert not np.any(inner == path.increments)
+        inner = brownian.ensemble_increments(11, brownian.TAG_INNER, 1, 16, 0.5 / 16)[0]
+        drift = brownian.ensemble_increments(11, brownian.TAG_DRIFT, 1, 16, 0.5 / 16)[0]
+        assert not np.any(inner == path)
         assert not np.any(inner == drift)
 
     def test_branch_independence(self):
@@ -80,11 +75,12 @@ class TestBranch:
 
     def test_branched_variance_consistency(self):
         # Var(B_T) over a branched ensemble matches T within 5%.
+        dt = 1.0 / 8
         p = brownian.simulate(17, 8, 1.0)
         m = 3
-        tails = brownian.ensemble_increments(55, brownian.TAG_INNER, 100_000, 8 - m, p.dt)
-        b_t = p.values[m, 0] + tails[:, :, 0].sum(axis=1)
-        expect = (8 - m) * p.dt
+        tails = brownian.ensemble_increments(55, brownian.TAG_INNER, 100_000, 8 - m, dt)
+        b_t = np.cumsum(p, axis=0)[m - 1, 0] + tails[:, :, 0].sum(axis=1)
+        expect = (8 - m) * dt
         assert abs(b_t.var() - expect) < 0.05 * 1.0
 
     def test_out_of_range(self):
@@ -98,7 +94,7 @@ class TestMisc:
     def test_dump_csv(self):
         p = brownian.simulate(3, 4, 1.0)
         buf = io.StringIO()
-        dump_csv(p, buf)
+        dump_csv(p, 1.0 / 4, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "m,t,B1,B2"
         assert len(lines) == 6

@@ -7,7 +7,6 @@ import pytest
 from vortexbsde import brownian
 from vortexbsde.biot_savart import velocity_modes
 from vortexbsde.bsde_engine import (
-    BsdeSolution,
     PicardIterate,
     SolverConfig,
     _SubBlock,
@@ -19,14 +18,12 @@ from vortexbsde.bsde_engine import (
     _spectral_point_values,
     _velocity_tables,
     bsde_residual_profile,
-    coarsen_path,
     heat_iterate,
     heat_mode_stack,
     picard_solve,
     select_alpha,
     solve_drifted_with_stats,
     solve_weighted_with_stats,
-    subsample_solution,
     y_alpha_sup,
     z_alpha_bmo_sq,
 )
@@ -67,19 +64,8 @@ def two_mode(n=16):
     return field_from_mode_list(n, [(1, 0, -0.5j), (0, 2, 0.5)])
 
 
-def path_from_increments(inc, dt):
-    return brownian.BrownianPath(np.asarray(inc, float), dt, key=(0, 0))
-
-
 def zero_field(n):
     return ScalarField(np.zeros((n, n)))
-
-
-def solution_of(it, cfg):
-    """Bare solution record around an iterate (no norms or history)."""
-    return BsdeSolution(
-        y=it, psi=it.fields[0], config=cfg, norms={}, history=()
-    )
 
 
 def iterate_with_zero_interior(psi, steps):
@@ -91,8 +77,7 @@ def iterate_with_zero_interior(psi, steps):
 class TestTerminalValue:
     def test_zero_displacement(self):
         psi = sin1()
-        path = path_from_increments(np.zeros((4, 2)), 0.1)
-        xi = terminal_value(psi, path, nu=0.3)
+        xi = terminal_value(psi, np.zeros((4, 2)), nu=0.3)
         assert np.max(np.abs(xi.modes - psi.modes)) == 0.0
 
     def test_quarter_period_shift(self):
@@ -100,8 +85,7 @@ class TestTerminalValue:
         nu = 0.5
         inc = np.zeros((4, 2))
         inc[0, 0] = 0.25  # B_T = (0.25, 0); sqrt(2 nu) = 1
-        path = path_from_increments(inc, 0.1)
-        xi = terminal_value(sin1(), path, nu=nu)
+        xi = terminal_value(sin1(), inc, nu=nu)
         cos = field_from_mode_list(16, [(1, 0, 0.5)])
         assert np.max(np.abs(xi.modes - cos.modes)) < 1e-14
 
@@ -567,10 +551,11 @@ class TestPicardSolve:
         sol = picard_solve(sin1(), cfg)
         y_traj = VorticityTrajectory(sol.y.fields, nu=cfg.nu, dt=cfg.dt)
         traj = evolve(sin1(), cfg.nu, cfg.T, cfg.L)
-        path = brownian.simulate(77, cfg.L, cfg.T)
+        inc = brownian.simulate(77, cfg.L, cfg.T)
+        b = np.vstack([np.zeros((1, 2)), np.cumsum(inc, axis=0)])  # B at the nodes
         for j in (0, 7, 19, 32):
             tau = cfg.T - j * cfg.dt
-            pts = np.array([(0.0, 0.0), (0.3, 0.7)]) + np.sqrt(2 * cfg.nu) * path.values[j]
+            pts = np.array([(0.0, 0.0), (0.3, 0.7)]) + np.sqrt(2 * cfg.nu) * b[j]
             got = series_sum_brute(field_at(y_traj, tau).modes, pts)
             ref = series_sum_brute(field_at(traj, tau).modes, pts)
             assert np.max(np.abs(got - ref)) < 5e-3
@@ -593,66 +578,54 @@ class TestWeightedNorms:
 
 
 class TestResidual:
-    def _exact_solution(self, n=16, steps=64, nu=0.1, horizon=0.4):
-        psi = sin1(n)
+    def _exact_stack(self, n=16, steps=64, nu=0.1, horizon=0.4):
         cfg = SolverConfig(
             N=n, L=steps, M_inner=16, nu=nu, T=horizon, alpha=0.0
         )
-        return solution_of(heat_iterate(psi, cfg, 0.0), cfg)
+        return heat_iterate(sin1(n), cfg, 0.0).mode_stack(), cfg
 
     def test_zero_solution_zero_residual(self):
         cfg = SolverConfig(N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2)
-        it = heat_iterate(zero_field(16), cfg, 0.0)
-        sol = solution_of(it, cfg)
-        path = brownian.simulate(5, cfg.L, cfg.T)
-        assert np.max(bsde_residual_profile(sol, [path])) == 0.0
+        stack = heat_iterate(zero_field(16), cfg, 0.0).mode_stack()
+        inc = brownian.simulate(5, cfg.L, cfg.T)
+        assert np.max(bsde_residual_profile(stack, cfg.nu, cfg.dt, inc[None])) == 0.0
 
     def test_terminal_node_exact_zero(self):
-        sol = self._exact_solution()
-        path = brownian.simulate(6, sol.config.L, sol.config.T)
-        (prof,) = bsde_residual_profile(sol, [path])
+        stack, cfg = self._exact_stack()
+        inc = brownian.simulate(6, cfg.L, cfg.T)
+        (prof,) = bsde_residual_profile(stack, cfg.nu, cfg.dt, inc[None])
         assert prof[-1] == 0.0
 
     def test_residual_shrinks_with_refinement(self):
         # ensemble-rms of the per-node profile contracts by ~sqrt(2) per
         # dyadic refinement (order 1/2); loose band at this small scale.
-        fine = self._exact_solution(steps=128)
-        coarse = subsample_solution(fine, 2)
-        paths = [brownian.simulate(100 + p, 128, fine.config.T) for p in range(12)]
-        sq_f = bsde_residual_profile(fine, paths) ** 2
-        sq_c = bsde_residual_profile(coarse, [coarsen_path(p, 2) for p in paths]) ** 2
+        stack, cfg = self._exact_stack(steps=128)
+        inc = np.stack([brownian.simulate(100 + p, 128, cfg.T) for p in range(12)])
+        sq_f = bsde_residual_profile(stack, cfg.nu, cfg.dt, inc) ** 2
+        coarse_inc = inc.reshape(12, 64, 2, 2).sum(axis=2)
+        sq_c = bsde_residual_profile(stack[::2], cfg.nu, cfg.T / 64, coarse_inc) ** 2
         rms_f = np.sqrt(np.mean([s.max() for s in sq_f]))
         rms_c = np.sqrt(np.mean([s.max() for s in sq_c]))
         assert 1.15 <= rms_c / rms_f <= 1.8
 
     def test_grid_mismatch(self):
-        sol = self._exact_solution()
-        good = brownian.simulate(5, sol.config.L, sol.config.T)
-        path = brownian.simulate(5, 32, sol.config.T)
+        stack, cfg = self._exact_stack()
+        short = brownian.simulate(5, 32, cfg.T)
         with pytest.raises(DomainError):
-            bsde_residual_profile(sol, [good, path])
+            bsde_residual_profile(stack, cfg.nu, cfg.dt, np.stack([short, short]))
+        with pytest.raises(DomainError):  # one path without its paths axis
+            bsde_residual_profile(stack, cfg.nu, cfg.dt, brownian.simulate(5, 64, cfg.T))
 
     def test_each_profile_independent_of_the_others(self):
         # a path's profile is the same alone and among other paths
-        sol = self._exact_solution(steps=32)
-        it = sol.y
-        stack = it.mode_stack()
+        stack, cfg = self._exact_stack(steps=32)
         stack[1:, 1, 1] = stack[1:, -1, -1] = 0.05  # a nonzero advection term
-        sol = solution_of(
-            PicardIterate(tuple(ScalarField(m) for m in stack), 0, 0.0), sol.config
-        )
-        paths = [brownian.simulate(40 + p, 32, sol.config.T) for p in range(3)]
-        together = bsde_residual_profile(sol, paths)
+        inc = np.stack([brownian.simulate(40 + p, 32, cfg.T) for p in range(3)])
+        together = bsde_residual_profile(stack, cfg.nu, cfg.dt, inc)
         assert together.shape == (3, 33)
-        for path, row in zip(paths, together):
-            assert np.array_equal(bsde_residual_profile(sol, [path])[0], row)
-
-    def test_coarsen_path_consistency(self):
-        path = brownian.simulate(9, 16, 0.5)
-        coarse = coarsen_path(path, 2)
-        assert np.allclose(coarse.values, path.values[::2], atol=1e-15)
-        with pytest.raises(ConfigurationError):
-            coarsen_path(path, 3)
+        for path, row in zip(inc, together):
+            alone = bsde_residual_profile(stack, cfg.nu, cfg.dt, path[None])
+            assert np.array_equal(alone[0], row)
 
 
 class TestConfigValidation:
@@ -665,6 +638,30 @@ class TestConfigValidation:
             SolverConfig(N=16, L=8, M_inner=8, nu=-0.1, T=0.1)
         with pytest.raises(ConfigurationError):
             SolverConfig(N=16, L=8, M_inner=8, nu=0.1, T=0.1, alpha=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nu", float("nan")),
+            ("nu", float("inf")),
+            ("T", float("nan")),
+            ("T", float("inf")),
+            ("picard_tol", float("nan")),
+            ("picard_tol", float("inf")),
+            ("alpha", float("nan")),
+            ("alpha", float("inf")),
+            ("mode_threshold_rel", float("nan")),
+            ("mode_threshold_rel", 1.0),
+            ("mode_threshold_rel", -0.1),
+        ],
+    )
+    def test_non_finite_or_out_of_range_float_rejected(self, field, value):
+        # NaN passes every ordered comparison: a NaN threshold selected no
+        # velocity mode and a NaN tolerance never converged (exit 4), an
+        # infinite tolerance converged after one iteration
+        base = dict(N=16, L=8, M_inner=16, nu=0.1, T=0.1)
+        with pytest.raises(ConfigurationError, match=field):
+            SolverConfig(**{**base, field: value})
 
     def test_iterate_validation(self):
         with pytest.raises(ConfigurationError):

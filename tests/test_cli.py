@@ -197,6 +197,20 @@ class TestSolveCommand:
         cfg = write_cfg(tmp_path / "s.cfg", text)
         assert cli.main(["solve", str(cfg)]) == 3
 
+    def test_nan_threshold_exit_code_and_manifest(self, tmp_path):
+        # a NaN threshold used to select no velocity mode and end in exit 4
+        out = tmp_path / "out"
+        text = (
+            f"outdir = {out}\nN = 16\nL = 4\nnu = 0.3\nT = 0.2\n"
+            "psi_modes = 1 0 0 -0.5 ; 0 2 0.5 0\nM_inner = 40\nmode_threshold_rel = nan\n"
+        )
+        cfg = write_cfg(tmp_path / "s.cfg", text)
+        assert cli.main(["solve", str(cfg)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"]["type"] == "ConfigurationError"
+        assert "mode_threshold_rel" in manifest["error"]["message"]
+
     def test_zero_alpha_writes_diagnostics(self, tmp_path):
         out = tmp_path / "out"
         text = (

@@ -116,6 +116,14 @@ class TestEvolve:
         with pytest.raises(ConfigurationError):
             evolve(sin1(), 0.1, 0.5, 0)
 
+    @pytest.mark.parametrize(
+        "nu, horizon",
+        [(float("nan"), 0.5), (float("inf"), 0.5), (0.1, float("nan")), (0.1, float("inf"))],
+    )
+    def test_non_finite_parameters(self, nu, horizon):
+        with pytest.raises(ConfigurationError, match="finite"):
+            evolve(sin1(), nu, horizon, 8)
+
     def test_rejects_nonzero_mean(self):
         modes = np.zeros((N, N), complex)
         modes[0, 0] = 1.0
