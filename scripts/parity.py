@@ -20,9 +20,10 @@ Prints, for every mode stack, every ``SolveStats`` array, every numeric
 entry of each Picard history record (keyed by iteration) and every entry
 of the solution's ``norms``, the largest difference between the trees
 relative to the entry's largest magnitude, and compares the Picard
-iteration counts of the histories.  Exits 1 if a relative difference
-exceeds 1e-12, an entry of OLD_TREE is missing from NEW_TREE or an
-iteration count differs.
+iteration counts of the histories; the last line names the worst entry.
+Exits 1 if a relative difference exceeds 1e-12, an entry of OLD_TREE is
+missing from NEW_TREE or an iteration count differs.  Group modes kept on
+a lattice cell are compared in the (N, N) layout.
 
 A statistics array whose largest magnitude in OLD_TREE is below 1e-13 of
 its solve's mode stack holds rounding error only (the standard errors of a
@@ -67,13 +68,24 @@ def load_package(tree: Path):
         sys.path.pop(0)
 
 
+def _lattice_layout(modes: np.ndarray, n: int) -> np.ndarray:
+    """(..., n1, n2) cell modes on the (N, N) layout: mode [p1, p2] goes to
+    [p1 * N/n1, p2 * N/n2], every other mode is zero."""
+    out = np.zeros(modes.shape[:-2] + (n, n), dtype=modes.dtype)
+    out[..., :: n // modes.shape[-2], :: n // modes.shape[-1]] = modes
+    return out
+
+
 def _solve_arrays(prefix: str, iterate, stats) -> dict:
     """The mode stack and every statistics array, each with the stack's scale."""
     modes = iterate.mode_stack()
     field_scale = float(np.max(np.abs(modes)))
     out = {f"{prefix}.modes": (modes, field_scale)}
     for f in dataclasses.fields(stats):
-        out[f"{prefix}.{f.name}"] = (getattr(stats, f.name), field_scale)
+        value = getattr(stats, f.name)
+        if f.name == "group_modes":
+            value = _lattice_layout(value, modes.shape[-1])
+        out[f"{prefix}.{f.name}"] = (value, field_scale)
     return out
 
 
@@ -149,7 +161,7 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     old, new = (run_tree(Path(p).resolve()) for p in argv)
-    bad, worst = 0, 0.0
+    bad, worst, worst_name = 0, 0.0, "none"
     for name, (a, field_scale) in old[0].items():
         if name not in new[0]:
             bad += 1
@@ -157,13 +169,17 @@ def main(argv=None) -> int:
             continue
         rel, note = compare(a, new[0][name][0], field_scale)
         bad += rel > REL_TOL
-        worst = max(worst, rel)
+        if rel > worst:
+            worst, worst_name = rel, name
         print(f"{name:48s} {rel:.3e} {note}")
     for name, counts in old[1].items():
         same = counts == new[1][name]
         bad += not same
         print(f"{name:48s} iterations {counts} {'==' if same else '!='} {new[1][name]}")
-    print(f"worst relative difference {worst:.3e} (tolerance {REL_TOL:.0e}); {bad} failing")
+    print(
+        f"worst relative difference {worst:.3e} at {worst_name} "
+        f"(tolerance {REL_TOL:.0e}); {bad} failing"
+    )
     return 1 if bad else 0
 
 

@@ -44,8 +44,8 @@ def simulate(seed: int, steps: int, horizon: float) -> np.ndarray:
     horizon / steps per component; a pure function of (seed, steps, horizon)."""
     if steps < 1:
         raise ConfigurationError("need at least one step")
-    if horizon <= 0:
-        raise ConfigurationError("horizon must be positive")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ConfigurationError(f"horizon must be finite and positive, got {horizon!r}")
     return ensemble_increments(seed, TAG_SIMULATE, 1, steps, horizon / steps)[0]
 
 

@@ -47,6 +47,7 @@ from .torus_field import (
     ScalarField,
     _nyquist_mask,
     _phase_grid,
+    _validate_grid_size,
     embed_modes,
     grid_to_modes,
     modes_to_complex_grid,
@@ -87,8 +88,7 @@ class SolverConfig:
     groups: int = 16
 
     def __post_init__(self):
-        if self.N < 4 or self.N % 2 != 0:
-            raise ConfigurationError("N must be even and >= 4")
+        _validate_grid_size(self.N)
         if min(self.L, self.M_inner, self.max_iter) < 1:
             raise ConfigurationError("all counts must be >= 1")
         for name in ("nu", "T", "picard_tol"):
@@ -149,13 +149,14 @@ class BsdeSolution:
 
 @dataclass
 class SolveStats:
-    """Per-solve Monte Carlo bookkeeping (standard errors, sups, groups)."""
+    """Per-solve Monte Carlo bookkeeping (standard errors, sups, groups); the
+    groups hold their lattice cell's modes, ``_on_cell`` places them on (N, N)."""
 
     se_grid: np.ndarray  # (L+1, N, N) pointwise standard error
     pooled_se: np.ndarray  # (L+1,) sqrt(mean_z variance / M)
     max_se: np.ndarray  # (L+1,) max_z standard error
     sup_lattice: np.ndarray  # (L+1,) max_z |omega| on the N lattice
-    group_modes: np.ndarray  # (G, L+1, N, N) per-group mean fields (modes)
+    group_modes: np.ndarray  # (G, L+1, n1, n2) per-group mean fields (modes)
     group_counts: np.ndarray  # (G,)
 
 
@@ -195,13 +196,13 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
     Owns what both estimators share: the grid check, Nyquist hygiene, the
     velocity of ``prev``, the exact heat stack, the keyed increments and
     displacements, branch chunking and the sum, sum-of-squares and group
-    accumulation.  ``estimator(config, psi_modes,
-    u1, u2)`` returns ``(chunk, samples)``; ``samples(db, disp)`` yields
-    ``(m, sample)`` for nodes m = 1..L, ``sample`` being the (branches, n1,
-    n2) values of the correction for one chunk of branches on the lattice
-    cell at the origin, which the correction repeats with periods n1 and n2
-    dividing N ((N, N) is the whole lattice).  The cell is read off the
-    samples' shape; its sums are repeated over the lattice before assembly.
+    accumulation.  ``estimator(config, psi_modes, u1, u2)`` returns
+    ``(chunk, cell, samples)``: the correction and psi repeat on the lattice
+    cell (n1, n2) at the origin, n_a dividing N ((N, N) is the whole lattice);
+    ``samples(db, disp)`` yields ``(m, sample)`` for nodes m = 1..L,
+    ``sample`` being the (branches, n1, n2) cell values of the correction
+    for one chunk of branches.  Sums and groups stay on the cell; only the
+    sums are tiled over the lattice, for the mean and the standard errors.
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     m_inner, n_groups = config.M_inner, config.groups
@@ -212,7 +213,7 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
     omega[:, _nyquist_mask(n)] = 0.0  # multiplier-application hygiene
     psi_modes = omega[0]
     u1, u2 = velocity_modes(omega)
-    chunk, samples = estimator(config, psi_modes, u1, u2)
+    chunk, cell, samples = estimator(config, psi_modes, u1, u2)
     heat = heat_mode_stack(psi_modes, nu, dt, steps)
 
     db = brownian.ensemble_increments(config.base_seed, tag, m_inner, steps, dt)
@@ -222,11 +223,10 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
 
     group_of = (np.arange(m_inner) * n_groups) // m_inner
     group_counts = np.bincount(group_of, minlength=n_groups)
-    sum_f = np.zeros((steps + 1, n, n))
-    sumsq_f = np.zeros((steps + 1, n, n))
-    group_sum = np.zeros((n_groups, steps + 1, n, n))
+    sum_f = np.zeros((steps + 1,) + cell)
+    sumsq_f = np.zeros((steps + 1,) + cell)
+    group_sum = np.zeros((n_groups, steps + 1) + cell)
 
-    cell = (n, n)
     for b0 in range(0, m_inner, chunk):
         b1 = min(b0 + chunk, m_inner)
         run_starts = np.flatnonzero(
@@ -234,8 +234,6 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
         )
         run_groups = group_of[b0:b1][run_starts]
         for m, sample in samples(db[b0:b1], disp[b0:b1]):
-            cell = sample.shape[1:]
-            n1, n2 = cell
             # A non-finite sample (e.g. an overflowing Girsanov weight) makes
             # its squared sum non-finite; clipping it would bias the mean.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -246,33 +244,23 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
                     "non-finite Monte Carlo sample in linear solve",
                     diagnostics={"node": m},
                 )
-            sumsq_f[m, :n1, :n2] += sq
+            sumsq_f[m] += sq
             # group_of is non-decreasing, so the groups of a chunk's runs
             # are distinct and plain fancy-index addition is exact.
             partial = np.add.reduceat(sample, run_starts, axis=0)
-            sum_f[m, :n1, :n2] += partial.sum(axis=0)
-            group_sum[run_groups, m, :n1, :n2] += partial
+            sum_f[m] += partial.sum(axis=0)
+            group_sum[run_groups, m] += partial
     del samples  # frees the estimator's tables before the assembly allocates
-    if cell != (n, n):
-        for acc in (sum_f, sumsq_f, group_sum):
-            _repeat_cell(acc, *cell)
-
+    reps = (1, n // cell[0], n // cell[1])
     return _assemble_iterate(
-        prev, config, heat, sum_f, sumsq_f, group_sum, group_counts
+        prev, config, heat, np.tile(sum_f, reps), np.tile(sumsq_f, reps), group_sum, group_counts
     )
 
 
-def _repeat_cell(values: np.ndarray, n1: int, n2: int) -> None:
-    """Copy the (n1, n2) cell at the origin of (..., N, N) ``values`` over
-    the whole lattice, in place, by one broadcast assignment."""
-    n = values.shape[-1]
-    tiles = values.reshape(values.shape[:-2] + (n // n1, n1, n // n2, n2))
-    tiles[...] = tiles[..., :1, :, :1, :]
-
-
 def _assemble_iterate(prev, config, heat, sum_f, sumsq_f, group_sum, group_counts):
-    n, steps, m_inner = config.N, config.L, config.M_inner
+    n, m_inner = config.N, config.M_inner
     ny = _nyquist_mask(n)
+    s1, s2 = n // group_sum.shape[-2], n // group_sum.shape[-1]
 
     mc_modes = grid_to_modes(sum_f / m_inner)
     mc_modes[:, 0, 0] = 0.0  # re-project to mean zero
@@ -288,11 +276,12 @@ def _assemble_iterate(prev, config, heat, sum_f, sumsq_f, group_sum, group_count
     max_se = np.sqrt(var_z.max(axis=(1, 2)) / m_inner)
     max_se[0] = 0.0
 
+    # the cell's modes are the lattice modes at strides (s1, s2), as psi's
     gmodes = grid_to_modes(group_sum / group_counts[:, None, None, None])
     gmodes[:, :, 0, 0] = 0.0
-    gmodes[:, :, ny] = 0.0
-    gmodes += heat[None]
-    gmodes[:, 0] = heat[0][None]
+    gmodes[:, :, ny[::s1, ::s2]] = 0.0
+    gmodes += heat[None, :, ::s1, ::s2]
+    gmodes[:, 0] = heat[0, ::s1, ::s2][None]
 
     fields = tuple(ScalarField(m) for m in out)
     iterate = PicardIterate(fields, prev.iteration_index + 1, prev.alpha)
@@ -366,9 +355,19 @@ class _ScatterPlan:
         return np.add.reduceat(ordered, self.starts, axis=-1)
 
 
-def _lattice_period(k: np.ndarray, n: int) -> int:
-    """Period n / gcd(n, |k|...) on the N lattice of a sum of modes k."""
-    return n // int(np.gcd.reduce(np.abs(k), initial=n))
+def _cell(flat_positions: np.ndarray, n: int) -> tuple:
+    """Lattice cell (n1, n2) a sum of the modes at flat (N, N) positions
+    repeats on: periods N / gcd(N, |k|...) of their wavenumbers per axis."""
+    k = np.abs(wavenumbers(n))
+    return tuple(n // int(np.gcd.reduce(k[i], initial=n)) for i in divmod(flat_positions, n))
+
+
+def _on_cell(modes: np.ndarray, cell) -> np.ndarray:
+    """The modes (..., n1, n2) of a cell's values, repeated onto a cell
+    (m1, m2) with n_a dividing m_a: mode [p1, p2] goes to [p1 m1/n1, p2 m2/n2]."""
+    out = np.zeros(modes.shape[:-2] + tuple(cell), dtype=modes.dtype)
+    out[..., :: cell[0] // modes.shape[-2], :: cell[1] // modes.shape[-1]] = modes
+    return out
 
 
 @dataclass
@@ -394,8 +393,7 @@ class _SubBlock:
         rows = np.unique(flat_positions // n)
         cols = np.unique(flat_positions % n)
         k = wavenumbers(n)
-        j1 = np.arange(_lattice_period(k[rows], n))
-        j2 = np.arange(_lattice_period(k[cols], n))
+        j1, j2 = map(np.arange, _cell(flat_positions, n))
         e_rows = np.exp(TWO_PI * 1j * ((j1[:, None] * k[rows]) % n) / n)
         e_cols = np.exp(TWO_PI * 1j * ((k[cols][:, None] * j2) % n) / n)
         return cls(rows, cols, e_rows, e_cols)
@@ -444,13 +442,14 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     mag_a = (np.abs(u1[1:]) + np.abs(u2[1:])).max(axis=0)
     ia1, ia2 = _active_indices(mag_a, thr)
 
-    if not ia1.size:  # W = 1 exactly: a zero correction on the 1x1 cell
+    if not ia1.size:  # W = 1 exactly: a zero correction on psi's cell
+        cell = _cell(np.flatnonzero(psi_modes), n)
 
         def no_correction(db, disp):
             for m in range(1, steps + 1):
-                yield m, np.zeros((db.shape[0], 1, 1))
+                yield m, np.zeros((db.shape[0],) + cell)
 
-        return _WEIGHTED_CHUNK, no_correction
+        return _WEIGHTED_CHUNK, cell, no_correction
 
     w1, w2 = v1[1:], v2[1:]
     q_modes = grid_to_modes(w1 * w1 + w2 * w2)
@@ -526,7 +525,7 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
                 sample = g.imag * np.expm1(-g.real)
             yield m, sample
 
-    return _WEIGHTED_CHUNK, samples
+    return _WEIGHTED_CHUNK, block.cell, samples
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +679,7 @@ def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
             cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
             yield m, (vals - cv_vals).reshape(bc, n, n)
 
-    return _DRIFTED_CHUNK, samples
+    return _DRIFTED_CHUNK, (n, n), samples
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +777,9 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
     if c1 == 0.0:
         return _finalize_solution(psi, config, current, None, (), c0, c1, alpha)
 
-    prev_group_modes = None  # iterate 0 is deterministic
+    # iterate 0 is deterministic: every group starts from it, on psi's cell
+    s1, s2 = (config.N // c for c in _cell(np.flatnonzero(psi.modes), config.N))
+    prev_group_modes = np.stack([f.modes[::s1, ::s2] for f in current.fields])[None]
     history = []
     prev_delta_norm = None
     converged = False
@@ -799,19 +800,16 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
         floor = noise_floor(stats, alpha, dt)
         tol = config.picard_tol * floor
 
-        base_gm = (
-            prev_group_modes
-            if prev_group_modes is not None
-            else current.mode_stack()[None]
-        )
-        delta_group = stats.group_modes - base_gm
+        # Each group's delta, on the common cell of the two iterates.
+        cell = np.lcm(stats.group_modes.shape[-2:], prev_group_modes.shape[-2:])
+        delta_group = _on_cell(stats.group_modes, cell) - _on_cell(prev_group_modes, cell)
         delta_vals = modes_to_grid(delta_group)
         weights = np.exp(-alpha * np.arange(config.L + 1) * dt)
         # ||dY^alpha||_inf + ||dZ^alpha||_BMO of each group's delta, as for
         # the full delta above, with the sup term read off delta_vals
         group_sups = np.max(weights * np.abs(delta_vals).max(axis=(-2, -1)), axis=1)
         group_norms = group_sups + np.sqrt(
-            [z_alpha_bmo_sq(g, alpha, dt) for g in delta_group]
+            [z_alpha_bmo_sq(_on_cell(g, (config.N, config.N)), alpha, dt) for g in delta_group]
         )
         se_delta = float(np.std(group_norms, ddof=1) / np.sqrt(config.groups))
         # Noise floor of the difference estimator itself: with common random
@@ -867,7 +865,8 @@ def _finalize_solution(psi, config, iterate, group_modes, history, c0, c1, alpha
     bmo_sq = z_alpha_bmo_sq(stack, 0.0, dt)
     if group_modes is not None:
         g = group_modes.shape[0]
-        group_bmo_sq = np.array([z_alpha_bmo_sq(gm, 0.0, dt) for gm in group_modes])
+        on_lattice = (_on_cell(gm, (config.N, config.N)) for gm in group_modes)
+        group_bmo_sq = np.array([z_alpha_bmo_sq(gm, 0.0, dt) for gm in on_lattice])
         se_bmo_sq = float(np.std(group_bmo_sq, ddof=1) / np.sqrt(g))
         # Quadratic functionals of a mean carry an O(1/M) noise bias;
         # batch means estimate and remove it (bias of a group mean is G

@@ -167,8 +167,7 @@ def field_from_mode_list(n: int, entries) -> ScalarField:
 
 def modes_to_grid(modes: np.ndarray) -> np.ndarray:
     """Raw-array synthesis used in hot loops; caller guarantees symmetry."""
-    n = modes.shape[-1]
-    return np.fft.ifft2(modes).real * (n * n)
+    return np.fft.ifft2(modes).real * (modes.shape[-2] * modes.shape[-1])
 
 
 def modes_to_complex_grid(modes: np.ndarray) -> np.ndarray:
@@ -177,8 +176,7 @@ def modes_to_complex_grid(modes: np.ndarray) -> np.ndarray:
 
 
 def grid_to_modes(values: np.ndarray) -> np.ndarray:
-    n = values.shape[-1]
-    return np.fft.fft2(values) / (n * n)
+    return np.fft.fft2(values) / (values.shape[-2] * values.shape[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def weighted_estimator_two_transform(config, psi_modes, u1, u2):
             psi_shift = modes_to_grid(psi_modes * phase(disp[:, m], k_base))
             yield m, psi_shift * w_minus_1
 
-    return config.M_inner, samples
+    return config.M_inner, (config.N, config.N), samples
 
 
 def drifted_estimator_one_chunk(config, psi_modes, u1, u2):
@@ -262,4 +262,4 @@ def drifted_estimator_one_chunk(config, psi_modes, u1, u2):
             cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
             yield m, (vals - cv_vals).reshape(bc, n, n)
 
-    return config.M_inner, samples
+    return config.M_inner, (config.N, config.N), samples

@@ -50,6 +50,10 @@ class TestSimulate:
             brownian.simulate(0, 0, 1.0)
         with pytest.raises(ConfigurationError):
             brownian.simulate(0, 4, -1.0)
+        # a NaN horizon passes `horizon <= 0`; an infinite one gives inf increments
+        for horizon in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                brownian.simulate(0, 4, horizon)
 
 
 class TestBranch:

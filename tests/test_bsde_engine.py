@@ -15,6 +15,7 @@ from vortexbsde.bsde_engine import (
     _bilinear_tables,
     _half_plane_modes,
     _linear_solve,
+    _on_cell,
     _spectral_point_values,
     _velocity_tables,
     bsde_residual_profile,
@@ -252,9 +253,25 @@ class TestLinearSolve:
                 N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2), 0.0), cfg)
 
 
+def assert_solve_matches_reference(solve, reference):
+    """Mode stacks and every ``SolveStats`` entry of two linear solves agree
+    to 1e-12 of the reference's scale, group modes on the (N, N) layout."""
+    (it, stats), (it_ref, stats_ref) = solve, reference
+    lattice = (it.fields[0].grid_size,) * 2
+    pairs = [(it.mode_stack(), it_ref.mode_stack())]
+    for f in dataclasses.fields(stats):
+        got, ref = getattr(stats, f.name), getattr(stats_ref, f.name)
+        if f.name == "group_modes":
+            got, ref = _on_cell(got, lattice), _on_cell(ref, lattice)
+        pairs.append((got, ref))
+    for got, ref in pairs:
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def weighted_case(case, n=16):
     """(prev, config, cell) of an edge case of the weighted step: ``cell``
-    is the lattice cell its sub-block repeats on, None without a sub-block."""
+    is the lattice cell the step runs on, its sub-block's or, with zero
+    drift and no sub-block, psi's."""
     cfg = SolverConfig(N=n, L=8, M_inner=32, nu=0.3, T=0.2, alpha=0.0)
     psi, cell = two_mode(n), (n, n // 2)  # period 1/2 in x2
     if case == "three_chunks":
@@ -267,7 +284,7 @@ def weighted_case(case, n=16):
         psi, cell = random_mean_zero_field(n, 21) * 2.0, (n, n)
         assert np.count_nonzero(psi.modes) == (n - 1) ** 2 - 1
     elif case == "zero_drift":
-        return iterate_with_zero_interior(psi, cfg.L), cfg, None
+        return iterate_with_zero_interior(psi, cfg.L), cfg, cell
     elif case == "single_mode":
         psi, cell = sin1(n), (n, 1)  # constant along x2
     elif case == "even_modes":
@@ -296,16 +313,11 @@ class TestHotLoopKernels:
 
     @staticmethod
     def _assert_weighted_matches_reference(prev, cfg):
-        it, stats = solve_weighted_with_stats(prev, cfg)
-        it_ref, stats_ref = _linear_solve(
-            prev, cfg, brownian.TAG_INNER, weighted_estimator_two_transform
-        )
-        pairs = [(it.mode_stack(), it_ref.mode_stack())] + [
-            (getattr(stats, f.name), getattr(stats_ref, f.name))
-            for f in dataclasses.fields(stats)
-        ]
-        for got, ref in pairs:
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        """The weighted step against its reference; returns the step's stats."""
+        solve = solve_weighted_with_stats(prev, cfg)
+        reference = _linear_solve(prev, cfg, brownian.TAG_INNER, weighted_estimator_two_transform)
+        assert_solve_matches_reference(solve, reference)
+        return solve[1]
 
     def test_packed_weighted_step_matches_two_transform_reference(self):
         cfg = SolverConfig(N=16, L=8, M_inner=32, nu=0.3, T=0.2, alpha=0.0)
@@ -332,8 +344,9 @@ class TestHotLoopKernels:
         monkeypatch.setattr(
             _SubBlock, "build", classmethod(lambda cls, *a: blocks.append(build(*a)) or blocks[-1])
         )
-        self._assert_weighted_matches_reference(prev, cfg)
-        assert [b.cell for b in blocks] == ([] if cell is None else [cell])
+        stats = self._assert_weighted_matches_reference(prev, cfg)
+        assert [b.cell for b in blocks] == ([] if case == "zero_drift" else [cell])
+        assert stats.group_modes.shape == (cfg.groups, cfg.L + 1) + cell
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sub_block_synthesis_matches_ifft2(self, seed):
@@ -364,6 +377,20 @@ class TestHotLoopKernels:
             ref = modes_to_complex_grid(dense.reshape(5, n, n))
             got = np.tile(block.synthesise(z), (1, f1, f2))
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "n, cell",
+        [(16, (16, 1)), (16, (4, 16)), (16, (8, 8)), (12, (3, 12))],
+        ids=["16x1", "4x16", "8x8", "3x12_on_12"],
+    )
+    def test_cell_modes_on_lattice_match_tiled_lattice_modes(self, n, cell):
+        # (3, 12) on N = 12: stride 4 rows reach no Nyquist row
+        values = np.random.default_rng(sum(cell)).standard_normal((2, 3) + cell)
+        tiled = np.tile(values, (1, 1, n // cell[0], n // cell[1]))
+        got = _on_cell(grid_to_modes(values), (n, n))
+        assert got.shape == (2, 3, n, n)
+        assert np.max(np.abs(got - grid_to_modes(tiled))) <= 1e-15 * np.max(np.abs(got))
+        assert np.max(np.abs(modes_to_grid(got) - tiled)) <= 1e-13 * np.max(np.abs(tiled))
 
     def test_padded_bilinear_matches_reference(self):
         rng = np.random.default_rng(3)
@@ -419,16 +446,10 @@ class TestHotLoopKernels:
         if case == "weighted_iterate":
             # noise lifts the velocity modes on the weighted step's cell
             prev = solve_weighted_with_stats(prev, dataclasses.replace(cfg, M_inner=64))[0]
-        it, stats = solve_drifted_with_stats(prev, cfg)
-        it_ref, stats_ref = _linear_solve(
-            prev, cfg, brownian.TAG_DRIFT, drifted_estimator_one_chunk
+        assert_solve_matches_reference(
+            solve_drifted_with_stats(prev, cfg),
+            _linear_solve(prev, cfg, brownian.TAG_DRIFT, drifted_estimator_one_chunk),
         )
-        pairs = [(it.mode_stack(), it_ref.mode_stack())] + [
-            (getattr(stats, f.name), getattr(stats_ref, f.name))
-            for f in dataclasses.fields(stats)
-        ]
-        for got, ref in pairs:
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_half_plane_point_values_match_all_modes(self):
         modes = random_mean_zero_field(16, 9).modes
