@@ -63,7 +63,8 @@ TWO_PI = 2.0 * np.pi
 _WEIGHTED_CHUNK = 64
 
 #: Branches per chunk of the drifted solve: keeps one Euler step's
-#: (chunk * N^2) point temporaries in a core's L2 cache.
+#: (chunk * n1 * n2) point temporaries, on its lattice cell, in a core's
+#: L2 cache.
 _DRIFTED_CHUNK = 16
 
 
@@ -193,16 +194,18 @@ def _lattice_sup(stack: np.ndarray) -> np.ndarray:
 def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator):
     """One Picard step: heat control variate plus a Monte Carlo correction.
 
-    Owns what both estimators share: the grid check, Nyquist hygiene, the
-    velocity of ``prev``, the exact heat stack, the keyed increments and
-    displacements, branch chunking and the sum, sum-of-squares and group
-    accumulation.  ``estimator(config, psi_modes, u1, u2)`` returns
-    ``(chunk, cell, samples)``: the correction and psi repeat on the lattice
-    cell (n1, n2) at the origin, n_a dividing N ((N, N) is the whole lattice);
-    ``samples(db, disp)`` yields ``(m, sample)`` for nodes m = 1..L,
-    ``sample`` being the (branches, n1, n2) cell values of the correction
-    for one chunk of branches.  Sums and groups stay on the cell; only the
-    sums are tiled over the lattice, for the mean and the standard errors.
+    Owns what both estimators share: the grid check, the Nyquist check of
+    psi and hygiene of the later nodes, the velocity of ``prev``, the exact
+    heat stack, the keyed increments and displacements, branch chunking and
+    the sum, sum-of-squares and group accumulation.
+    ``estimator(config, psi_modes, u1, u2)`` returns ``(chunk, cell,
+    samples)``: the correction and psi repeat on the lattice cell (n1, n2)
+    at the origin, n_a dividing N ((N, N) is the whole lattice), which each
+    estimator takes from the modes it reads (``_cell``); ``samples(db,
+    disp)`` yields ``(m, sample)`` for nodes m = 1..L, ``sample`` being the
+    (branches, n1, n2) cell values of the correction for one chunk of
+    branches.  Sums and groups stay on the cell; only the sums are tiled
+    over the lattice, for the mean and the standard errors.
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     m_inner, n_groups = config.M_inner, config.groups
@@ -210,7 +213,16 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
         raise ConfigurationError("iterate grid does not match solver config")
 
     omega = prev.mode_stack()
-    omega[:, _nyquist_mask(n)] = 0.0  # multiplier-application hygiene
+    nyquist = _nyquist_mask(n)
+    # The step would drop a Nyquist mode of psi that the heat stack keeps.
+    bad = np.argwhere(nyquist & (omega[0] != 0))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigurationError(
+            f"psi has a nonzero Nyquist mode at index ({i}, {j}) of the ({n}, {n}) "
+            "mode array; the linear solve cannot carry it"
+        )
+    omega[:, nyquist] = 0.0  # multiplier-application hygiene
     psi_modes = omega[0]
     u1, u2 = velocity_modes(omega)
     chunk, cell, samples = estimator(config, psi_modes, u1, u2)
@@ -602,16 +614,17 @@ def _spectral_point_values(half, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 2.0 * values.reshape(x.shape)
 
 
-def _velocity_tables(u1: np.ndarray, u2: np.ndarray):
+def _velocity_tables(u1: np.ndarray, u2: np.ndarray, cell):
     """Both velocity components of every node on the 4x oversampled grid.
 
     Returns the ``_bilinear_tables`` of each component, with a leading node
-    axis, and each component's (L+1, N*N) values on the N lattice, point
-    (i, j) at flat index i * N + j.  One packed synthesis gives both
-    components as (real, imag); they are split into contiguous real tables,
-    since a complex add costs several real ones per point.
+    axis, and each component's (L+1, n1*n2) values on the lattice cell
+    ``cell`` = (n1, n2) at the origin, point (i, j) at flat index
+    i * n2 + j.  One packed synthesis gives both components as (real,
+    imag); they are split into contiguous real tables, since a complex add
+    costs several real ones per point.
     """
-    n = u1.shape[-1]
+    n1, n2 = cell
     u_grids = modes_to_complex_grid(embed_modes(u1 + 1j * u2, 4))
     padded = [
         np.pad(part, ((0, 0), (0, 1), (0, 1)), mode="wrap")
@@ -619,10 +632,10 @@ def _velocity_tables(u1: np.ndarray, u2: np.ndarray):
     ]
     del u_grids  # before the row differences, so the two never coexist
     tables = [_bilinear_tables(part) for part in padded]
-    # The N lattice is every fourth node of the 4x grid; reshaping the
-    # strided view copies it, so only the tables stay referenced.
+    # The lattice is every fourth node of the 4x grid; reshaping the
+    # strided view of the cell copies it, so only the tables stay referenced.
     lattice = [
-        padded[:, : 4 * n : 4, : 4 * n : 4].reshape(u1.shape[0], n * n)
+        padded[:, : 4 * n1 : 4, : 4 * n2 : 4].reshape(u1.shape[0], n1 * n2)
         for padded, _ in tables
     ]
     return tables, lattice
@@ -633,26 +646,32 @@ def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
 
     Runs in chunks of ``_DRIFTED_CHUNK`` branches.  Paths advance in units
     of the 4x velocity grid's spacing (an exact rescaling for power-of-two
-    N).  Every node's paths start on the N lattice, whose points are nodes
-    of that grid, so the first Euler step reads the grid instead of
-    interpolating.
+    N).  Every node's paths start on the lattice cell (n1, n2) that psi and
+    every node of u repeat on, whose points are nodes of that grid, so the
+    first Euler step reads the grid instead of interpolating.  Every
+    lattice point shares the branch noise, and a shift by n_a lattice
+    points is a shift by 4 n_a whole grid nodes, so paths from equivalent
+    lattice points differ by that shift and their samples agree up to the
+    rounding of the positions.  The bilinear step reads every mode of u, so
+    the cell is taken from the exactly nonzero modes, with no threshold.
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     p = 4 * n
     drift_step = -dt * p
     sqrt2nu = np.sqrt(2.0 * nu)
-    ((pad1, diff1), (pad2, diff2)), lattice = _velocity_tables(u1, u2)
-    # lattice point (i, j), at (4i, 4j) in grid units, has flat index i * N + j
-    zx = np.repeat(4.0 * np.arange(n), n)
-    zy = np.tile(4.0 * np.arange(n), n)
-    grid_1d = np.arange(n) / n
+    occupied = (psi_modes != 0) | np.any((u1 != 0) | (u2 != 0), axis=0)
+    n1, n2 = _cell(np.flatnonzero(occupied), n)
+    ((pad1, diff1), (pad2, diff2)), lattice = _velocity_tables(u1, u2, (n1, n2))
+    # cell point (i, j), at (4i, 4j) in grid units, has flat index i * n2 + j
+    zx = np.repeat(4.0 * np.arange(n1), n2)
+    zy = np.tile(4.0 * np.arange(n2), n1)
     half = _half_plane_modes(psi_modes)
     k1, k2, coef = half
     # psi(z + d) = 2 Re sum_k coef_k e^{2 pi i <k, d>} e^{2 pi i <k, z>}: a
-    # per-branch displacement phase contracted with a fixed lattice table.
-    ex = np.exp(TWO_PI * 1j * np.outer(grid_1d, k1))
-    ey = np.exp(TWO_PI * 1j * np.outer(grid_1d, k2))
-    lattice_phase = (ex[:, None, :] * ey[None, :, :]).reshape(n * n, -1)
+    # per-branch displacement phase contracted with a fixed cell table.
+    ex = np.exp(TWO_PI * 1j * np.outer(np.arange(n1) / n, k1))
+    ey = np.exp(TWO_PI * 1j * np.outer(np.arange(n2) / n, k2))
+    lattice_phase = (ex[:, None, :] * ey[None, :, :]).reshape(n1 * n2, -1)
 
     def samples(db, disp):
         bc = db.shape[0]
@@ -677,9 +696,9 @@ def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
                 y += d2
             vals = _spectral_point_values(half, x / p, y / p)
             cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
-            yield m, (vals - cv_vals).reshape(bc, n, n)
+            yield m, (vals - cv_vals).reshape(bc, n1, n2)
 
-    return _DRIFTED_CHUNK, (n, n), samples
+    return _DRIFTED_CHUNK, (n1, n2), samples
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from vortexbsde.bsde_engine import (
     _DRIFTED_CHUNK,
     _bilinear,
     _bilinear_tables,
+    _cell,
     _half_plane_modes,
     _linear_solve,
     _on_cell,
@@ -423,32 +424,48 @@ class TestHotLoopKernels:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_lattice_read_is_bilinear_at_lattice_points(self, n):
-        # the drifted estimator's first Euler step reads these lattice
-        # values in place of interpolating at the lattice points
+        # the drifted estimator's first Euler step reads these values in
+        # place of interpolating at the lattice points of its cell
         stack = random_mean_zero_field(n, 5).modes * np.linspace(1.0, 0.5, 5)[:, None, None]
-        u1, u2 = velocity_modes(stack)
-        tables, lattice = _velocity_tables(u1, u2)
-        zx, zy = np.repeat(4.0 * np.arange(n), n), np.tile(4.0 * np.arange(n), n)
-        assert lattice[0].shape == (5, n * n)
-        for m in range(5):
-            got = _bilinear([(padded[m], diff[m]) for padded, diff in tables], zx, zy)
-            assert np.array_equal(lattice[0][m], got[0])
-            assert np.array_equal(lattice[1][m], got[1])
+        k = wavenumbers(n)
+        for f1, f2 in [(1, 1), (1, 2), (4, 1)]:
+            # modes whose k_a are multiples of f_a repeat on (N / f1, N / f2)
+            kept = stack * ((k[:, None] % f1 == 0) & (k[None, :] % f2 == 0))
+            cell = (n // f1, n // f2)
+            assert _cell(np.flatnonzero(kept[0]), n) == cell
+            u1, u2 = velocity_modes(kept)
+            tables, lattice = _velocity_tables(u1, u2, cell)
+            zx = np.repeat(4.0 * np.arange(cell[0]), cell[1])
+            zy = np.tile(4.0 * np.arange(cell[1]), cell[0])
+            assert lattice[0].shape == lattice[1].shape == (5, cell[0] * cell[1])
+            for m in range(5):
+                got = _bilinear([(padded[m], diff[m]) for padded, diff in tables], zx, zy)
+                assert np.array_equal(lattice[0][m], got[0])
+                assert np.array_equal(lattice[1][m], got[1])
 
-    @pytest.mark.parametrize("case", ["heat", "weighted_iterate", "n12"])
+    @pytest.mark.parametrize(
+        "case", ["heat", "weighted_iterate", "n12", "single_mode", "full_spectrum"]
+    )
     def test_drifted_step_matches_one_chunk_reference(self, case):
         # 37 branches: chunks of 16, 16 and 5, with 16 groups of 2-3
-        # branches straddling the chunk boundaries
+        # branches straddling the chunk boundaries.  The reference runs on
+        # the whole lattice, the step on the cell psi and u repeat on.
         n = 12 if case == "n12" else 16  # 12: grid units are not exact scalings
         cfg = SolverConfig(N=n, L=8, M_inner=37, nu=0.3, T=0.2, alpha=0.0)
         assert _DRIFTED_CHUNK == 16
-        prev = heat_iterate(two_mode(n), cfg, 0.0)
+        psi, cell = two_mode(n), (n, n // 2)  # period 1/2 in x2
+        if case == "single_mode":
+            psi, cell = sin1(n), (n, 1)  # constant along x2
+        elif case == "full_spectrum":
+            psi, cell = random_mean_zero_field(n, 21) * 2.0, (n, n)
+        prev = heat_iterate(psi, cfg, 0.0)
         if case == "weighted_iterate":
             # noise lifts the velocity modes on the weighted step's cell
             prev = solve_weighted_with_stats(prev, dataclasses.replace(cfg, M_inner=64))[0]
+        solve = solve_drifted_with_stats(prev, cfg)
+        assert solve[1].group_modes.shape == (cfg.groups, cfg.L + 1) + cell
         assert_solve_matches_reference(
-            solve_drifted_with_stats(prev, cfg),
-            _linear_solve(prev, cfg, brownian.TAG_DRIFT, drifted_estimator_one_chunk),
+            solve, _linear_solve(prev, cfg, brownian.TAG_DRIFT, drifted_estimator_one_chunk)
         )
 
     def test_half_plane_point_values_match_all_modes(self):
@@ -559,6 +576,20 @@ class TestPicardSolve:
         cfg = SolverConfig(N=32, L=8, M_inner=8, nu=0.3, T=0.2, groups=2)
         with pytest.raises(ConfigurationError):
             picard_solve(sin1(), cfg)
+
+    def test_nyquist_mode_of_psi_rejected(self):
+        # the heat iterate keeps psi's (N/2, 0) mode and the linear step
+        # cannot, so the solve would lose it and read it as a Picard delta
+        n = 16
+        modes = field_from_mode_list(n, [(0, 2, 0.25), (0, 4, 0.1)]).modes.copy()
+        modes[n // 2, 0] = 0.05
+        psi = ScalarField(modes)
+        cfg = SolverConfig(N=n, L=8, M_inner=40, nu=0.3, T=0.2)
+        match = r"Nyquist mode at index \(8, 0\)"
+        with pytest.raises(ConfigurationError, match=match):
+            picard_solve(psi, cfg)
+        with pytest.raises(ConfigurationError, match=match):
+            solve_drifted_with_stats(heat_iterate(psi, cfg, 0.0), cfg)
 
     def test_feynman_kac_identity_pointwise(self):
         # Y(t, x) read as omega(T - t, x + sqrt(2 nu) B_t) from the solver
