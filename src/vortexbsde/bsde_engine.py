@@ -58,9 +58,15 @@ from .torus_field import (
 
 TWO_PI = 2.0 * np.pi
 
-#: Branches per chunk of the weighted solve: keeps one node's (chunk, N, N)
-#: temporaries in a core's L2 cache.
+#: Branches per chunk of the weighted solve: keeps one node's (chunk, n1,
+#: n2) temporaries, on its lattice cell, in a core's L2 cache.
 _WEIGHTED_CHUNK = 64
+
+#: Cell values per node block of the weighted solve: a chunk of bc branches
+#: takes max(1, _WEIGHTED_BLOCK // (bc * n1 * n2)) consecutive nodes at a
+#: time, so a small cell's block is as large as one node of the two-mode
+#: (32, 16) cell and the per-call overhead is paid once per block.
+_WEIGHTED_BLOCK = 64 * 32 * 16
 
 #: Branches per chunk of the drifted solve: keeps one Euler step's
 #: (chunk * n1 * n2) point temporaries, on its lattice cell, in a core's
@@ -202,10 +208,11 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
     samples)``: the correction and psi repeat on the lattice cell (n1, n2)
     at the origin, n_a dividing N ((N, N) is the whole lattice), which each
     estimator takes from the modes it reads (``_cell``); ``samples(db,
-    disp)`` yields ``(m, sample)`` for nodes m = 1..L, ``sample`` being the
-    (branches, n1, n2) cell values of the correction for one chunk of
-    branches.  Sums and groups stay on the cell; only the sums are tiled
-    over the lattice, for the mean and the standard errors.
+    disp)`` yields ``(m, sample)`` blocks of consecutive nodes that cover
+    m = 1..L in order, ``sample`` being the (branches, k, n1, n2) cell
+    values of the correction at nodes m..m+k-1 for one chunk of branches.
+    Sums and groups stay on the cell; only the sums are tiled over the
+    lattice, for the mean and the standard errors.
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     m_inner, n_groups = config.M_inner, config.groups
@@ -246,22 +253,23 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
         )
         run_groups = group_of[b0:b1][run_starts]
         for m, sample in samples(db[b0:b1], disp[b0:b1]):
+            nodes = slice(m, m + sample.shape[1])
             # A non-finite sample (e.g. an overflowing Girsanov weight) makes
             # its squared sum non-finite; clipping it would bias the mean.
             with np.errstate(over="ignore", invalid="ignore"):
-                sq = np.einsum("bij,bij->ij", sample, sample)
-                finite = np.all(np.isfinite(sq))
-            if not finite:
+                sq = np.einsum("bmij,bmij->mij", sample, sample)
+                finite = np.isfinite(sq).all(axis=(1, 2))
+            if not finite.all():
                 raise NumericalError(
                     "non-finite Monte Carlo sample in linear solve",
-                    diagnostics={"node": m},
+                    diagnostics={"node": m + int(np.argmin(finite))},
                 )
-            sumsq_f[m] += sq
+            sumsq_f[nodes] += sq
             # group_of is non-decreasing, so the groups of a chunk's runs
             # are distinct and plain fancy-index addition is exact.
             partial = np.add.reduceat(sample, run_starts, axis=0)
-            sum_f[m] += partial.sum(axis=0)
-            group_sum[run_groups, m] += partial
+            sum_f[nodes] += partial.sum(axis=0)
+            group_sum[run_groups, nodes] += partial
     del samples  # frees the estimator's tables before the assembly allocates
     reps = (1, n // cell[0], n // cell[1])
     return _assemble_iterate(
@@ -430,7 +438,8 @@ class _SubBlock:
 
 def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     """Samples psi(z + disp_m) * (W_m - 1) over Girsanov-weighted branches,
-    on the lattice cell of the ``_SubBlock`` its modes occupy."""
+    on the lattice cell of the ``_SubBlock`` its modes occupy, in blocks of
+    consecutive nodes sized by ``_WEIGHTED_BLOCK``: one synthesis per block."""
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     sqrt2nu = np.sqrt(2.0 * nu)
 
@@ -458,8 +467,8 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
         cell = _cell(np.flatnonzero(psi_modes), n)
 
         def no_correction(db, disp):
-            for m in range(1, steps + 1):
-                yield m, np.zeros((db.shape[0],) + cell)
+            # one block of every node, as a read-only view of a single zero
+            yield 1, np.broadcast_to(0.0, (db.shape[0], steps) + cell)
 
         return _WEIGHTED_CHUNK, cell, no_correction
 
@@ -503,6 +512,7 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     xp, xa, xq = np.split(kx_of, [ip1.size, ip1.size + ia1.size])
     yp, ya, yq = np.split(ky_of, [ip2.size, ip2.size + ia2.size])
     kx, ky = kx.astype(np.float64), ky.astype(np.float64)
+    n1, n2 = block.cell
 
     def samples(db, disp):
         bc = db.shape[0]
@@ -519,19 +529,22 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
         fa2 *= fu2
         fa += fa2
         del fa2
-        a_nodes = np.fft.ifft(fa, axis=1)[:, 1 : steps + 1, :]
+        # indexed by node m; node 0, the empty sum, is never read
+        a_nodes = np.fft.ifft(fa, axis=1)[:, : steps + 1, :]
         del fa
         fqq = np.fft.fft(px[:, :steps, xq] * py[:, :steps, yq], n=pad, axis=1)
         fqq *= fq
-        q_nodes = np.fft.ifft(fqq, axis=1)[:, 1 : steps + 1, :]
+        q_nodes = np.fft.ifft(fqq, axis=1)[:, : steps + 1, :]
         del fqq
 
-        for m in range(1, steps + 1):
-            z = np.zeros((bc, size), dtype=np.complex128)
-            z[:, slot_p] = ipsi * (px[:, m, xp] * py[:, m, yp])
-            z[:, slot_a] += a_nodes[:, m - 1, :] / sqrt2nu
-            z[:, slot_q] += plan_q.accumulate(q_nodes[:, m - 1, :]) * (dt / (4.0 * nu))
-            g = block.synthesise(z)
+        k = max(1, _WEIGHTED_BLOCK // (bc * n1 * n2))
+        for m in range(1, steps + 1, k):
+            nodes = slice(m, min(m + k, steps + 1))
+            z = np.zeros((bc, nodes.stop - m, size), dtype=np.complex128)
+            z[:, :, slot_p] = ipsi * (px[:, nodes, xp] * py[:, nodes, yp])
+            z[:, :, slot_a] += a_nodes[:, nodes, :] / sqrt2nu
+            z[:, :, slot_q] += plan_q.accumulate(q_nodes[:, nodes, :]) * (dt / (4.0 * nu))
+            g = block.synthesise(z.reshape(-1, size)).reshape(z.shape[:2] + (n1, n2))
             # An overflowing weight is left to the skeleton's finiteness check.
             with np.errstate(over="ignore", invalid="ignore"):
                 sample = g.imag * np.expm1(-g.real)
@@ -644,16 +657,17 @@ def _velocity_tables(u1: np.ndarray, u2: np.ndarray, cell):
 def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
     """Samples psi(X_m) - psi(z + disp_m) along Euler-Maruyama paths X.
 
-    Runs in chunks of ``_DRIFTED_CHUNK`` branches.  Paths advance in units
-    of the 4x velocity grid's spacing (an exact rescaling for power-of-two
-    N).  Every node's paths start on the lattice cell (n1, n2) that psi and
-    every node of u repeat on, whose points are nodes of that grid, so the
-    first Euler step reads the grid instead of interpolating.  Every
-    lattice point shares the branch noise, and a shift by n_a lattice
-    points is a shift by 4 n_a whole grid nodes, so paths from equivalent
-    lattice points differ by that shift and their samples agree up to the
-    rounding of the positions.  The bilinear step reads every mode of u, so
-    the cell is taken from the exactly nonzero modes, with no threshold.
+    Runs in chunks of ``_DRIFTED_CHUNK`` branches, one node per block.
+    Paths advance in units of the 4x velocity grid's spacing (an exact
+    rescaling for power-of-two N).  Every node's paths start on the
+    lattice cell (n1, n2) that psi and every node of u repeat on, whose
+    points are nodes of that grid, so the first Euler step reads the grid
+    instead of interpolating.  Every lattice point shares the branch noise,
+    and a shift by n_a lattice points is a shift by 4 n_a whole grid nodes,
+    so paths from equivalent lattice points differ by that shift and their
+    samples agree up to the rounding of the positions.  The bilinear step
+    reads every mode of u, so the cell is taken from the exactly nonzero
+    modes, with no threshold.
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     p = 4 * n
@@ -696,7 +710,7 @@ def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
                 y += d2
             vals = _spectral_point_values(half, x / p, y / p)
             cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
-            yield m, (vals - cv_vals).reshape(bc, n1, n2)
+            yield m, (vals - cv_vals).reshape(bc, 1, n1, n2)
 
     return _DRIFTED_CHUNK, (n1, n2), samples
 

@@ -216,7 +216,7 @@ def weighted_estimator_two_transform(config, psi_modes, u1, u2):
                 expo += qq.reshape(bc, 2, n, 2, n).sum(axis=(1, 3))
             w_minus_1 = np.expm1(-modes_to_grid(expo))
             psi_shift = modes_to_grid(psi_modes * phase(disp[:, m], k_base))
-            yield m, psi_shift * w_minus_1
+            yield m, (psi_shift * w_minus_1)[:, None]  # one node per block
 
     return config.M_inner, (config.N, config.N), samples
 
@@ -260,6 +260,6 @@ def drifted_estimator_one_chunk(config, psi_modes, u1, u2):
                 y += -drift.imag * dt + sqrt2nu * db[:, j, 1, None]
             vals = _spectral_point_values(half, x, y)
             cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
-            yield m, (vals - cv_vals).reshape(bc, n, n)
+            yield m, (vals - cv_vals).reshape(bc, 1, n, n)  # one node per block
 
     return config.M_inner, (config.N, config.N), samples

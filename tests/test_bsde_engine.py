@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from vortexbsde import brownian
+from vortexbsde import brownian, bsde_engine
 from vortexbsde.biot_savart import velocity_modes
 from vortexbsde.bsde_engine import (
     PicardIterate,
     SolverConfig,
     _SubBlock,
     _DRIFTED_CHUNK,
+    _WEIGHTED_BLOCK,
     _bilinear,
     _bilinear_tables,
     _cell,
@@ -19,6 +20,7 @@ from vortexbsde.bsde_engine import (
     _on_cell,
     _spectral_point_values,
     _velocity_tables,
+    _weighted_estimator,
     bsde_residual_profile,
     heat_iterate,
     heat_mode_stack,
@@ -226,20 +228,32 @@ class TestLinearSolve:
         # Increments scaled by 4e4 keep the exponent finite but overflow
         # expm1(-exponent): a non-finite weight is a numerical failure (exit
         # 3), not a NaN iterate that later reads as non-convergence (exit 4).
+        # Scaled by 5e3 they overflow first at a later node of the block.
         ensemble = brownian.ensemble_increments
-        monkeypatch.setattr(
-            brownian, "ensemble_increments", lambda *args: 4e4 * ensemble(*args)
-        )
         cfg = SolverConfig(N=16, L=8, M_inner=16, nu=0.3, T=0.2, alpha=0.0, groups=2)
-        # the overflow is reported by the error alone, not by numpy warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(NumericalError, match="non-finite") as exc:
-                solve_weighted_with_stats(heat_iterate(two_mode(), cfg, 0.0), cfg)
-            assert exc.value.exit_code == 3
-            assert 1 <= exc.value.diagnostics["node"] <= cfg.L
-            with pytest.raises(NumericalError, match="non-finite"):
-                picard_solve(two_mode(), cfg)
+        prev = heat_iterate(two_mode(), cfg, 0.0)
+        for scale in (4e4, 5e3):
+            monkeypatch.setattr(
+                brownian, "ensemble_increments", lambda *args: scale * ensemble(*args)
+            )
+            errors, blocks = [], []
+            # the overflow is reported by the error alone, not by numpy warnings
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                for node_block in (_WEIGHTED_BLOCK, 1):
+                    monkeypatch.setattr(bsde_engine, "_WEIGHTED_BLOCK", node_block)
+                    blocks.append(record_weighted_blocks(monkeypatch))
+                    with pytest.raises(NumericalError, match="non-finite") as exc:
+                        solve_weighted_with_stats(prev, cfg)
+                    errors.append(exc.value)
+                with pytest.raises(NumericalError, match="non-finite"):
+                    picard_solve(two_mode(), cfg)
+            # one block of every node, then one node per block
+            assert blocks[0][0] == (1, cfg.L) and blocks[1][0] == (1, 1)
+            blocked, single = errors
+            assert blocked.exit_code == single.exit_code == 3
+            assert blocked.diagnostics["node"] == single.diagnostics["node"]
+            assert (blocked.diagnostics["node"] > 1) == (scale == 5e3)
 
     def test_drift_guard(self):
         cfg = SolverConfig(N=16, L=2, M_inner=8, nu=1e-5, T=2.0, alpha=0.0, groups=2)
@@ -252,6 +266,60 @@ class TestLinearSolve:
         with pytest.raises(ConfigurationError):
             solve_weighted_with_stats(heat_iterate(two_mode(16), SolverConfig(
                 N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2), 0.0), cfg)
+
+
+def record_weighted_blocks(monkeypatch, single_nodes=False) -> list:
+    """Wraps the weighted estimator so that each node block it yields
+    appends (first node, nodes) to the returned list.  With
+    ``single_nodes`` the block is passed on one node at a time, as the
+    zero-drift branch's one block is not sized by ``_WEIGHTED_BLOCK``."""
+    blocks = []
+
+    def recording(*args):
+        chunk, cell, samples = _weighted_estimator(*args)
+
+        def recorded(db, disp):
+            for m, sample in samples(db, disp):
+                blocks.append((m, sample.shape[1]))
+                if not single_nodes:
+                    yield m, sample
+                    continue
+                for i in range(sample.shape[1]):
+                    yield m + i, sample[:, i : i + 1]
+
+        return chunk, cell, recorded
+
+    monkeypatch.setattr(bsde_engine, "_weighted_estimator", recording)
+    return blocks
+
+
+def solve_arrays(solve) -> list:
+    """The mode stack and every ``SolveStats`` array of a linear solve."""
+    it, stats = solve
+    return [it.mode_stack()] + [getattr(stats, f.name) for f in dataclasses.fields(stats)]
+
+
+def node_block_case(case):
+    """(prev, config, blocks) of a weighted step whose node blocks are
+    ``blocks``, (first node, nodes) per block, chunk by chunk."""
+    cfg = SolverConfig(N=32, L=8, M_inner=64, nu=0.3, T=0.2, alpha=0.0)
+    if case == "single_mode":
+        # cell (32, 1): 16 nodes per block, so L = 20 leaves a block of 4
+        cfg = dataclasses.replace(cfg, L=20)
+        return heat_iterate(sin1(32), cfg, 0.0), cfg, [(1, 16), (17, 4)]
+    if case == "partial_chunk":
+        # chunks of 64 and 36 branches; the second takes 32768 // (36 * 32)
+        # = 28 nodes per block, one block of all 20
+        cfg = dataclasses.replace(cfg, L=20, M_inner=100)
+        return heat_iterate(sin1(32), cfg, 0.0), cfg, [(1, 16), (17, 4), (1, 20)]
+    if case == "even_modes":
+        psi = field_from_mode_list(32, [(2, 0, -0.5j), (0, 2, 0.5)])  # cell (16, 16)
+        return heat_iterate(psi, cfg, 0.0), cfg, [(m, 2) for m in range(1, 9, 2)]
+    if case == "two_mode":
+        # cell (32, 16): one node per block, as before blocks
+        return heat_iterate(two_mode(32), cfg, 0.0), cfg, [(m, 1) for m in range(1, 9)]
+    # zero drift: one block of zeros holding every node
+    return iterate_with_zero_interior(two_mode(32), cfg.L), cfg, [(1, 8)]
 
 
 def assert_solve_matches_reference(solve, reference):
@@ -348,6 +416,32 @@ class TestHotLoopKernels:
         stats = self._assert_weighted_matches_reference(prev, cfg)
         assert [b.cell for b in blocks] == ([] if case == "zero_drift" else [cell])
         assert stats.group_modes.shape == (cfg.groups, cfg.L + 1) + cell
+
+    @pytest.mark.parametrize(
+        "case", ["single_mode", "partial_chunk", "even_modes", "two_mode", "zero_drift"]
+    )
+    def test_node_blocks_match_one_node_per_block(self, case, monkeypatch):
+        prev, cfg, expected = node_block_case(case)
+        # Picard iterates from the heat iterate, whose velocity is not zero,
+        # so the zero-drift case compares the step alone
+        picard = case != "zero_drift"
+        runs = []
+        for node_block, single_nodes in ((_WEIGHTED_BLOCK, False), (1, True)):
+            monkeypatch.setattr(bsde_engine, "_WEIGHTED_BLOCK", node_block)
+            blocks = record_weighted_blocks(monkeypatch, single_nodes)
+            solve = solve_weighted_with_stats(prev, cfg)
+            step_blocks = list(blocks)  # before the Picard solve adds its own
+            runs.append((solve, step_blocks, picard_solve(prev.fields[0], cfg) if picard else None))
+        (solve, got_blocks, sol), (ref_solve, ref_blocks, ref_sol) = runs
+        assert got_blocks == expected
+        chunks = -(-cfg.M_inner // 64)
+        assert ref_blocks == ([(m, 1) for m in range(1, cfg.L + 1)] * chunks if picard else expected)
+        for got, ref in zip(solve_arrays(solve), solve_arrays(ref_solve), strict=True):
+            assert np.array_equal(got, ref)
+        if picard:
+            assert np.array_equal(sol.y.mode_stack(), ref_sol.y.mode_stack())
+            assert sol.history == ref_sol.history
+            assert sol.norms == ref_sol.norms
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sub_block_synthesis_matches_ifft2(self, seed):
