@@ -42,8 +42,9 @@ import numpy as np
 from . import brownian
 from .biot_savart import closed_form_c0, velocity_modes
 from .errors import ConfigurationError, DomainError, NonConvergenceError, NumericalError
-from .spectral_oracle import _advection_modes
+from .spectral_oracle import VorticityTrajectory, _advection_modes
 from .torus_field import (
+    TWO_PI,
     ScalarField,
     _nyquist_mask,
     _phase_grid,
@@ -55,8 +56,6 @@ from .torus_field import (
     sup_norm,
     wavenumbers,
 )
-
-TWO_PI = 2.0 * np.pi
 
 #: Branches per chunk of the weighted solve: keeps one node's (chunk, n1,
 #: n2) temporaries, on its lattice cell, in a core's L2 cache.
@@ -114,40 +113,28 @@ class SolverConfig:
         return self.T / self.L
 
 
-@dataclass(frozen=True)
-class PicardIterate:
-    """Deterministic vorticity fields omega_n(tau_m, .) of one Picard step.
-
-    The tau = 0 slice is the terminal data psi (Y_n(T, .) represents the
-    random terminal value through the Markovian reduction).
-    """
-
-    fields: tuple
-    iteration_index: int
-    alpha: float
-
-    def __post_init__(self):
-        if len(self.fields) < 2:
-            raise ConfigurationError("iterate needs at least two time nodes")
-        n = self.fields[0].grid_size
-        if any(f.grid_size != n for f in self.fields):
-            raise ConfigurationError("iterate fields disagree on grid size")
-
-    @property
-    def steps(self) -> int:
-        return len(self.fields) - 1
-
-    def mode_stack(self) -> np.ndarray:
-        return np.stack([f.modes for f in self.fields])
+def _check_trajectory_config(traj: VorticityTrajectory, config: SolverConfig, owner: str):
+    """``traj`` must sit on the grid ``config`` describes: grid size, step
+    count, nu and dt, each to 1e-12 relative; ``owner`` names it in the error."""
+    found = {
+        "grid size": (traj.grid_size, config.N),
+        "step count": (traj.steps, config.L),
+        "nu": (traj.nu, config.nu),
+        "dt": (traj.dt, config.dt),
+    }
+    for what, (got, want) in found.items():
+        if not abs(got - want) <= 1e-12 * abs(want):
+            raise ConfigurationError(f"{owner} {what} {got!r} disagrees with its config ({want!r})")
 
 
 @dataclass(frozen=True)
 class BsdeSolution:
-    """Converged solution pair: Y as field trajectory; Z at node tau is the
-    spatial gradient of omega(tau, .), translated by sqrt(2*nu) B_t along a
-    path."""
+    """Converged solution pair: Y as the last Picard iterate's trajectory
+    (its Picard count is ``len(history)``, its weight ``norms["alpha"]``);
+    Z at node tau is the spatial gradient of omega(tau, .), translated by
+    sqrt(2*nu) B_t along a path."""
 
-    y: PicardIterate
+    y: VorticityTrajectory
     psi: ScalarField
     config: SolverConfig
     norms: dict
@@ -182,11 +169,15 @@ def heat_mode_stack(psi_modes: np.ndarray, nu: float, dt: float, steps: int) -> 
     )
 
 
-def heat_iterate(psi: ScalarField, config: SolverConfig, alpha: float) -> PicardIterate:
-    """Iterate 0: the h = 0 solve, i.e. the Markovian form of E{xi(x)|F_t}."""
+def heat_iterate(psi: ScalarField, config: SolverConfig, alpha=None) -> VorticityTrajectory:
+    """Iterate 0: the h = 0 solve, i.e. the Markovian form of E{xi(x)|F_t}.
+
+    ``alpha`` is unread: the Picard weight lives in the solution's norms;
+    the parameter stays for callers that still pass it.
+    """
     stack = heat_mode_stack(psi.modes, config.nu, config.dt, config.L)
     fields = tuple(ScalarField(m) for m in stack)
-    return PicardIterate(fields, 0, alpha)
+    return VorticityTrajectory(fields, nu=config.nu, dt=config.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +188,15 @@ def _lattice_sup(stack: np.ndarray) -> np.ndarray:
     return np.max(np.abs(modes_to_grid(stack)), axis=(-2, -1))
 
 
-def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator):
+def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, estimator):
     """One Picard step: heat control variate plus a Monte Carlo correction.
 
-    Owns what both estimators share: the grid check, the Nyquist check of
-    psi and hygiene of the later nodes, the velocity of ``prev``, the exact
-    heat stack, the keyed increments and displacements, branch chunking and
-    the sum, sum-of-squares and group accumulation.
+    ``prev`` is the previous iterate omega_n(tau_m, .), whose tau = 0 slice
+    is the terminal data psi.  Owns what both estimators share: the check
+    of ``prev`` against the config (grid size, step count, nu and dt), the
+    Nyquist check of psi and hygiene of the later nodes, the velocity of
+    ``prev``, the exact heat stack, the keyed increments and displacements,
+    branch chunking and the sum, sum-of-squares and group accumulation.
     ``estimator(config, psi_modes, u1, u2)`` returns ``(chunk, cell,
     samples)``: the correction and psi repeat on the lattice cell (n1, n2)
     at the origin, n_a dividing N ((N, N) is the whole lattice), which each
@@ -216,8 +209,7 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     m_inner, n_groups = config.M_inner, config.groups
-    if prev.steps != steps or prev.fields[0].grid_size != n:
-        raise ConfigurationError("iterate grid does not match solver config")
+    _check_trajectory_config(prev, config, "iterate")
 
     omega = prev.mode_stack()
     nyquist = _nyquist_mask(n)
@@ -273,11 +265,11 @@ def _linear_solve(prev: PicardIterate, config: SolverConfig, tag: int, estimator
     del samples  # frees the estimator's tables before the assembly allocates
     reps = (1, n // cell[0], n // cell[1])
     return _assemble_iterate(
-        prev, config, heat, np.tile(sum_f, reps), np.tile(sumsq_f, reps), group_sum, group_counts
+        config, heat, np.tile(sum_f, reps), np.tile(sumsq_f, reps), group_sum, group_counts
     )
 
 
-def _assemble_iterate(prev, config, heat, sum_f, sumsq_f, group_sum, group_counts):
+def _assemble_iterate(config, heat, sum_f, sumsq_f, group_sum, group_counts):
     n, m_inner = config.N, config.M_inner
     ny = _nyquist_mask(n)
     s1, s2 = n // group_sum.shape[-2], n // group_sum.shape[-1]
@@ -304,7 +296,7 @@ def _assemble_iterate(prev, config, heat, sum_f, sumsq_f, group_sum, group_count
     gmodes[:, 0] = heat[0, ::s1, ::s2][None]
 
     fields = tuple(ScalarField(m) for m in out)
-    iterate = PicardIterate(fields, prev.iteration_index + 1, prev.alpha)
+    iterate = VorticityTrajectory(fields, nu=config.nu, dt=config.dt)
     stats = SolveStats(
         se_grid=se_grid,
         pooled_se=pooled,
@@ -317,15 +309,15 @@ def _assemble_iterate(prev, config, heat, sum_f, sumsq_f, group_sum, group_count
 
 
 def solve_weighted_with_stats(
-    prev: PicardIterate, config: SolverConfig
-) -> tuple[PicardIterate, SolveStats]:
+    prev: VorticityTrajectory, config: SolverConfig
+) -> tuple[VorticityTrajectory, SolveStats]:
     """One Picard step by Girsanov-weighted branch averages; returns stats."""
     return _linear_solve(prev, config, brownian.TAG_INNER, _weighted_estimator)
 
 
 def solve_drifted_with_stats(
-    prev: PicardIterate, config: SolverConfig
-) -> tuple[PicardIterate, SolveStats]:
+    prev: VorticityTrajectory, config: SolverConfig
+) -> tuple[VorticityTrajectory, SolveStats]:
     """One Picard step by Euler-Maruyama on dX = -u_n dt + sqrt(2 nu) dB.
 
     Equivalent in law to the Girsanov-weighted solve; used as an
@@ -806,7 +798,7 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
     c0 = closed_form_c0(1, config.N)
     alpha = config.alpha if config.alpha is not None else select_alpha(c0, c1, config.nu, config.T)
 
-    current = heat_iterate(psi, config, alpha)
+    current = heat_iterate(psi, config)
     if c1 == 0.0:
         return _finalize_solution(psi, config, current, None, (), c0, c1, alpha)
 
@@ -816,14 +808,14 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
     history = []
     prev_delta_norm = None
     converged = False
-    for _ in range(config.max_iter):
+    for iteration in range(1, config.max_iter + 1):
         nxt, stats = solve_weighted_with_stats(current, config)
         eps_mc = 4.0 * float(np.max(stats.max_se))
         margin = float(np.min(c1 + eps_mc - stats.sup_lattice))
         if margin < 0.0:
             raise NumericalError(
                 "maximum principle violated beyond Monte Carlo allowance",
-                diagnostics={"margin": margin, "iteration": nxt.iteration_index},
+                diagnostics={"margin": margin, "iteration": iteration},
             )
 
         delta = nxt.mode_stack() - current.mode_stack()
@@ -854,7 +846,7 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
         delta_floor = 4.0 * float(np.max(weights * delta_se_pooled))
 
         record = {
-            "iteration": nxt.iteration_index,
+            "iteration": iteration,
             "delta_y_alpha": dy,
             "delta_z_alpha": float(np.sqrt(dz_sq)),
             "delta_norm": delta_norm,

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde_engine import BsdeSolution, PicardIterate, SolverConfig
+from .bsde_engine import BsdeSolution, SolverConfig, _check_trajectory_config
 from .errors import ConfigurationError
 from .spectral_oracle import VorticityTrajectory
 from .torus_field import ScalarField
@@ -118,17 +118,12 @@ def read_trajectory(path) -> VorticityTrajectory:
         raise ConfigurationError("not a trajectory checkpoint (bad magic)")
     if version != FORMAT_VERSION:
         raise ConfigurationError(f"unsupported trajectory format version {version}")
-    # A NaN passes every later comparison with dt and nu, so reject it here.
-    if not (0 < dt < math.inf and 0 < nu < math.inf):
-        raise ConfigurationError(f"trajectory needs finite positive dt and nu, got {dt!r}, {nu!r}")
     offset = _TRAJ_HEADER.size
     fields = []
     for _ in range(steps + 1):
         f, offset = field_from_bytes(buf, offset)
         fields.append(f)
     _check_consumed(buf, offset, "trajectory checkpoint")
-    if any(f.grid_size != fields[0].grid_size for f in fields):
-        raise ConfigurationError("trajectory fields disagree on grid size")
     return VorticityTrajectory(tuple(fields), nu=nu, dt=dt)
 
 
@@ -154,13 +149,18 @@ def _is_number(value) -> bool:
 _NORM_KEYS = ("c1", "c0", "alpha", "y_sup", "z_bmo_sq_debiased", "z_bmo_sq_se")
 #: Entries of every ``history`` record the diagnostics read, and the checks
 #: their values must pass; the optional ones are checked only when present.
+#: ``sup_lattice`` must also hold one number per time node.
 _RECORD_KEYS = {
     "iteration": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "eps_mc": _is_number,
     "sup_lattice": lambda v: isinstance(v, list) and all(map(_is_number, v)),
     "delta_norm": _is_number,
 }
-_OPTIONAL_RECORD_KEYS = ("contraction_ratio", "delta_norm_se")
+_OPTIONAL_RECORD_KEYS = {
+    "contraction_ratio": _is_number,
+    "delta_norm_se": _is_number,
+    "ratio_above_noise": lambda v: isinstance(v, bool),
+}
 
 
 def _fits(value, annotation: str) -> bool:
@@ -193,21 +193,7 @@ def _config_from_dict(d: dict) -> SolverConfig:
     return SolverConfig(**d)
 
 
-def _check_matches_config(psi: ScalarField, traj: VorticityTrajectory, config: SolverConfig):
-    """The bundle's fields must sit on the grids its config describes."""
-    found = {
-        "psi grid size": (psi.grid_size, config.N),
-        "trajectory grid size": (traj.grid_size, config.N),
-        "trajectory step count": (traj.steps, config.L),
-        "trajectory nu": (traj.nu, config.nu),
-        "trajectory dt": (traj.dt, config.dt),
-    }
-    for what, (got, want) in found.items():
-        if not abs(got - want) <= 1e-12 * abs(want):
-            raise ConfigurationError(f"bundle {what} {got!r} disagrees with its config ({want!r})")
-
-
-def _check_report(where: Path, norms: dict, history: list) -> None:
+def _check_report(where: Path, norms: dict, history: list, steps: int) -> None:
     """The norms and history records must hold what the diagnostics read."""
     bad = [key for key in _NORM_KEYS if not _is_number(norms.get(key))]
     if bad:
@@ -216,9 +202,14 @@ def _check_report(where: Path, norms: dict, history: list) -> None:
         if not isinstance(rec, dict):
             raise ConfigurationError(f"{where} history record {i} is not an object")
         bad = [key for key, ok in _RECORD_KEYS.items() if key not in rec or not ok(rec[key])]
-        bad += [key for key in _OPTIONAL_RECORD_KEYS if key in rec and not _is_number(rec[key])]
+        bad += [key for key, ok in _OPTIONAL_RECORD_KEYS.items() if key in rec and not ok(rec[key])]
         if bad:
             raise ConfigurationError(f"{where} history record {i} has missing or ill-typed {bad}")
+        if len(rec["sup_lattice"]) != steps + 1:
+            raise ConfigurationError(
+                f"{where} history record {i} sup_lattice has {len(rec['sup_lattice'])} "
+                f"entries, not L+1 = {steps + 1}"
+            )
 
 
 def write_solution_bundle(directory, solution: BsdeSolution) -> list:
@@ -230,17 +221,14 @@ def write_solution_bundle(directory, solution: BsdeSolution) -> list:
         "config": asdict(solution.config),
         "norms": solution.norms,
         "history": list(solution.history),
-        "iteration_index": solution.y.iteration_index,
-        "alpha": solution.y.alpha,
+        "iteration_index": len(solution.history),
+        "alpha": solution.norms["alpha"],
     }
     (directory / "solution.json").write_text(
         json.dumps(doc, sort_keys=True, indent=1) + "\n"
     )
     write_field(directory / "psi.vbsf", solution.psi)
-    traj = VorticityTrajectory(
-        solution.y.fields, nu=solution.config.nu, dt=solution.config.dt
-    )
-    write_trajectory(directory / "y_fields.vbst", traj)
+    write_trajectory(directory / "y_fields.vbst", solution.y)
     return ["solution.json", "psi.vbsf", "y_fields.vbst"]
 
 
@@ -263,11 +251,14 @@ def read_solution_bundle(directory) -> BsdeSolution:
     config = _config_from_dict(doc["config"])
     psi = read_field(directory / "psi.vbsf")
     traj = read_trajectory(directory / "y_fields.vbst")
-    _check_matches_config(psi, traj, config)
-    _check_report(directory / "solution.json", doc["norms"], doc["history"])
-    iterate = PicardIterate(traj.fields, doc["iteration_index"], doc["alpha"])
+    if psi.grid_size != config.N:
+        raise ConfigurationError(
+            f"bundle psi grid size {psi.grid_size!r} disagrees with its config ({config.N!r})"
+        )
+    _check_trajectory_config(traj, config, "bundle trajectory")
+    _check_report(directory / "solution.json", doc["norms"], doc["history"], config.L)
     return BsdeSolution(
-        y=iterate,
+        y=traj,
         psi=psi,
         config=config,
         norms=doc["norms"],

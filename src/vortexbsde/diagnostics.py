@@ -110,7 +110,7 @@ def contraction_check(history, alpha: float) -> dict:
         if prev is not None and "contraction_ratio" in rec:
             r = rec["contraction_ratio"]
             ratios.append(r)
-            above.append(bool(rec.get("ratio_above_noise", False)))
+            above.append(rec.get("ratio_above_noise", False))
             num, den = rec["delta_norm"], prev["delta_norm"]
             se_n, se_d = rec.get("delta_norm_se", 0.0), prev.get("delta_norm_se", 0.0)
             rel = 0.0

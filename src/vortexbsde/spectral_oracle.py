@@ -34,11 +34,26 @@ CFL_LIMIT = 0.5
 
 @dataclass(frozen=True)
 class VorticityTrajectory:
-    """Vorticity fields omega(tau_m, .) on the uniform grid tau_m = m*dt."""
+    """Vorticity fields omega(tau_m, .) on the uniform grid tau_m = m*dt.
+
+    The one trajectory type: oracle runs, Picard iterates (whose tau = 0
+    slice is the terminal data psi) and ``.vbst`` checkpoints.
+    """
 
     fields: tuple
     nu: float
     dt: float
+
+    def __post_init__(self):
+        if len(self.fields) < 2:
+            raise ConfigurationError("trajectory needs at least two time nodes")
+        if any(f.grid_size != self.fields[0].grid_size for f in self.fields):
+            raise ConfigurationError("trajectory fields disagree on grid size")
+        # A NaN passes every later comparison with dt and nu, so reject it here.
+        if not (0 < self.dt < math.inf and 0 < self.nu < math.inf):
+            raise ConfigurationError(
+                f"trajectory needs finite positive dt and nu, got {self.dt!r}, {self.nu!r}"
+            )
 
     @property
     def steps(self) -> int:

@@ -115,11 +115,6 @@ class ScalarField:
             raise ConfigurationError("grid size mismatch in field subtraction")
         return ScalarField(self.modes - other.modes)
 
-    def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(self.modes * float(c))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class VectorField:

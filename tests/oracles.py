@@ -14,9 +14,10 @@ import numpy as np
 
 from vortexbsde import brownian
 from vortexbsde.biot_savart import apply_K
-from vortexbsde.bsde_engine import TWO_PI, _half_plane_modes, _spectral_point_values
+from vortexbsde.bsde_engine import _half_plane_modes, _spectral_point_values
 from vortexbsde.errors import ConfigurationError, NumericalError
 from vortexbsde.torus_field import (
+    TWO_PI,
     ScalarField,
     _nyquist_mask,
     _sobolev_symbol,

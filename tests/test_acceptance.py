@@ -150,7 +150,7 @@ def test_criterion_2_single_mode_fixture(single_mode_run):
 
 
 def test_criterion_3_heat_equation_reduction():
-    from vortexbsde.bsde_engine import PicardIterate
+    from vortexbsde.spectral_oracle import VorticityTrajectory
     from vortexbsde.torus_field import ScalarField
 
     start = time.perf_counter()
@@ -159,7 +159,7 @@ def test_criterion_3_heat_equation_reduction():
         N=N, L=128, M_inner=1000, nu=0.5, T=0.25, alpha=0.0, base_seed=42
     )
     zero = ScalarField(np.zeros((N, N)))
-    prev = PicardIterate((psi,) + (zero,) * cfg.L, 0, 0.0)
+    prev = VorticityTrajectory((psi,) + (zero,) * cfg.L, nu=cfg.nu, dt=cfg.dt)
     it, stats = solve_weighted_with_stats(prev, cfg)
     heat = heat_mode_stack(psi.modes, cfg.nu, cfg.dt, cfg.L)
     worst = 0.0
@@ -255,7 +255,7 @@ def test_criterion_6_bmo_bound(single_mode_run, two_mode_run):
 
 def test_criterion_7_contraction(two_mode_run, two_mode_deep_run):
     # convergence clause: the 2x-noise-floor run stops within max_iter = 8
-    converged_within = two_mode_run.y.iteration_index
+    converged_within = len(two_mode_run.history)
     assert converged_within <= 8
     # ratio clause: the deep run exposes the ratio sequence
     rep = contraction_check(two_mode_deep_run.history, two_mode_deep_run.norms["alpha"])

@@ -7,7 +7,6 @@ import pytest
 from vortexbsde import brownian, bsde_engine
 from vortexbsde.biot_savart import velocity_modes
 from vortexbsde.bsde_engine import (
-    PicardIterate,
     SolverConfig,
     _SubBlock,
     _DRIFTED_CHUNK,
@@ -37,6 +36,7 @@ from vortexbsde.errors import (
     NonConvergenceError,
     NumericalError,
 )
+from vortexbsde.spectral_oracle import VorticityTrajectory
 from vortexbsde.torus_field import (
     ScalarField,
     _nyquist_mask,
@@ -72,10 +72,10 @@ def zero_field(n):
     return ScalarField(np.zeros((n, n)))
 
 
-def iterate_with_zero_interior(psi, steps):
+def iterate_with_zero_interior(psi, cfg):
     """prev with psi at the terminal slice and zero fields after: h == 0."""
-    fields = (psi,) + tuple(zero_field(psi.grid_size) for _ in range(steps))
-    return PicardIterate(fields, 0, 0.0)
+    fields = (psi,) + tuple(zero_field(psi.grid_size) for _ in range(cfg.L))
+    return VorticityTrajectory(fields, nu=cfg.nu, dt=cfg.dt)
 
 
 class TestTerminalValue:
@@ -150,7 +150,7 @@ class TestGirsanovWeight:
 class TestLinearSolve:
     def test_zero_prev_reduces_to_heat(self):
         cfg = SolverConfig(N=16, L=8, M_inner=50, nu=0.3, T=0.2, alpha=0.0)
-        prev = iterate_with_zero_interior(two_mode(), cfg.L)
+        prev = iterate_with_zero_interior(two_mode(), cfg)
         it, stats = solve_weighted_with_stats(prev, cfg)
         heat = heat_mode_stack(two_mode().modes, cfg.nu, cfg.dt, cfg.L)
         for m in range(cfg.L + 1):
@@ -159,7 +159,7 @@ class TestLinearSolve:
 
     def test_terminal_slice_exact(self):
         cfg = SolverConfig(N=16, L=8, M_inner=50, nu=0.3, T=0.2, alpha=0.0)
-        prev = heat_iterate(two_mode(), cfg, 0.0)
+        prev = heat_iterate(two_mode(), cfg)
         it, _ = solve_weighted_with_stats(prev, cfg)
         assert np.array_equal(it.fields[0].modes, prev.fields[0].modes)
 
@@ -177,8 +177,8 @@ class TestLinearSolve:
             [extra * np.exp(-3.0 * m * cfg.dt) for m in range(steps + 1)]
         )
         stack[0] = psi.modes
-        prev = PicardIterate(
-            tuple(ScalarField(m) for m in stack), 0, 0.0
+        prev = VorticityTrajectory(
+            tuple(ScalarField(m) for m in stack), nu=cfg.nu, dt=cfg.dt
         )
         it, _ = solve_weighted_with_stats(prev, cfg)
 
@@ -212,7 +212,7 @@ class TestLinearSolve:
 
     def test_single_mode_fixed_point_within_noise(self):
         cfg = SolverConfig(N=16, L=16, M_inner=400, nu=0.1, T=0.4, alpha=0.0)
-        prev = heat_iterate(sin1(), cfg, 0.0)
+        prev = heat_iterate(sin1(), cfg)
         it, stats = solve_weighted_with_stats(prev, cfg)
         for m in range(1, cfg.L + 1):
             diff = l2_norm(it.fields[m] - prev.fields[m])
@@ -221,7 +221,7 @@ class TestLinearSolve:
 
     def test_outputs_mean_zero(self):
         cfg = SolverConfig(N=16, L=8, M_inner=60, nu=0.3, T=0.2, alpha=0.0)
-        it, _ = solve_weighted_with_stats(heat_iterate(two_mode(), cfg, 0.0), cfg)
+        it, _ = solve_weighted_with_stats(heat_iterate(two_mode(), cfg), cfg)
         assert all(f.modes[0, 0] == 0.0 for f in it.fields)
 
     def test_weight_overflow_fails_loudly(self, monkeypatch):
@@ -231,7 +231,7 @@ class TestLinearSolve:
         # Scaled by 5e3 they overflow first at a later node of the block.
         ensemble = brownian.ensemble_increments
         cfg = SolverConfig(N=16, L=8, M_inner=16, nu=0.3, T=0.2, alpha=0.0, groups=2)
-        prev = heat_iterate(two_mode(), cfg, 0.0)
+        prev = heat_iterate(two_mode(), cfg)
         for scale in (4e4, 5e3):
             monkeypatch.setattr(
                 brownian, "ensemble_increments", lambda *args: scale * ensemble(*args)
@@ -257,7 +257,7 @@ class TestLinearSolve:
 
     def test_drift_guard(self):
         cfg = SolverConfig(N=16, L=2, M_inner=8, nu=1e-5, T=2.0, alpha=0.0, groups=2)
-        prev = heat_iterate(40.0 * two_mode(), cfg, 0.0)
+        prev = heat_iterate(ScalarField(40.0 * two_mode().modes), cfg)
         with pytest.raises(NumericalError):
             solve_weighted_with_stats(prev, cfg)
 
@@ -265,7 +265,16 @@ class TestLinearSolve:
         cfg = SolverConfig(N=32, L=8, M_inner=8, nu=0.3, T=0.2, groups=2)
         with pytest.raises(ConfigurationError):
             solve_weighted_with_stats(heat_iterate(two_mode(16), SolverConfig(
-                N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2), 0.0), cfg)
+                N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2)), cfg)
+
+    @pytest.mark.parametrize("key, value, what", [("nu", 0.31, "nu"), ("T", 0.4, "dt")])
+    def test_iterate_parameters_disagree_with_config(self, key, value, what):
+        # same grid and step count, but the iterate was built with another
+        # viscosity or time step than the solve would use
+        cfg = SolverConfig(N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2)
+        prev = heat_iterate(two_mode(), dataclasses.replace(cfg, **{key: value}))
+        with pytest.raises(ConfigurationError, match=f"iterate {what} .* disagrees"):
+            solve_weighted_with_stats(prev, cfg)
 
 
 def record_weighted_blocks(monkeypatch, single_nodes=False) -> list:
@@ -306,20 +315,20 @@ def node_block_case(case):
     if case == "single_mode":
         # cell (32, 1): 16 nodes per block, so L = 20 leaves a block of 4
         cfg = dataclasses.replace(cfg, L=20)
-        return heat_iterate(sin1(32), cfg, 0.0), cfg, [(1, 16), (17, 4)]
+        return heat_iterate(sin1(32), cfg), cfg, [(1, 16), (17, 4)]
     if case == "partial_chunk":
         # chunks of 64 and 36 branches; the second takes 32768 // (36 * 32)
         # = 28 nodes per block, one block of all 20
         cfg = dataclasses.replace(cfg, L=20, M_inner=100)
-        return heat_iterate(sin1(32), cfg, 0.0), cfg, [(1, 16), (17, 4), (1, 20)]
+        return heat_iterate(sin1(32), cfg), cfg, [(1, 16), (17, 4), (1, 20)]
     if case == "even_modes":
         psi = field_from_mode_list(32, [(2, 0, -0.5j), (0, 2, 0.5)])  # cell (16, 16)
-        return heat_iterate(psi, cfg, 0.0), cfg, [(m, 2) for m in range(1, 9, 2)]
+        return heat_iterate(psi, cfg), cfg, [(m, 2) for m in range(1, 9, 2)]
     if case == "two_mode":
         # cell (32, 16): one node per block, as before blocks
-        return heat_iterate(two_mode(32), cfg, 0.0), cfg, [(m, 1) for m in range(1, 9)]
+        return heat_iterate(two_mode(32), cfg), cfg, [(m, 1) for m in range(1, 9)]
     # zero drift: one block of zeros holding every node
-    return iterate_with_zero_interior(two_mode(32), cfg.L), cfg, [(1, 8)]
+    return iterate_with_zero_interior(two_mode(32), cfg), cfg, [(1, 8)]
 
 
 def assert_solve_matches_reference(solve, reference):
@@ -350,10 +359,10 @@ def weighted_case(case, n=16):
         # every non-Nyquist mode of psi is nonzero, and with no threshold
         # every mode of u_n and |u_n|^2 is active: the sub-block is the grid
         cfg = dataclasses.replace(cfg, mode_threshold_rel=0.0)
-        psi, cell = random_mean_zero_field(n, 21) * 2.0, (n, n)
+        psi, cell = ScalarField(2.0 * random_mean_zero_field(n, 21).modes), (n, n)
         assert np.count_nonzero(psi.modes) == (n - 1) ** 2 - 1
     elif case == "zero_drift":
-        return iterate_with_zero_interior(psi, cfg.L), cfg, cell
+        return iterate_with_zero_interior(psi, cfg), cfg, cell
     elif case == "single_mode":
         psi, cell = sin1(n), (n, 1)  # constant along x2
     elif case == "even_modes":
@@ -369,12 +378,12 @@ def weighted_case(case, n=16):
         # interior nodes makes the velocity fill the lattice; with no
         # threshold the reference keeps exactly the engine's modes
         cfg = dataclasses.replace(cfg, mode_threshold_rel=0.0)
-        stack = heat_iterate(psi, cfg, 0.0).mode_stack()
+        stack = heat_iterate(psi, cfg).mode_stack()
         for m in range(1, cfg.L + 1):
             stack[m] += 1e-3 * random_mean_zero_field(n, 30 + m).modes
-        prev = PicardIterate(tuple(ScalarField(f) for f in stack), 0, 0.0)
+        prev = VorticityTrajectory(tuple(ScalarField(f) for f in stack), nu=cfg.nu, dt=cfg.dt)
         return prev, cfg, (n, n)
-    return heat_iterate(psi, cfg, 0.0), cfg, cell
+    return heat_iterate(psi, cfg), cfg, cell
 
 
 class TestHotLoopKernels:
@@ -392,7 +401,7 @@ class TestHotLoopKernels:
         cfg = SolverConfig(N=16, L=8, M_inner=32, nu=0.3, T=0.2, alpha=0.0)
         # The reference keeps every mode, so prev must have no modes near
         # the active-mode threshold: the exact heat iterate has none.
-        self._assert_weighted_matches_reference(heat_iterate(two_mode(), cfg, 0.0), cfg)
+        self._assert_weighted_matches_reference(heat_iterate(two_mode(), cfg), cfg)
 
     @pytest.mark.parametrize(
         "case",
@@ -551,8 +560,8 @@ class TestHotLoopKernels:
         if case == "single_mode":
             psi, cell = sin1(n), (n, 1)  # constant along x2
         elif case == "full_spectrum":
-            psi, cell = random_mean_zero_field(n, 21) * 2.0, (n, n)
-        prev = heat_iterate(psi, cfg, 0.0)
+            psi, cell = ScalarField(2.0 * random_mean_zero_field(n, 21).modes), (n, n)
+        prev = heat_iterate(psi, cfg)
         if case == "weighted_iterate":
             # noise lifts the velocity modes on the weighted step's cell
             prev = solve_weighted_with_stats(prev, dataclasses.replace(cfg, M_inner=64))[0]
@@ -573,7 +582,7 @@ class TestHotLoopKernels:
 class TestDriftedSolve:
     def test_zero_prev_identical_to_weighted(self):
         cfg = SolverConfig(N=16, L=8, M_inner=40, nu=0.3, T=0.2, alpha=0.0)
-        prev = iterate_with_zero_interior(two_mode(), cfg.L)
+        prev = iterate_with_zero_interior(two_mode(), cfg)
         it_w, _ = solve_weighted_with_stats(prev, cfg)
         it_d, _ = solve_drifted_with_stats(prev, cfg)
         for m in range(cfg.L + 1):
@@ -590,7 +599,7 @@ class TestDriftedSolve:
         prev_psi = two_mode()
         cfg_w = SolverConfig(N=16, L=16, M_inner=400, nu=0.5, T=0.25, alpha=0.0)
         cfg_d = SolverConfig(N=16, L=16, M_inner=160, nu=0.5, T=0.25, alpha=0.0)
-        prev = heat_iterate(prev_psi, cfg_w, 0.0)
+        prev = heat_iterate(prev_psi, cfg_w)
         it_w, st_w = solve_weighted_with_stats(prev, cfg_w)
         it_d, st_d = solve_drifted_with_stats(prev, cfg_d)
         for m in range(1, cfg_w.L + 1):
@@ -600,7 +609,7 @@ class TestDriftedSolve:
 
     def test_variance_recorded_not_asserted(self):
         cfg = SolverConfig(N=16, L=8, M_inner=60, nu=0.5, T=0.2, alpha=0.0)
-        prev = heat_iterate(two_mode(), cfg, 0.0)
+        prev = heat_iterate(two_mode(), cfg)
         _, st_w = solve_weighted_with_stats(prev, cfg)
         _, st_d = solve_drifted_with_stats(prev, cfg)
         # both estimators expose comparable variance summaries for reporting
@@ -622,7 +631,7 @@ class TestPicardSolve:
             picard_tol=2.0, max_iter=4,
         )
         sol = picard_solve(sin1(), cfg)
-        assert sol.y.iteration_index <= 2
+        assert len(sol.history) <= 2
 
     def test_non_convergence_carries_history(self):
         cfg = SolverConfig(
@@ -683,26 +692,25 @@ class TestPicardSolve:
         with pytest.raises(ConfigurationError, match=match):
             picard_solve(psi, cfg)
         with pytest.raises(ConfigurationError, match=match):
-            solve_drifted_with_stats(heat_iterate(psi, cfg, 0.0), cfg)
+            solve_drifted_with_stats(heat_iterate(psi, cfg), cfg)
 
     def test_feynman_kac_identity_pointwise(self):
         # Y(t, x) read as omega(T - t, x + sqrt(2 nu) B_t) from the solver
         # agrees with the deterministic reference evaluated the same way.
-        from vortexbsde.spectral_oracle import VorticityTrajectory, evolve, field_at
+        from vortexbsde.spectral_oracle import evolve, field_at
 
         cfg = SolverConfig(
             N=16, L=32, M_inner=500, nu=0.1, T=0.4,
             picard_tol=2.0, max_iter=4,
         )
         sol = picard_solve(sin1(), cfg)
-        y_traj = VorticityTrajectory(sol.y.fields, nu=cfg.nu, dt=cfg.dt)
         traj = evolve(sin1(), cfg.nu, cfg.T, cfg.L)
         inc = brownian.simulate(77, cfg.L, cfg.T)
         b = np.vstack([np.zeros((1, 2)), np.cumsum(inc, axis=0)])  # B at the nodes
         for j in (0, 7, 19, 32):
             tau = cfg.T - j * cfg.dt
             pts = np.array([(0.0, 0.0), (0.3, 0.7)]) + np.sqrt(2 * cfg.nu) * b[j]
-            got = series_sum_brute(field_at(y_traj, tau).modes, pts)
+            got = series_sum_brute(field_at(sol.y, tau).modes, pts)
             ref = series_sum_brute(field_at(traj, tau).modes, pts)
             assert np.max(np.abs(got - ref)) < 5e-3
 
@@ -728,11 +736,11 @@ class TestResidual:
         cfg = SolverConfig(
             N=n, L=steps, M_inner=16, nu=nu, T=horizon, alpha=0.0
         )
-        return heat_iterate(sin1(n), cfg, 0.0).mode_stack(), cfg
+        return heat_iterate(sin1(n), cfg).mode_stack(), cfg
 
     def test_zero_solution_zero_residual(self):
         cfg = SolverConfig(N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2)
-        stack = heat_iterate(zero_field(16), cfg, 0.0).mode_stack()
+        stack = heat_iterate(zero_field(16), cfg).mode_stack()
         inc = brownian.simulate(5, cfg.L, cfg.T)
         assert np.max(bsde_residual_profile(stack, cfg.nu, cfg.dt, inc[None])) == 0.0
 
@@ -810,5 +818,16 @@ class TestConfigValidation:
             SolverConfig(**{**base, field: value})
 
     def test_iterate_validation(self):
-        with pytest.raises(ConfigurationError):
-            PicardIterate((sin1(),), 0, 0.0)
+        # every trajectory -- oracle run, Picard iterate or checkpoint --
+        # is validated once, when it is built
+        two = (sin1(), sin1())
+        cases = [
+            ((sin1(),), 0.1, 0.1, "two time nodes"),
+            ((sin1(16), sin1(8)), 0.1, 0.1, "grid size"),
+        ]
+        for bad in (float("nan"), float("inf"), 0.0, -0.1):
+            cases += [(two, bad, 0.1, "finite positive"), (two, 0.1, bad, "finite positive")]
+        for fields, nu, dt, match in cases:
+            with pytest.raises(ConfigurationError, match=match):
+                VorticityTrajectory(fields, nu=nu, dt=dt)
+        assert VorticityTrajectory(two, nu=0.1, dt=0.1).steps == 1

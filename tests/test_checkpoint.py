@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vortexbsde.bsde_engine import BsdeSolution, PicardIterate, SolverConfig, picard_solve
+from vortexbsde.bsde_engine import BsdeSolution, SolverConfig, picard_solve
 from vortexbsde.checkpoint import (
     FIELD_MAGIC,
     TRAJ_MAGIC,
@@ -23,8 +23,8 @@ from vortexbsde.checkpoint import (
 )
 from vortexbsde.diagnostics import full_json_report
 from vortexbsde.errors import ConfigurationError, VortexError
-from vortexbsde.spectral_oracle import VorticityTrajectory, evolve
-from vortexbsde.torus_field import field_from_mode_list
+from vortexbsde.spectral_oracle import evolve
+from vortexbsde.torus_field import ScalarField, field_from_mode_list
 
 from conftest import random_mean_zero_field
 
@@ -152,11 +152,25 @@ class TestTrajectoryFormat:
         with pytest.raises(ConfigurationError, match="past its end"):
             read_trajectory(p)
 
+    @staticmethod
+    def _write_blocks(path, fields, steps):
+        """A ``.vbst`` of header step count ``steps`` and the given field blocks."""
+        header = struct.pack("<4sHIdd", TRAJ_MAGIC, 1, steps, 0.1, 0.1)
+        path.write_bytes(header + b"".join(field_to_bytes(f) for f in fields))
+
     def test_fields_disagree_on_grid_size(self, tmp_path):
+        # no VorticityTrajectory holds mixed grids, so write the blocks directly
         fields = (field_from_mode_list(4, [(1, 0, -0.5j)]), field_from_mode_list(8, [(1, 0, -0.5j)]))
         p = tmp_path / "t.vbst"
-        write_trajectory(p, VorticityTrajectory(fields, nu=0.1, dt=0.1))
+        self._write_blocks(p, fields, 1)
         with pytest.raises(ConfigurationError, match="grid size"):
+            read_trajectory(p)
+
+    def test_zero_steps_rejected(self, tmp_path):
+        # L = 0 holds psi alone: no trajectory to solve on or compare with
+        p = tmp_path / "t.vbst"
+        self._write_blocks(p, (field_from_mode_list(4, [(1, 0, -0.5j)]),), 0)
+        with pytest.raises(ConfigurationError, match="two time nodes"):
             read_trajectory(p)
 
     @settings(
@@ -199,6 +213,19 @@ class TestSolutionBundle:
         # diagnostics must be reproducible from the on-disk record alone
         assert full_json_report(back) == full_json_report(sol)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    def test_top_level_count_and_weight(self, tmp_path, scale):
+        # the Picard count is the history's length and the weight the one in
+        # norms, also for zero data, which returns the heat iterate unsolved
+        psi = ScalarField(scale * field_from_mode_list(16, [(1, 0, -0.5j)]).modes)
+        cfg = SolverConfig(N=16, L=8, M_inner=64, nu=0.1, T=0.2, max_iter=4)
+        sol = picard_solve(psi, cfg)
+        write_solution_bundle(tmp_path, sol)
+        doc = json.loads((tmp_path / "solution.json").read_text())
+        assert doc["iteration_index"] == len(doc["history"]) == len(sol.history)
+        assert doc["alpha"] == doc["norms"]["alpha"] == sol.norms["alpha"]
+        assert (len(sol.history) > 0) == (scale != 0)
+
     def test_config_missing_required_keys(self):
         with pytest.raises(ConfigurationError, match="M_inner"):
             _config_from_dict({"N": 16, "L": 4, "nu": 0.1, "T": 0.1})
@@ -229,17 +256,17 @@ class TestSolutionBundle:
     )
     def test_trajectory_disagrees_with_config(self, tmp_path, key, value, what):
         psi = field_from_mode_list(16, [(1, 0, -0.5j)])
-        traj = evolve(psi, 0.1, 0.1, 4)
-        cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.1, T=0.4, groups=2)
+        cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.1, T=0.1, groups=2)
         sol = BsdeSolution(
-            y=PicardIterate(traj.fields, 1, 0.0), psi=psi, config=cfg,
-            norms={}, history=(),
+            y=evolve(psi, 0.1, 0.1, 4), psi=psi, config=cfg,
+            norms={"alpha": 0.0}, history=(),
         )
         write_solution_bundle(tmp_path, sol)
         doc = json.loads((tmp_path / "solution.json").read_text())
         doc["config"][key] = value
         (tmp_path / "solution.json").write_text(json.dumps(doc))
-        with pytest.raises(ConfigurationError, match=what):
+        # not a bare ``what``: the test's tmp_path holds "nu" too
+        with pytest.raises(ConfigurationError, match=f"{what} \\S+ disagrees with its config"):
             read_solution_bundle(tmp_path)
 
     @staticmethod
@@ -256,7 +283,7 @@ class TestSolutionBundle:
              "delta_norm_se": 0.01, "contraction_ratio": 0.5},
         )
         sol = BsdeSolution(
-            y=PicardIterate(evolve(psi, 0.1, 0.4, 8).fields, 2, 0.0), psi=psi, config=cfg,
+            y=evolve(psi, 0.1, 0.4, 8), psi=psi, config=cfg,
             norms=norms, history=history,
         )
         write_solution_bundle(directory, sol)
@@ -282,6 +309,11 @@ class TestSolutionBundle:
             (("history", 0, "sup_lattice"), [0.5, "x"], "sup_lattice"),
             (("history", 1, "contraction_ratio"), "0.5", "contraction_ratio"),
             (("history", 1, "delta_norm_se"), None, "delta_norm_se"),
+            # an empty sup_lattice used to end diagnose in a ValueError
+            (("history", 0, "sup_lattice"), [], "sup_lattice"),
+            (("history", 0, "sup_lattice"), [0.5] * 8, "sup_lattice"),
+            # the string "no" used to count as above noise
+            (("history", 1, "ratio_above_noise"), "no", "ratio_above_noise"),
         ],
     )
     def test_malformed_report(self, tmp_path, where, value, what):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexbsde import cli
-from vortexbsde.bsde_engine import BsdeSolution, PicardIterate, SolverConfig
+from vortexbsde.bsde_engine import BsdeSolution, SolverConfig
 from vortexbsde.checkpoint import write_solution_bundle
 from vortexbsde.errors import ConfigurationError, VortexError
 from vortexbsde.spectral_oracle import evolve
@@ -232,9 +232,8 @@ class TestCompareCommand:
         psi = field_from_mode_list(16, [(1, 0, -0.5j), (0, 2, 0.5)])
         traj = evolve(psi, 0.3, 0.2, 16)
         cfg = SolverConfig(N=16, L=16, M_inner=8, nu=0.3, T=0.2, groups=2)
-        it = PicardIterate(traj.fields, 1, 0.0)
         sol = BsdeSolution(
-            y=it, psi=psi, config=cfg,
+            y=traj, psi=psi, config=cfg,
             norms={"c1": 1.0, "c0": 1.0, "alpha": 0.0, "y_sup": 1.0,
                    "z_bmo_sq": 0.0, "z_bmo_sq_debiased": 0.0, "z_bmo_sq_se": 0.0,
                    "z_bmo_group_values": []},
@@ -398,7 +397,16 @@ class TestDiagnoseCommand:
         assert manifest["error"]["type"] == "ConfigurationError"
         assert "M_outer" in manifest["error"]["message"]
 
-    @pytest.mark.parametrize("key, value", [("norms", {}), ("history", [{}])])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("norms", {}),
+            ("history", [{}]),
+            # used to end in a ValueError from max_principle_check, exit 1
+            # and no manifest
+            ("history", [{"iteration": 1, "eps_mc": 0.0, "sup_lattice": [], "delta_norm": 0.1}]),
+        ],
+    )
     def test_malformed_report_exit_code_and_manifest(self, tmp_path, key, value):
         bundle, _ = TestCompareCommand()._oracle_as_solution(tmp_path)
         doc = json.loads((bundle / "solution.json").read_text())

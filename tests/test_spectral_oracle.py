@@ -106,7 +106,7 @@ class TestEvolve:
         assert all(l2_norm(advection(f)) < 1e-10 for f in traj.fields)
 
     def test_cfl_guard_raises_with_suggestion(self):
-        psi = 40.0 * two_mode()
+        psi = ScalarField(40.0 * two_mode().modes)
         with pytest.raises(ConfigurationError, match="L ="):
             evolve(psi, 0.01, 1.0, 4)
 
