@@ -14,16 +14,23 @@ repeats with period 1/2 along both axes:
   iterate that step returns (iterate 1: on the two-mode config the widest
   active-mode sets, which the heat iterate does not reach);
 * ``solve_drifted_with_stats`` with M_inner = 50 from the heat iterate,
-  and again from iterate 1, whose velocity carries noise-lifted modes.
+  and again from iterate 1, whose velocity carries noise-lifted modes;
+* for the two shipped solve configs at seed 42 only, ``vortexbsde solve``
+  through ``cli.main``, keeping the bytes of its ``solution.json``,
+  ``psi.vbsf``, ``y_fields.vbst`` and ``diagnostics.json``.
 
 Prints, for every mode stack, every ``SolveStats`` array, every numeric
 entry of each Picard history record (keyed by iteration) and every entry
 of the solution's ``norms``, the largest difference between the trees
 relative to the entry's largest magnitude, and compares the Picard
-iteration counts of the histories; the last line names the worst entry.
-Exits 1 if a relative difference exceeds 1e-12, an entry of OLD_TREE is
-missing from NEW_TREE or an iteration count differs.  Group modes kept on
-a lattice cell are compared in the (N, N) layout.
+iteration counts of the histories, and prints whether each CLI output
+file is byte-identical between the trees; the last line names the worst
+entry and counts the CLI files whose bytes differ.  Exits 1 if a relative
+difference exceeds 1e-12, an entry of OLD_TREE is missing from NEW_TREE,
+an iteration count or a CLI exit code differs.  Differing bytes alone do
+not fail: a change that only reorders arithmetic moves the last bits of
+the stored numbers.  Group modes kept on a lattice cell are compared in
+the (N, N) layout.
 
 A statistics array whose largest magnitude in OLD_TREE is below 1e-13 of
 its solve's mode stack holds rounding error only (the standard errors of a
@@ -37,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +59,13 @@ CONFIGS = {
         {"L": "32", "M_inner": "250", "psi_modes": "2 0 0 -0.25 ; 0 2 0.25 0"},
     ),
 }
+CLI_CASES = ("two_mode", "single_mode")
+CLI_FILES = (
+    "solution/solution.json",
+    "solution/psi.vbsf",
+    "solution/y_fields.vbst",
+    "diagnostics.json",
+)
 DRIFTED_M = 50
 REL_TOL = 1e-12
 ROUNDOFF = 1e-13
@@ -104,13 +119,31 @@ def _report_arrays(prefix: str, solution) -> dict:
     return out
 
 
-def run_tree(tree: Path) -> tuple[dict, dict]:
-    """Output arrays and Picard iteration counts of every case, by name."""
+def _cli_solve(cli, text: dict) -> tuple[int, dict]:
+    """Exit code of ``vortexbsde solve`` on the config ``text`` (key to
+    value) and the bytes of each of its ``CLI_FILES`` (None if absent)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = Path(tmp) / "solve.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**text, "outdir": out}.items()))
+        code = cli.main(["solve", str(cfg)])
+        files = {
+            name: (out / name).read_bytes() if (out / name).is_file() else None
+            for name in CLI_FILES
+        }
+    return code, files
+
+
+def run_tree(tree: Path) -> tuple[dict, dict, dict]:
+    """Output arrays, Picard iteration counts and CLI exit codes and
+    output bytes of every case, by name."""
     engine, cli = load_package(tree)
     names = [f.name for f in dataclasses.fields(engine.SolverConfig)]
-    arrays, iterations = {}, {}
+    arrays, iterations, outputs = {}, {}, {}
     for label, (cfg_name, overrides) in CONFIGS.items():
         text = cli._parse_kv_text((SCRIPTS / cfg_name).read_text())
+        if label in CLI_CASES:
+            outputs[f"{label}.cli"] = _cli_solve(cli, {**text, **overrides, "base_seed": "42"})
         parsed = cli.SOLVE_SCHEMA.parse({**text, **overrides})
         psi = cli._build_psi(parsed)
         for seed in SEEDS:
@@ -141,7 +174,7 @@ def run_tree(tree: Path) -> tuple[dict, dict]:
                     f"{case}.drifted_from_1", *engine.solve_drifted_with_stats(first[0], drifted)
                 )
             )
-    return arrays, iterations
+    return arrays, iterations, outputs
 
 
 def compare(a: np.ndarray, b: np.ndarray, field_scale: float) -> tuple[float, str]:
@@ -176,9 +209,19 @@ def main(argv=None) -> int:
         same = counts == new[1][name]
         bad += not same
         print(f"{name:48s} iterations {counts} {'==' if same else '!='} {new[1][name]}")
+    differing = 0
+    for name, (code, files) in old[2].items():
+        new_code, new_files = new[2][name]
+        bad += code != new_code
+        print(f"{name:48s} exit {code} {'==' if code == new_code else '!='} {new_code}")
+        for file, data in files.items():
+            same = data is not None and data == new_files[file]
+            differing += not same
+            print(f"{name + '.' + file:48s} bytes {'identical' if same else 'differ'}")
     print(
         f"worst relative difference {worst:.3e} at {worst_name} "
-        f"(tolerance {REL_TOL:.0e}); {bad} failing"
+        f"(tolerance {REL_TOL:.0e}); {bad} failing; "
+        f"{differing} CLI output files differ in bytes"
     )
     return 1 if bad else 0
 

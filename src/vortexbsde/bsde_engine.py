@@ -46,6 +46,7 @@ from .spectral_oracle import VorticityTrajectory, _advection_modes
 from .torus_field import (
     TWO_PI,
     ScalarField,
+    _check_no_nyquist,
     _nyquist_mask,
     _phase_grid,
     _validate_grid_size,
@@ -113,18 +114,24 @@ class SolverConfig:
         return self.T / self.L
 
 
+def _check_agrees(owner: str, found: dict):
+    """Each ``what: (got, want)`` of ``found`` must agree to 1e-12 relative;
+    ``owner`` names the object whose ``got`` values are checked."""
+    for what, (got, want) in found.items():
+        if not abs(got - want) <= 1e-12 * abs(want):
+            raise ConfigurationError(f"{owner} {what} {got!r} disagrees with its config ({want!r})")
+
+
 def _check_trajectory_config(traj: VorticityTrajectory, config: SolverConfig, owner: str):
     """``traj`` must sit on the grid ``config`` describes: grid size, step
-    count, nu and dt, each to 1e-12 relative; ``owner`` names it in the error."""
+    count, nu and dt."""
     found = {
         "grid size": (traj.grid_size, config.N),
         "step count": (traj.steps, config.L),
         "nu": (traj.nu, config.nu),
         "dt": (traj.dt, config.dt),
     }
-    for what, (got, want) in found.items():
-        if not abs(got - want) <= 1e-12 * abs(want):
-            raise ConfigurationError(f"{owner} {what} {got!r} disagrees with its config ({want!r})")
+    _check_agrees(owner, found)
 
 
 @dataclass(frozen=True)
@@ -184,10 +191,6 @@ def heat_iterate(psi: ScalarField, config: SolverConfig, alpha=None) -> Vorticit
 # the linear backward solve: one Monte Carlo skeleton, two estimators
 
 
-def _lattice_sup(stack: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(modes_to_grid(stack)), axis=(-2, -1))
-
-
 def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, estimator):
     """One Picard step: heat control variate plus a Monte Carlo correction.
 
@@ -212,16 +215,9 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
     _check_trajectory_config(prev, config, "iterate")
 
     omega = prev.mode_stack()
-    nyquist = _nyquist_mask(n)
     # The step would drop a Nyquist mode of psi that the heat stack keeps.
-    bad = np.argwhere(nyquist & (omega[0] != 0))
-    if bad.size:
-        i, j = bad[0]
-        raise ConfigurationError(
-            f"psi has a nonzero Nyquist mode at index ({i}, {j}) of the ({n}, {n}) "
-            "mode array; the linear solve cannot carry it"
-        )
-    omega[:, nyquist] = 0.0  # multiplier-application hygiene
+    _check_no_nyquist(omega[0], "psi")
+    omega[:, _nyquist_mask(n)] = 0.0  # multiplier-application hygiene
     psi_modes = omega[0]
     u1, u2 = velocity_modes(omega)
     chunk, cell, samples = estimator(config, psi_modes, u1, u2)
@@ -301,7 +297,7 @@ def _assemble_iterate(config, heat, sum_f, sumsq_f, group_sum, group_counts):
         se_grid=se_grid,
         pooled_se=pooled,
         max_se=max_se,
-        sup_lattice=_lattice_sup(out),
+        sup_lattice=np.max(np.abs(modes_to_grid(out)), axis=(-2, -1)),
         group_modes=gmodes,
         group_counts=group_counts,
     )
@@ -709,19 +705,24 @@ def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
 
 # ---------------------------------------------------------------------------
 # weighted norms, noise floor
+#
+# The contraction norm weights time t by exp(alpha*t).  Every weight here
+# is expressed through tau = T - t and normalized by exp(-alpha*T), i.e.
+# exp(-alpha*tau_m) at node m, so that values stay representable for large
+# alpha; ratios and tolerance comparisons are invariant under the common
+# factor.
 
 
-def y_alpha_sup(delta_stack: np.ndarray, alpha: float, dt: float) -> float:
-    """Scaled weighted sup norm: max_m exp(-alpha*tau_m) * sup_z |field|.
+def _alpha_weights(alpha: float, dt: float, nodes: int) -> np.ndarray:
+    """exp(-alpha*tau_m) at the nodes tau_m = m*dt, m = 0..nodes-1."""
+    return np.exp(-alpha * np.arange(nodes) * dt)
 
-    The weight exp(alpha*t) of the contraction norm is expressed through
-    tau = T - t and normalized by exp(-alpha*T) so that values stay
-    representable for large alpha; ratios and tolerance comparisons are
-    invariant under the common factor.
-    """
-    sups = _lattice_sup(delta_stack)
-    weights = np.exp(-alpha * np.arange(delta_stack.shape[0]) * dt)
-    return float(np.max(weights * sups))
+
+def y_alpha_sup(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
+    """Scaled weighted sup norm max_m exp(-alpha*tau_m) * sup_z |field| of
+    (..., L+1, n1, n2) lattice values, one per leading index."""
+    sups = np.abs(values).max(axis=(-2, -1))
+    return np.max(_alpha_weights(alpha, dt, sups.shape[-1]) * sups, axis=-1)
 
 
 def grad_norm_sq_profile(stack: np.ndarray) -> np.ndarray:
@@ -756,16 +757,25 @@ def z_alpha_bmo_sq(stack: np.ndarray, alpha: float, dt: float) -> float:
     integrands the maximum is the full integral, but every window is
     formed so the proxy matches its definition literally.
     """
-    g = grad_norm_sq_profile(stack)
-    w = np.exp(-2.0 * alpha * np.arange(stack.shape[0]) * dt)
-    prefixes = _prefix_quadrature(w * g, dt)
-    return float(np.max(prefixes))
+    weighted = _alpha_weights(2.0 * alpha, dt, stack.shape[0]) * grad_norm_sq_profile(stack)
+    return float(np.max(_prefix_quadrature(weighted, dt)))
 
 
-def noise_floor(stats: SolveStats, alpha: float, dt: float) -> float:
-    """4x the pooled standard error of the inner estimators, alpha-weighted."""
-    weights = np.exp(-alpha * np.arange(stats.pooled_se.shape[0]) * dt)
-    return 4.0 * float(np.max(weights * stats.pooled_se))
+def _group_bmo_sq(group_modes: np.ndarray, n: int, alpha: float, dt: float) -> np.ndarray:
+    """z_alpha_bmo_sq of each (L+1, n1, n2) group stack, summed over the
+    (n, n) layout: the groups agree to about 5 digits, so a sum over the
+    cell would move their spread beyond roundoff."""
+    return np.array([z_alpha_bmo_sq(_on_cell(g, (n, n)), alpha, dt) for g in group_modes])
+
+
+def noise_floor(se: np.ndarray, alpha: float, dt: float) -> float:
+    """4x the alpha-weighted maximum of an (L+1,) standard-error profile."""
+    return 4.0 * float(np.max(_alpha_weights(alpha, dt, se.shape[0]) * se))
+
+
+def _batch_means_se(values: np.ndarray) -> float:
+    """Standard error of the mean of G group values, std(ddof=1) / sqrt(G)."""
+    return float(np.std(values, ddof=1) / np.sqrt(len(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -797,17 +807,16 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
     c1 = sup_norm(psi)
     c0 = closed_form_c0(1, config.N)
     alpha = config.alpha if config.alpha is not None else select_alpha(c0, c1, config.nu, config.T)
+    bounds = {"alpha": alpha, "c0": c0, "c1": c1}
 
     current = heat_iterate(psi, config)
     if c1 == 0.0:
-        return _finalize_solution(psi, config, current, None, (), c0, c1, alpha)
+        return _solution(psi, config, current, (), np.zeros(0), bounds)
 
     # iterate 0 is deterministic: every group starts from it, on psi's cell
     s1, s2 = (config.N // c for c in _cell(np.flatnonzero(psi.modes), config.N))
     prev_group_modes = np.stack([f.modes[::s1, ::s2] for f in current.fields])[None]
     history = []
-    prev_delta_norm = None
-    converged = False
     for iteration in range(1, config.max_iter + 1):
         nxt, stats = solve_weighted_with_stats(current, config)
         eps_mc = 4.0 * float(np.max(stats.max_se))
@@ -819,108 +828,81 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
             )
 
         delta = nxt.mode_stack() - current.mode_stack()
-        dy = y_alpha_sup(delta, alpha, dt)
-        dz_sq = z_alpha_bmo_sq(delta, alpha, dt)
-        delta_norm = dy + float(np.sqrt(dz_sq))
-        floor = noise_floor(stats, alpha, dt)
-        tol = config.picard_tol * floor
+        dy = float(y_alpha_sup(modes_to_grid(delta), alpha, dt))
+        dz = float(np.sqrt(z_alpha_bmo_sq(delta, alpha, dt)))
+        floor = noise_floor(stats.pooled_se, alpha, dt)
 
-        # Each group's delta, on the common cell of the two iterates.
+        # Each group's delta, on the common cell of the two iterates, and
+        # its ||dY^alpha||_inf + ||dZ^alpha||_BMO as for the full delta.
         cell = np.lcm(stats.group_modes.shape[-2:], prev_group_modes.shape[-2:])
         delta_group = _on_cell(stats.group_modes, cell) - _on_cell(prev_group_modes, cell)
         delta_vals = modes_to_grid(delta_group)
-        weights = np.exp(-alpha * np.arange(config.L + 1) * dt)
-        # ||dY^alpha||_inf + ||dZ^alpha||_BMO of each group's delta, as for
-        # the full delta above, with the sup term read off delta_vals
-        group_sups = np.max(weights * np.abs(delta_vals).max(axis=(-2, -1)), axis=1)
-        group_norms = group_sups + np.sqrt(
-            [z_alpha_bmo_sq(_on_cell(g, (config.N, config.N)), alpha, dt) for g in delta_group]
+        group_norms = y_alpha_sup(delta_vals, alpha, dt) + np.sqrt(
+            _group_bmo_sq(delta_group, config.N, alpha, dt)
         )
-        se_delta = float(np.std(group_norms, ddof=1) / np.sqrt(config.groups))
         # Noise floor of the difference estimator itself: with common random
         # numbers the delta fields carry far less noise than the iterates,
         # which is what makes the contraction ratios measurable at all.
-        delta_se_pooled = np.sqrt(
+        delta_se = np.sqrt(
             np.mean(np.var(delta_vals, axis=0, ddof=1), axis=(-2, -1)) / config.groups
         )
-        delta_floor = 4.0 * float(np.max(weights * delta_se_pooled))
 
         record = {
             "iteration": iteration,
             "delta_y_alpha": dy,
-            "delta_z_alpha": float(np.sqrt(dz_sq)),
-            "delta_norm": delta_norm,
-            "delta_norm_se": se_delta,
-            "delta_noise_floor": delta_floor,
+            "delta_z_alpha": dz,
+            "delta_norm": dy + dz,
+            "delta_norm_se": _batch_means_se(group_norms),
+            "delta_noise_floor": noise_floor(delta_se, alpha, dt),
             "noise_floor": floor,
             "eps_mc": eps_mc,
             "max_principle_margin": margin,
             "sup_lattice": stats.sup_lattice.tolist(),
             "pooled_se": stats.pooled_se.tolist(),
             "max_se": stats.max_se.tolist(),
-            "tolerance": tol,
+            "tolerance": config.picard_tol * floor,
         }
-        if prev_delta_norm is not None and prev_delta_norm > 0:
-            record["contraction_ratio"] = delta_norm / prev_delta_norm
+        prev = history[-1] if history else None
+        if prev is not None and prev["delta_norm"] > 0:
+            record["contraction_ratio"] = record["delta_norm"] / prev["delta_norm"]
             record["ratio_above_noise"] = bool(
-                delta_norm > delta_floor and prev_delta_norm > prev_delta_floor
+                record["delta_norm"] > record["delta_noise_floor"]
+                and prev["delta_norm"] > prev["delta_noise_floor"]
             )
         history.append(record)
-        prev_delta_norm = delta_norm
-        prev_delta_floor = delta_floor
         prev_group_modes = stats.group_modes
         current = nxt
-        if delta_norm < tol:
-            converged = True
+        if record["delta_norm"] < record["tolerance"]:
             break
-
-    if not converged:
+    else:
         raise NonConvergenceError(
             f"Picard iteration did not reach tolerance in {config.max_iter} steps",
             history=tuple(history),
         )
-    return _finalize_solution(
-        psi, config, current, prev_group_modes, tuple(history), c0, c1, alpha
-    )
+    group_bmo_sq = _group_bmo_sq(prev_group_modes, config.N, 0.0, dt)
+    return _solution(psi, config, current, tuple(history), group_bmo_sq, bounds)
 
 
-def _finalize_solution(psi, config, iterate, group_modes, history, c0, c1, alpha):
-    dt = config.dt
-    stack = iterate.mode_stack()
-    bmo_sq = z_alpha_bmo_sq(stack, 0.0, dt)
-    if group_modes is not None:
-        g = group_modes.shape[0]
-        on_lattice = (_on_cell(gm, (config.N, config.N)) for gm in group_modes)
-        group_bmo_sq = np.array([z_alpha_bmo_sq(gm, 0.0, dt) for gm in on_lattice])
-        se_bmo_sq = float(np.std(group_bmo_sq, ddof=1) / np.sqrt(g))
-        # Quadratic functionals of a mean carry an O(1/M) noise bias;
-        # batch means estimate and remove it (bias of a group mean is G
-        # times the bias of the full mean).
-        bias = (float(np.mean(group_bmo_sq)) - bmo_sq) / (g - 1)
-        bmo_sq_debiased = bmo_sq - bias
-        group_bmo_list = group_bmo_sq.tolist()
-    else:
-        se_bmo_sq = 0.0
-        bmo_sq_debiased = bmo_sq
-        group_bmo_list = []
-    y_sup = float(max(sup_norm(f) for f in iterate.fields))
+def _solution(psi, config, iterate, history, group_bmo_sq, bounds) -> BsdeSolution:
+    """The solution and its norms: the unweighted BMO proxy of ``iterate``,
+    batch-means debiased and with its standard error from the G values
+    ``group_bmo_sq`` of the last groups (none for zero data, whose iterate
+    is exact); ``bounds`` holds alpha, c0 and c1."""
+    bmo_sq = z_alpha_bmo_sq(iterate.mode_stack(), 0.0, config.dt)
+    g = len(group_bmo_sq)
+    # Quadratic functionals of a mean carry an O(1/M) noise bias; batch
+    # means estimate and remove it (bias of a group mean is G times the
+    # bias of the full mean).
+    bias = (float(np.mean(group_bmo_sq)) - bmo_sq) / (g - 1) if g else 0.0
     norms = {
-        "y_sup": y_sup,
+        "y_sup": float(max(sup_norm(f) for f in iterate.fields)),
         "z_bmo_sq": bmo_sq,
-        "z_bmo_sq_debiased": bmo_sq_debiased,
-        "z_bmo_sq_se": se_bmo_sq,
-        "z_bmo_group_values": group_bmo_list,
-        "alpha": alpha,
-        "c0": c0,
-        "c1": c1,
+        "z_bmo_sq_debiased": bmo_sq - bias,
+        "z_bmo_sq_se": _batch_means_se(group_bmo_sq) if g else 0.0,
+        "z_bmo_group_values": group_bmo_sq.tolist(),
+        **bounds,
     }
-    return BsdeSolution(
-        y=iterate,
-        psi=psi,
-        config=config,
-        norms=norms,
-        history=history,
-    )
+    return BsdeSolution(y=iterate, psi=psi, config=config, norms=norms, history=history)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .biot_savart import velocity_modes
 from .errors import ConfigurationError, DomainError
 from .torus_field import (
     ScalarField,
+    _check_no_nyquist,
     _nyquist_mask,
     grid_to_modes,
     l2_norm,
@@ -137,8 +138,8 @@ def evolve(omega0: ScalarField, nu: float, horizon: float, steps: int) -> Vortic
     decay = np.exp(-4.0 * np.pi**2 * nu * ksq * dt)
     ny = _nyquist_mask(n)
 
+    _check_no_nyquist(omega0.modes, "omega0")
     w = omega0.modes.copy()
-    w[ny] = 0.0
     fields = [ScalarField(w)]
     for _ in range(steps):
         adv1, max_u = _advection_modes(w)

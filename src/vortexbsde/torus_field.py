@@ -61,6 +61,19 @@ def _nyquist_mask(n: int) -> np.ndarray:
     return ny[:, None] | ny[None, :]
 
 
+def _check_no_nyquist(modes: np.ndarray, name: str) -> None:
+    """Reject an (N, N) mode array with a nonzero Nyquist mode: the solvers
+    zero those modes at every step, so they would drop it silently."""
+    n = modes.shape[-1]
+    bad = np.argwhere(_nyquist_mask(n) & (modes != 0))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigurationError(
+            f"{name} has a nonzero Nyquist mode at index ({i}, {j}) of the ({n}, {n}) "
+            "mode array; the solvers cannot carry it"
+        )
+
+
 def _hermitian_conjugate(modes: np.ndarray) -> np.ndarray:
     """conj(fhat(-k)) arranged on the same FFT grid."""
     n = modes.shape[0]

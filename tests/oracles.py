@@ -264,3 +264,86 @@ def drifted_estimator_one_chunk(config, psi_modes, u1, u2):
             yield m, (vals - cv_vals).reshape(bc, 1, n, n)  # one node per block
 
     return config.M_inner, (config.N, config.N), samples
+
+
+def _lattice_values_brute(modes: np.ndarray) -> np.ndarray:
+    """(..., N, N) modes to lattice values by explicit phase matrices."""
+    n = modes.shape[-1]
+    phase = np.exp(2j * np.pi * np.outer(np.arange(n) / n, np.fft.fftfreq(n) * n))
+    return np.real(phase @ modes @ phase.T)
+
+
+def _weighted_bmo_sq_brute(stack: np.ndarray, alpha: float, dt: float) -> float:
+    """max over j of the end-corrected trapezoid integral, over [0, tau_j],
+    of exp(-2 alpha tau) ||grad omega(tau)||^2, one window at a time."""
+    k = np.fft.fftfreq(stack.shape[-1]) * stack.shape[-1]
+    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    g = [
+        np.exp(-2.0 * alpha * m * dt) * np.sum(4.0 * np.pi**2 * ksq * np.abs(stack[m]) ** 2)
+        for m in range(stack.shape[0])
+    ]
+    best, trap = 0.0, 0.0
+    for j in range(1, len(g)):
+        trap += 0.5 * (g[j - 1] + g[j]) * dt
+        end = -(dt**2 / 12.0) * ((g[j] - g[j - 1]) / dt - (g[1] - g[0]) / dt)
+        best = max(best, trap + end)
+    return best
+
+
+def _batch_means_se(values) -> float:
+    g = len(values)
+    mean = sum(values) / g
+    return float(np.sqrt(sum((v - mean) ** 2 for v in values) / (g - 1) / g))
+
+
+def picard_group_statistics(group_stacks, solution_stack, alpha: float, dt: float) -> dict:
+    """Batch-means statistics of a Picard run, restated group by group.
+
+    ``group_stacks`` lists, per iterate from the heat iterate on, its
+    (G, L+1, n1, n2) per-group mode stacks on a lattice cell (G = 1 for the
+    deterministic heat iterate); ``solution_stack`` is the (L+1, N, N) mode
+    stack of the last iterate.  Per Picard step: the batch-means standard
+    error of the groups' ||dY^alpha||_inf + ||dZ^alpha||_BMO
+    (``delta_norm_se``) and 4x the alpha-weighted pooled standard error of
+    the group deltas (``delta_noise_floor``).  For the solution: each last
+    group's unweighted BMO proxy (``z_bmo_group_values``), their
+    batch-means standard error and the batch-means debiased proxy.
+    """
+    n = solution_stack.shape[-1]
+    lattice = []
+    for cell_stack in group_stacks:
+        full = np.zeros(cell_stack.shape[:-2] + (n, n), dtype=np.complex128)
+        s1, s2 = n // cell_stack.shape[-2], n // cell_stack.shape[-1]
+        for p1 in range(cell_stack.shape[-2]):
+            for p2 in range(cell_stack.shape[-1]):
+                full[..., p1 * s1, p2 * s2] = cell_stack[..., p1, p2]
+        lattice.append(full)
+    steps = solution_stack.shape[0] - 1
+    weights = np.exp(-alpha * np.arange(steps + 1) * dt)
+    history = []
+    for before, after in zip(lattice[:-1], lattice[1:]):
+        deltas = after - before
+        vals = _lattice_values_brute(deltas)  # (G, L+1, N, N)
+        n_groups = vals.shape[0]
+        norms = [
+            max(weights[m] * np.max(np.abs(v[m])) for m in range(steps + 1))
+            + np.sqrt(_weighted_bmo_sq_brute(d, alpha, dt))
+            for v, d in zip(vals, deltas)
+        ]
+        mean = vals.mean(axis=0)
+        var = ((vals - mean) ** 2).sum(axis=0) / (n_groups - 1)
+        pooled = np.sqrt(var.mean(axis=(-2, -1)) / n_groups)
+        history.append(
+            {
+                "delta_norm_se": _batch_means_se(norms),
+                "delta_noise_floor": 4.0 * float(np.max(weights * pooled)),
+            }
+        )
+    groups = [_weighted_bmo_sq_brute(g, 0.0, dt) for g in lattice[-1]]
+    bmo_sq = _weighted_bmo_sq_brute(solution_stack, 0.0, dt)
+    return {
+        "history": history,
+        "z_bmo_group_values": groups,
+        "z_bmo_sq_se": _batch_means_se(groups),
+        "z_bmo_sq_debiased": bmo_sq - (sum(groups) / len(groups) - bmo_sq) / (len(groups) - 1),
+    }

@@ -54,6 +54,7 @@ from oracles import (
     bilinear_reference,
     drifted_estimator_one_chunk,
     girsanov_weight,
+    picard_group_statistics,
     series_sum_brute,
     terminal_value,
     weighted_estimator_two_transform,
@@ -663,10 +664,30 @@ class TestPicardSolve:
         from vortexbsde.bsde_engine import noise_floor
 
         alpha = sol.norms["alpha"]
-        norm = y_alpha_sup(delta, alpha, cfg.dt) + np.sqrt(
+        norm = y_alpha_sup(modes_to_grid(delta), alpha, cfg.dt) + np.sqrt(
             z_alpha_bmo_sq(delta, alpha, cfg.dt)
         )
-        assert norm < noise_floor(stats, alpha, cfg.dt)
+        assert norm < noise_floor(stats.pooled_se, alpha, cfg.dt)
+
+    def test_group_statistics_match_oracle(self):
+        # replay the solve's two Picard steps (same config, same increments)
+        # and restate every batch-means entry group by group
+        cfg = SolverConfig(N=16, L=16, M_inner=32, nu=0.5, T=0.25, max_iter=2)
+        sol = picard_solve(two_mode(), cfg)
+        assert len(sol.history) == 2
+        iterate = heat_iterate(two_mode(), cfg)
+        group_stacks = [iterate.mode_stack()[None]]
+        for _ in sol.history:
+            iterate, stats = solve_weighted_with_stats(iterate, cfg)
+            group_stacks.append(stats.group_modes)
+        stack = sol.y.mode_stack()
+        assert np.array_equal(iterate.mode_stack(), stack)
+        want = picard_group_statistics(group_stacks, stack, sol.norms["alpha"], cfg.dt)
+        for rec, ref in zip(sol.history, want["history"]):
+            for key in ("delta_norm_se", "delta_noise_floor"):
+                assert rec[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0)
+        for key in ("z_bmo_group_values", "z_bmo_sq_se", "z_bmo_sq_debiased"):
+            assert sol.norms[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)
 
     def test_alpha_selection_satisfies_conditions(self):
         from vortexbsde.diagnostics import assert_alpha_conditions
@@ -719,7 +740,7 @@ class TestWeightedNorms:
     def test_alpha_zero_matches_plain_norms(self):
         stack = heat_mode_stack(two_mode().modes, 0.3, 0.05, 8)
         plain_sup = float(np.max(np.abs(modes_to_grid(stack))))
-        assert y_alpha_sup(stack, 0.0, 0.05) == pytest.approx(plain_sup, rel=1e-12)
+        assert y_alpha_sup(modes_to_grid(stack), 0.0, 0.05) == pytest.approx(plain_sup, rel=1e-12)
         # alpha = 0 BMO equals the unweighted max-window gradient integral
         from vortexbsde.bsde_engine import grad_norm_sq_profile, _prefix_quadrature
 
@@ -728,7 +749,8 @@ class TestWeightedNorms:
 
     def test_weighting_discounts_late_tau(self):
         stack = heat_mode_stack(two_mode().modes, 0.3, 0.05, 8)
-        assert y_alpha_sup(stack, 50.0, 0.05) <= y_alpha_sup(stack, 0.0, 0.05)
+        vals = modes_to_grid(stack)
+        assert y_alpha_sup(vals, 50.0, 0.05) <= y_alpha_sup(vals, 0.0, 0.05)
 
 
 class TestResidual:

@@ -228,10 +228,10 @@ class TestSolveCommand:
 
 
 class TestCompareCommand:
-    def _oracle_as_solution(self, tmp_path):
+    def _oracle_as_solution(self, tmp_path, nu=0.3, horizon=0.2):
         psi = field_from_mode_list(16, [(1, 0, -0.5j), (0, 2, 0.5)])
-        traj = evolve(psi, 0.3, 0.2, 16)
-        cfg = SolverConfig(N=16, L=16, M_inner=8, nu=0.3, T=0.2, groups=2)
+        traj = evolve(psi, nu, horizon, 16)
+        cfg = SolverConfig(N=16, L=16, M_inner=8, nu=nu, T=horizon, groups=2)
         sol = BsdeSolution(
             y=traj, psi=psi, config=cfg,
             norms={"c1": 1.0, "c0": 1.0, "alpha": 0.0, "y_sup": 1.0,
@@ -363,6 +363,44 @@ class TestCompareCommand:
             f"trajectory = {bad}\n",
         )
         assert cli.main(["compare", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "what, bundle, oracle",
+        [("nu", (1e-13, 0.2), (2e-13, 0.2)), ("horizon", (0.3, 1e-10), (0.3, 5e-10))],
+        ids=["nu", "horizon"],
+    )
+    def test_tiny_parameter_mismatch_exit_code(self, tmp_path, what, bundle, oracle):
+        # compare checks nu and the horizon to 1e-12 relative, as the bundle
+        # reader does; absolute tolerances used to let both pairs through
+        bundle_dir, _ = self._oracle_as_solution(tmp_path, *bundle)
+        psi = field_from_mode_list(16, [(1, 0, -0.5j), (0, 2, 0.5)])
+        from vortexbsde.checkpoint import write_trajectory
+
+        bad = tmp_path / "bad.vbst"
+        write_trajectory(bad, evolve(psi, *oracle, 8))
+        out = tmp_path / "cmp"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"outdir = {out}\nsolution_bundle = {bundle_dir}\ntrajectory = {bad}\n",
+        )
+        assert cli.main(["compare", str(cfg)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["type"] == "ConfigurationError"
+        assert f"trajectory {what} " in manifest["error"]["message"]
+
+    def test_oracle_step_count_may_differ(self, tmp_path):
+        # the oracle is read through field_at: 32 steps serve a 16-step bundle
+        bundle, _ = self._oracle_as_solution(tmp_path)
+        psi = field_from_mode_list(16, [(1, 0, -0.5j), (0, 2, 0.5)])
+        from vortexbsde.checkpoint import write_trajectory
+
+        fine = tmp_path / "fine.vbst"
+        write_trajectory(fine, evolve(psi, 0.3, 0.2, 32))
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"outdir = {tmp_path/'cmp'}\nsolution_bundle = {bundle}\ntrajectory = {fine}\n",
+        )
+        assert cli.main(["compare", str(cfg)]) == 0
 
     def test_bundle_step_count_mismatch_exit_code_and_manifest(self, tmp_path):
         # config L disagrees with the 16 steps of y_fields.vbst: compare used
