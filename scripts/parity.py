@@ -17,7 +17,11 @@ repeats with period 1/2 along both axes:
   and again from iterate 1, whose velocity carries noise-lifted modes;
 * for the two shipped solve configs at seed 42 only, ``vortexbsde solve``
   through ``cli.main``, keeping the bytes of its ``solution.json``,
-  ``psi.vbsf``, ``y_fields.vbst`` and ``diagnostics.json``.
+  ``psi.vbsf``, ``y_fields.vbst`` and ``diagnostics.json``;
+* ``vortexbsde oracle`` on ``oracle_single_mode.cfg`` and on the two-mode
+  config's data at L = 32, keeping the bytes of its ``trajectory.vbst``
+  and ``oracle_series.csv``: the spectral oracle shares the Fourier
+  symbols of the solvers.
 
 Prints, for every mode stack, every ``SolveStats`` array, every numeric
 entry of each Picard history record (keyed by iteration) and every entry
@@ -30,7 +34,8 @@ difference exceeds 1e-12, an entry of OLD_TREE is missing from NEW_TREE,
 an iteration count or a CLI exit code differs.  Differing bytes alone do
 not fail: a change that only reorders arithmetic moves the last bits of
 the stored numbers.  Group modes kept on a lattice cell are compared in
-the (N, N) layout.
+the (N, N) layout.  A tree whose ``SolveStats`` has no ``max_se`` has it
+compared as ``se_grid.max(axis=(1, 2))``, which it equals bit for bit.
 
 A statistics array whose largest magnitude in OLD_TREE is below 1e-13 of
 its solve's mode stack holds rounding error only (the standard errors of a
@@ -60,12 +65,20 @@ CONFIGS = {
     ),
 }
 CLI_CASES = ("two_mode", "single_mode")
-CLI_FILES = (
-    "solution/solution.json",
-    "solution/psi.vbsf",
-    "solution/y_fields.vbst",
-    "diagnostics.json",
-)
+ORACLE_CASES = {
+    "single_mode": ("oracle_single_mode.cfg", {}),
+    "two_mode": ("solve_two_mode.cfg", {"L": "32"}),
+}
+ORACLE_KEYS = ("N", "L", "nu", "T", "psi_modes")
+CLI_FILES = {
+    "solve": (
+        "solution/solution.json",
+        "solution/psi.vbsf",
+        "solution/y_fields.vbst",
+        "diagnostics.json",
+    ),
+    "oracle": ("trajectory.vbst", "oracle_series.csv"),
+}
 DRIFTED_M = 50
 REL_TOL = 1e-12
 ROUNDOFF = 1e-13
@@ -101,6 +114,8 @@ def _solve_arrays(prefix: str, iterate, stats) -> dict:
         if f.name == "group_modes":
             value = _lattice_layout(value, modes.shape[-1])
         out[f"{prefix}.{f.name}"] = (value, field_scale)
+    if not hasattr(stats, "max_se"):
+        out[f"{prefix}.max_se"] = (stats.se_grid.max(axis=(1, 2)), field_scale)
     return out
 
 
@@ -119,17 +134,17 @@ def _report_arrays(prefix: str, solution) -> dict:
     return out
 
 
-def _cli_solve(cli, text: dict) -> tuple[int, dict]:
-    """Exit code of ``vortexbsde solve`` on the config ``text`` (key to
+def _cli_run(cli, command: str, text: dict) -> tuple[int, dict]:
+    """Exit code of ``vortexbsde COMMAND`` on the config ``text`` (key to
     value) and the bytes of each of its ``CLI_FILES`` (None if absent)."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        cfg = Path(tmp) / "solve.cfg"
+        cfg = Path(tmp) / f"{command}.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**text, "outdir": out}.items()))
-        code = cli.main(["solve", str(cfg)])
+        code = cli.main([command, str(cfg)])
         files = {
             name: (out / name).read_bytes() if (out / name).is_file() else None
-            for name in CLI_FILES
+            for name in CLI_FILES[command]
         }
     return code, files
 
@@ -140,10 +155,15 @@ def run_tree(tree: Path) -> tuple[dict, dict, dict]:
     engine, cli = load_package(tree)
     names = [f.name for f in dataclasses.fields(engine.SolverConfig)]
     arrays, iterations, outputs = {}, {}, {}
+    for label, (cfg_name, overrides) in ORACLE_CASES.items():
+        text = {**cli._parse_kv_text((SCRIPTS / cfg_name).read_text()), **overrides}
+        text = {key: text[key] for key in ORACLE_KEYS}
+        outputs[f"{label}.oracle"] = _cli_run(cli, "oracle", text)
     for label, (cfg_name, overrides) in CONFIGS.items():
         text = cli._parse_kv_text((SCRIPTS / cfg_name).read_text())
         if label in CLI_CASES:
-            outputs[f"{label}.cli"] = _cli_solve(cli, {**text, **overrides, "base_seed": "42"})
+            text_42 = {**text, **overrides, "base_seed": "42"}
+            outputs[f"{label}.cli"] = _cli_run(cli, "solve", text_42)
         parsed = cli.SOLVE_SCHEMA.parse({**text, **overrides})
         psi = cli._build_psi(parsed)
         for seed in SEEDS:

@@ -23,6 +23,7 @@ from .errors import ConfigurationError, DomainError
 from .torus_field import (
     ScalarField,
     VectorField,
+    _ksq,
     _nyquist_mask,
     l2_norm,
     partial_derivative,
@@ -34,18 +35,13 @@ from .torus_field import (
 LAMBDA_1 = 4.0 * np.pi**2
 
 
-def _inv_ksq(n: int) -> np.ndarray:
-    k = wavenumbers(n).astype(np.float64)
-    ksq = k[:, None] ** 2 + k[None, :] ** 2
-    ksq[0, 0] = np.inf  # k = 0 mode is annihilated, never divided
-    return 1.0 / ksq
-
-
 def velocity_modes(omega_modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raw-array K multipliers; used by the Monte Carlo engine hot path."""
     n = omega_modes.shape[-1]
     k = wavenumbers(n).astype(np.float64)
-    inv = _inv_ksq(n)
+    ksq = _ksq(n)
+    ksq[0, 0] = np.inf  # k = 0 mode is annihilated, never divided
+    inv = 1.0 / ksq
     m1 = 1j * k[None, :] * inv / (2.0 * np.pi)  # i*k2/(2*pi*|k|^2)
     m2 = -1j * k[:, None] * inv / (2.0 * np.pi)
     ny = _nyquist_mask(n)
@@ -112,16 +108,11 @@ def closed_form_c0(k_order: int, n: int) -> float:
     if not 1 <= k_order <= 3:
         raise ConfigurationError(f"C0 is measured for orders 1..3, got {k_order}")
     k = wavenumbers(n).astype(np.float64)
-    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    ksq = _ksq(n)
     nonzero = ksq > 0
-    s_hi = _sobolev_symbol(n, k_order)
-    s_lo = _sobolev_symbol(n, k_order - 1)
+    root = np.sqrt(_sobolev_symbol(n, k_order) / _sobolev_symbol(n, k_order - 1))[nonzero]
     best = 0.0
     for m_num in (np.abs(k[None, :]), np.abs(k[:, None])):  # |k2| for K1, |k1| for K2
-        mult = np.zeros_like(ksq)
-        mult[nonzero] = np.broadcast_to(m_num, ksq.shape)[nonzero] / (
-            2.0 * np.pi * ksq[nonzero]
-        )
-        ratio = mult * np.sqrt(s_hi / s_lo)
-        best = max(best, float(np.max(ratio[nonzero])))
+        mult = np.broadcast_to(m_num, ksq.shape)[nonzero] / (2.0 * np.pi * ksq[nonzero])
+        best = max(best, float(np.max(mult * root)))
     return best

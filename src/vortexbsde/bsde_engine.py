@@ -47,6 +47,9 @@ from .torus_field import (
     TWO_PI,
     ScalarField,
     _check_no_nyquist,
+    _gradient_modes,
+    _heat_factor,
+    _ksq,
     _nyquist_mask,
     _phase_grid,
     _validate_grid_size,
@@ -155,7 +158,6 @@ class SolveStats:
 
     se_grid: np.ndarray  # (L+1, N, N) pointwise standard error
     pooled_se: np.ndarray  # (L+1,) sqrt(mean_z variance / M)
-    max_se: np.ndarray  # (L+1,) max_z standard error
     sup_lattice: np.ndarray  # (L+1,) max_z |omega| on the N lattice
     group_modes: np.ndarray  # (G, L+1, n1, n2) per-group mean fields (modes)
     group_counts: np.ndarray  # (G,)
@@ -167,13 +169,8 @@ class SolveStats:
 
 def heat_mode_stack(psi_modes: np.ndarray, nu: float, dt: float, steps: int) -> np.ndarray:
     """Exact heat evolution exp(nu*tau*Lap) psi at every node, mode-wise."""
-    n = psi_modes.shape[-1]
-    k = wavenumbers(n).astype(np.float64)
-    ksq = k[:, None] ** 2 + k[None, :] ** 2
     taus = np.arange(steps + 1) * dt
-    return psi_modes[None, :, :] * np.exp(
-        -4.0 * np.pi**2 * nu * ksq[None, :, :] * taus[:, None, None]
-    )
+    return psi_modes[None, :, :] * _heat_factor(psi_modes.shape[-1], nu, taus[:, None, None])
 
 
 def heat_iterate(psi: ScalarField, config: SolverConfig, alpha=None) -> VorticityTrajectory:
@@ -281,8 +278,6 @@ def _assemble_iterate(config, heat, sum_f, sumsq_f, group_sum, group_counts):
     se_grid[0] = 0.0
     pooled = np.sqrt(np.mean(var_z, axis=(1, 2)) / m_inner)
     pooled[0] = 0.0
-    max_se = np.sqrt(var_z.max(axis=(1, 2)) / m_inner)
-    max_se[0] = 0.0
 
     # the cell's modes are the lattice modes at strides (s1, s2), as psi's
     gmodes = grid_to_modes(group_sum / group_counts[:, None, None, None])
@@ -296,7 +291,6 @@ def _assemble_iterate(config, heat, sum_f, sumsq_f, group_sum, group_counts):
     stats = SolveStats(
         se_grid=se_grid,
         pooled_se=pooled,
-        max_se=max_se,
         sup_lattice=np.max(np.abs(modes_to_grid(out)), axis=(-2, -1)),
         group_modes=gmodes,
         group_counts=group_counts,
@@ -727,10 +721,7 @@ def y_alpha_sup(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
 
 def grad_norm_sq_profile(stack: np.ndarray) -> np.ndarray:
     """||grad omega(tau_m)||_{L^2}^2 for every node, computed spectrally."""
-    n = stack.shape[-1]
-    k = wavenumbers(n).astype(np.float64)
-    ksq = k[:, None] ** 2 + k[None, :] ** 2
-    return np.sum(4.0 * np.pi**2 * ksq * np.abs(stack) ** 2, axis=(-2, -1))
+    return np.sum(4.0 * np.pi**2 * _ksq(stack.shape[-1]) * np.abs(stack) ** 2, axis=(-2, -1))
 
 
 def _prefix_quadrature(integrand: np.ndarray, dt: float) -> np.ndarray:
@@ -782,15 +773,24 @@ def _batch_means_se(values: np.ndarray) -> float:
 # Picard iteration
 
 
+def _alpha_conditions(alpha: float, c0: float, c1: float, nu: float, horizon: float):
+    """The two printed contraction conditions on the weight alpha > 0, as
+    (value, limit) pairs: c0^2 c1^2 (nu + T c0 c1^2) / (alpha nu^2) <= 1/16
+    and c0^2 c1^2 / alpha <= nu / 4."""
+    cond1 = c0**2 * c1**2 * (nu + horizon * c0 * c1**2) / (alpha * nu**2)
+    cond2 = c0**2 * c1**2 / alpha
+    return (cond1, 1.0 / 16.0), (cond2, nu / 4.0)
+
+
 def select_alpha(c0: float, c1: float, nu: float, horizon: float) -> float:
-    """Smallest weight satisfying both printed contraction conditions:
-    c0^2 c1^2 (nu + T c0 c1^2) / (alpha nu^2) <= 1/16 and
-    c0^2 c1^2 / alpha <= nu / 4."""
-    if c1 == 0.0:
-        return 0.0
-    a1 = 16.0 * c0**2 * c1**2 * (nu + horizon * c0 * c1**2) / nu**2
-    a2 = 4.0 * c0**2 * c1**2 / nu
-    return max(a1, a2)
+    """Smallest weight meeting both ``_alpha_conditions``, whose values scale as 1/alpha."""
+    return max(value / limit for value, limit in _alpha_conditions(1.0, c0, c1, nu, horizon))
+
+
+def _max_principle_margin(c1: float, eps_mc: float, sup_lattice) -> float:
+    """min over nodes of C1 + eps_MC - sup_z |omega(tau_m)|: negative when an
+    iterate exceeds the terminal bound beyond the Monte Carlo allowance."""
+    return float(np.min(c1 + eps_mc - np.asarray(sup_lattice)))
 
 
 def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
@@ -801,8 +801,7 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
     iterate difference drops below tolerance, and returns the converged
     trajectory with its Monte Carlo error report.
     """
-    if psi.grid_size != config.N:
-        raise ConfigurationError("psi grid does not match solver config")
+    _check_agrees("psi", {"grid size": (psi.grid_size, config.N)})
     dt = config.dt
     c1 = sup_norm(psi)
     c0 = closed_form_c0(1, config.N)
@@ -819,8 +818,9 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
     history = []
     for iteration in range(1, config.max_iter + 1):
         nxt, stats = solve_weighted_with_stats(current, config)
-        eps_mc = 4.0 * float(np.max(stats.max_se))
-        margin = float(np.min(c1 + eps_mc - stats.sup_lattice))
+        max_se = stats.se_grid.max(axis=(1, 2))
+        eps_mc = noise_floor(max_se, 0.0, dt)
+        margin = _max_principle_margin(c1, eps_mc, stats.sup_lattice)
         if margin < 0.0:
             raise NumericalError(
                 "maximum principle violated beyond Monte Carlo allowance",
@@ -859,7 +859,7 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
             "max_principle_margin": margin,
             "sup_lattice": stats.sup_lattice.tolist(),
             "pooled_se": stats.pooled_se.tolist(),
-            "max_se": stats.max_se.tolist(),
+            "max_se": max_se.tolist(),
             "tolerance": config.picard_tol * floor,
         }
         prev = history[-1] if history else None
@@ -928,9 +928,7 @@ def bsde_residual_profile(stack: np.ndarray, nu: float, dt: float, increments) -
     n = stack.shape[-1]
     adv, _ = _advection_modes(stack)  # <grad omega, u>(tau) per node, dealiased
     drift = dt * adv
-    k = wavenumbers(n).astype(np.float64)
-    w1 = TWO_PI * 1j * k[:, None] * stack
-    w2 = TWO_PI * 1j * k[None, :] * stack
+    w1, w2 = _gradient_modes(stack)
 
     sqrt2nu = np.sqrt(2.0 * nu)
     profiles = np.zeros((increments.shape[0], steps + 1))

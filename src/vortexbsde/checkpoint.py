@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde_engine import BsdeSolution, SolverConfig, _check_trajectory_config
+from .bsde_engine import BsdeSolution, SolverConfig, _check_agrees, _check_trajectory_config
 from .errors import ConfigurationError
 from .spectral_oracle import VorticityTrajectory
 from .torus_field import ScalarField
@@ -131,8 +131,10 @@ def read_trajectory(path) -> VorticityTrajectory:
 # solution bundle
 
 
-#: Top-level keys of ``solution.json`` and the JSON types of their values.
+#: Top-level keys of ``solution.json`` and the JSON types of their values;
+#: a JSON boolean fits none of them.
 _BUNDLE_KEYS = {
+    "schema_version": int,
     "config": dict,
     "norms": dict,
     "history": list,
@@ -234,29 +236,28 @@ def write_solution_bundle(directory, solution: BsdeSolution) -> list:
 
 def read_solution_bundle(directory) -> BsdeSolution:
     directory = Path(directory)
+    where = directory / "solution.json"
     try:
-        doc = json.loads(_read_bytes(directory / "solution.json"))
+        doc = json.loads(_read_bytes(where))
     except ValueError as exc:
-        raise ConfigurationError(f"{directory / 'solution.json'} is not valid JSON: {exc}") from exc
+        raise ConfigurationError(f"{where} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"{directory / 'solution.json'} is not a JSON object")
+        raise ConfigurationError(f"{where} is not a JSON object")
     missing = [key for key in _BUNDLE_KEYS if key not in doc]
     if missing:
-        raise ConfigurationError(f"{directory / 'solution.json'} lacks keys {missing}")
+        raise ConfigurationError(f"{where} lacks keys {missing}")
     for key, kind in _BUNDLE_KEYS.items():
-        if not isinstance(doc[key], kind):
-            raise ConfigurationError(
-                f"{directory / 'solution.json'} key {key!r} has ill-typed value {doc[key]!r}"
-            )
+        if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
+            raise ConfigurationError(f"{where} key {key!r} has ill-typed value {doc[key]!r}")
+    if doc["schema_version"] != FORMAT_VERSION:
+        version = doc["schema_version"]
+        raise ConfigurationError(f"{where} has schema_version {version}, not {FORMAT_VERSION}")
     config = _config_from_dict(doc["config"])
     psi = read_field(directory / "psi.vbsf")
     traj = read_trajectory(directory / "y_fields.vbst")
-    if psi.grid_size != config.N:
-        raise ConfigurationError(
-            f"bundle psi grid size {psi.grid_size!r} disagrees with its config ({config.N!r})"
-        )
+    _check_agrees("bundle psi", {"grid size": (psi.grid_size, config.N)})
     _check_trajectory_config(traj, config, "bundle trajectory")
-    _check_report(directory / "solution.json", doc["norms"], doc["history"], config.L)
+    _check_report(where, doc["norms"], doc["history"], config.L)
     return BsdeSolution(
         y=traj,
         psi=psi,

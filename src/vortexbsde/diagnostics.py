@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bsde_engine import BsdeSolution
+from .bsde_engine import BsdeSolution, _alpha_conditions, _max_principle_margin
 from .errors import ConfigurationError
 
 SCHEMA_VERSION = 1
+
+#: Standard errors by which the BMO proxy or a contraction ratio may exceed its bound.
+_SE_ALLOWANCE = 3.0
 
 
 def z_bmo_bound(c1: float, nu: float, horizon: float, c0: float) -> float:
@@ -38,28 +41,24 @@ def assert_alpha_conditions(alpha: float, c0: float, c1: float, nu: float, horiz
         return {"condition1": 0.0, "condition2": 0.0, "ok": True}
     if alpha == 0.0:  # a legal weight, but it satisfies neither inequality
         return {"condition1": float("inf"), "condition2": float("inf"), "ok": False}
-    cond1 = c0**2 * c1**2 * (nu + horizon * c0 * c1**2) / (alpha * nu**2)
-    cond2 = c0**2 * c1**2 / alpha
-    ok = cond1 <= 1.0 / 16.0 + 1e-12 and cond2 <= nu / 4.0 + 1e-12
+    (cond1, limit1), (cond2, limit2) = _alpha_conditions(alpha, c0, c1, nu, horizon)
+    ok = cond1 <= limit1 + 1e-12 and cond2 <= limit2 + 1e-12
     return {"condition1": cond1, "condition2": cond2, "ok": bool(ok)}
 
 
 def max_principle_check(solution: BsdeSolution, c1: float) -> dict:
     """Margin min over iterations and nodes of (C1 + eps_MC - sup|omega_n|).
 
-    eps_MC is 4x the largest pointwise inner-MC standard error of the
-    iteration; pass means no iterate ever exceeded the terminal bound
-    beyond Monte Carlo allowance.
+    eps_MC is the iteration's ``noise_floor`` of its largest pointwise
+    inner-MC standard errors; pass means no iterate ever exceeded the
+    terminal bound beyond Monte Carlo allowance.
     """
-    margins = []
     per_iteration = []
     for rec in solution.history:
         eps = rec["eps_mc"]
-        sups = np.asarray(rec["sup_lattice"])
-        margin = float(np.min(c1 + eps - sups))
-        margins.append(margin)
+        margin = _max_principle_margin(c1, eps, rec["sup_lattice"])
         per_iteration.append({"iteration": rec["iteration"], "margin": margin, "eps_mc": eps})
-    overall = float(min(margins)) if margins else float("inf")
+    overall = min((p["margin"] for p in per_iteration), default=float("inf"))
     return {
         "pass": overall >= 0.0,
         "margin": overall,
@@ -68,7 +67,7 @@ def max_principle_check(solution: BsdeSolution, c1: float) -> dict:
 
 
 def z_bmo_check(solution: BsdeSolution) -> dict:
-    """Measured BMO proxy against the printed bound, with 3-SE allowance.
+    """Measured BMO proxy against the printed bound, with ``_SE_ALLOWANCE`` SEs.
 
     The proxy is a lower bound for the essential supremum over paths (the
     L2-in-x norm of Z is translation invariant, so the path ensemble is
@@ -82,7 +81,7 @@ def z_bmo_check(solution: BsdeSolution) -> dict:
     se_sq = norms["z_bmo_sq_se"]
     measured = float(np.sqrt(measured_sq))
     se = se_sq / (2.0 * measured) if measured > 0 else float(np.sqrt(max(se_sq, 0.0)))
-    passed = measured - 3.0 * se <= bound + 1e-12
+    passed = measured - _SE_ALLOWANCE * se <= bound + 1e-12
     return {
         "pass": bool(passed),
         "measured": measured,
@@ -105,9 +104,8 @@ def contraction_check(history, alpha: float) -> dict:
     ratios = []
     above = []
     ratio_ses = []
-    prev = None
-    for rec in history:
-        if prev is not None and "contraction_ratio" in rec:
+    for prev, rec in zip(history, history[1:]):
+        if "contraction_ratio" in rec:
             r = rec["contraction_ratio"]
             ratios.append(r)
             above.append(rec.get("ratio_above_noise", False))
@@ -117,7 +115,6 @@ def contraction_check(history, alpha: float) -> dict:
             if num > 0 and den > 0:
                 rel = np.sqrt((se_n / num) ** 2 + (se_d / den) ** 2)
             ratio_ses.append(r * rel)
-        prev = rec
     usable = [(r, s) for r, a, s in zip(ratios, above, ratio_ses) if a]
     if len(usable) < 2:
         status = "inconclusive"
@@ -125,9 +122,7 @@ def contraction_check(history, alpha: float) -> dict:
     else:
         all_below_one = all(r < 1.0 for r, _ in usable)
         status = "pass" if all_below_one else "fail"
-    half_with_allowance = (
-        all(r <= 0.5 + 3.0 * s for r, s in usable) if usable else None
-    )
+    half_with_allowance = all(r <= 0.5 + _SE_ALLOWANCE * s for r, s in usable) if usable else None
     return {
         "status": status,
         "ratios": ratios,

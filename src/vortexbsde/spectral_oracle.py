@@ -22,11 +22,12 @@ from .errors import ConfigurationError, DomainError
 from .torus_field import (
     ScalarField,
     _check_no_nyquist,
+    _gradient_modes,
+    _heat_factor,
     _nyquist_mask,
     grid_to_modes,
     l2_norm,
     modes_to_grid,
-    wavenumbers,
 )
 
 #: Advective CFL limit: dtau * max|u| * 2*pi*(N/2) must stay below this.
@@ -103,9 +104,7 @@ def _advection_modes(omega_modes: np.ndarray) -> tuple[np.ndarray, float]:
     """Dealiased modes of u . grad(omega) plus max|u| on the padded lattice."""
     n = omega_modes.shape[-1]
     p = _pad_grid_size(n)
-    k = wavenumbers(n).astype(np.float64)
-    w1 = 2j * np.pi * k[:, None] * omega_modes
-    w2 = 2j * np.pi * k[None, :] * omega_modes
+    w1, w2 = _gradient_modes(omega_modes)
     u1, u2 = velocity_modes(omega_modes)
     vals = [modes_to_grid(_pad_modes(m, p)) for m in (u1, u2, w1, w2)]
     max_u = float(np.max(np.hypot(vals[0], vals[1])))
@@ -133,9 +132,7 @@ def evolve(omega0: ScalarField, nu: float, horizon: float, steps: int) -> Vortic
         raise ConfigurationError("need at least one time step")
     n = omega0.grid_size
     dt = horizon / steps
-    k = wavenumbers(n).astype(np.float64)
-    ksq = k[:, None] ** 2 + k[None, :] ** 2
-    decay = np.exp(-4.0 * np.pi**2 * nu * ksq * dt)
+    decay = _heat_factor(n, nu, dt)
     ny = _nyquist_mask(n)
 
     _check_no_nyquist(omega0.modes, "omega0")

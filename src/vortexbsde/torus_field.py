@@ -54,6 +54,23 @@ def wavenumbers(n: int) -> np.ndarray:
     return (np.fft.fftfreq(n) * n).astype(np.int64)
 
 
+def _ksq(n: int) -> np.ndarray:
+    """|k|^2 on the (n, n) wavenumber grid, as float64."""
+    k = wavenumbers(n).astype(np.float64)
+    return k[:, None] ** 2 + k[None, :] ** 2
+
+
+def _heat_factor(n: int, nu: float, tau) -> np.ndarray:
+    """Heat factors exp(-4*pi^2*nu*|k|^2*tau); an array tau broadcasts on (n, n)."""
+    return np.exp(-4.0 * np.pi**2 * nu * _ksq(n) * tau)
+
+
+def _gradient_modes(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modes 2*pi*i*k_a*fhat(k) of both partials of (..., n, n) mode arrays."""
+    k = wavenumbers(modes.shape[-1]).astype(np.float64)
+    return TWO_PI * 1j * k[:, None] * modes, TWO_PI * 1j * k[None, :] * modes
+
+
 def _nyquist_mask(n: int) -> np.ndarray:
     """Boolean (N, N) mask of modes with |k_a| = N/2 on either axis."""
     k = wavenumbers(n)
@@ -191,21 +208,17 @@ def grid_to_modes(values: np.ndarray) -> np.ndarray:
 # multiplier operations
 
 
-def _apply_multiplier(f: ScalarField, mult: np.ndarray) -> ScalarField:
-    out = f.modes * mult
-    out[_nyquist_mask(f.grid_size)] = 0.0
-    return ScalarField(out)
+def _without_nyquist(modes: np.ndarray) -> ScalarField:
+    """The field of a fresh (N, N) mode array, its Nyquist modes zeroed in place."""
+    modes[_nyquist_mask(modes.shape[-1])] = 0.0
+    return ScalarField(modes)
 
 
 def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
     """Spectral partial derivative along axis 1 or 2; Nyquist row zeroed."""
     if axis not in (1, 2):
         raise ConfigurationError(f"axis must be 1 or 2, got {axis}")
-    n = f.grid_size
-    k = wavenumbers(n)
-    mult = TWO_PI * 1j * (k[:, None] if axis == 1 else k[None, :])
-    mult = np.broadcast_to(mult, (n, n))
-    return _apply_multiplier(f, mult)
+    return _without_nyquist(_gradient_modes(f.modes)[axis - 1])
 
 
 def _phase_grid(n: int, shift: np.ndarray) -> np.ndarray:
@@ -217,7 +230,7 @@ def _phase_grid(n: int, shift: np.ndarray) -> np.ndarray:
 def translate(f: ScalarField, a) -> ScalarField:
     """Shift x -> f(x + a): multiply fhat(k) by exp(2*pi*i*<k,a>)."""
     a = np.asarray(a, dtype=np.float64) % 1.0
-    return _apply_multiplier(f, _phase_grid(f.grid_size, a))
+    return _without_nyquist(f.modes * _phase_grid(f.grid_size, a))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -24,7 +25,6 @@ from vortexbsde.bsde_engine import (
     heat_iterate,
     heat_mode_stack,
     picard_solve,
-    select_alpha,
     solve_drifted_with_stats,
     solve_weighted_with_stats,
     y_alpha_sup,
@@ -625,6 +625,7 @@ class TestPicardSolve:
         assert all(l2_norm(f) == 0.0 for f in sol.y.fields)
         assert sol.norms["z_bmo_sq"] == 0.0
         assert sol.norms["y_sup"] == 0.0
+        assert sol.norms["alpha"] == 0.0
 
     def test_single_mode_converges_fast(self):
         cfg = SolverConfig(
@@ -689,16 +690,11 @@ class TestPicardSolve:
         for key in ("z_bmo_group_values", "z_bmo_sq_se", "z_bmo_sq_debiased"):
             assert sol.norms[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)
 
-    def test_alpha_selection_satisfies_conditions(self):
-        from vortexbsde.diagnostics import assert_alpha_conditions
-
-        for c1, nu, horizon in ((1.0, 0.1, 0.5), (2.0, 0.5, 0.25), (0.3, 1.0, 1.0)):
-            alpha = select_alpha(1.013, c1, nu, horizon)
-            assert assert_alpha_conditions(alpha, 1.013, c1, nu, horizon)["ok"]
-
     def test_grid_mismatch(self):
         cfg = SolverConfig(N=32, L=8, M_inner=8, nu=0.3, T=0.2, groups=2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(
+            ConfigurationError, match=re.escape("psi grid size 16 disagrees with its config (32)")
+        ):
             picard_solve(sin1(), cfg)
 
     def test_nyquist_mode_of_psi_rejected(self):

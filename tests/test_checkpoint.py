@@ -28,6 +28,9 @@ from vortexbsde.torus_field import ScalarField, field_from_mode_list
 
 from conftest import random_mean_zero_field
 
+#: Stands for a key removed from a bundle document.
+ABSENT = object()
+
 
 class TestFieldFormat:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -314,6 +317,15 @@ class TestSolutionBundle:
             (("history", 0, "sup_lattice"), [0.5] * 8, "sup_lattice"),
             # the string "no" used to count as above noise
             (("history", 1, "ratio_above_noise"), "no", "ratio_above_noise"),
+            # an unknown or absent schema_version used to be read as 1, and
+            # JSON booleans as numbers (True == 1 in Python)
+            (("schema_version",), 99, "schema_version"),
+            (("schema_version",), ABSENT, "schema_version"),
+            (("schema_version",), None, "schema_version"),
+            (("schema_version",), True, "schema_version"),
+            (("schema_version",), 1.0, "schema_version"),
+            (("iteration_index",), True, "iteration_index"),
+            (("alpha",), False, "alpha"),
         ],
     )
     def test_malformed_report(self, tmp_path, where, value, what):
@@ -322,7 +334,10 @@ class TestSolutionBundle:
         parent = doc
         for key in where[:-1]:
             parent = parent[key]
-        parent[where[-1]] = value
+        if value is ABSENT:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
         (tmp_path / "solution.json").write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError, match=what):
             read_solution_bundle(tmp_path)

@@ -443,6 +443,8 @@ class TestDiagnoseCommand:
             # used to end in a ValueError from max_principle_check, exit 1
             # and no manifest
             ("history", [{"iteration": 1, "eps_mc": 0.0, "sup_lattice": [], "delta_norm": 0.1}]),
+            # used to be read as if it were the one version ever written
+            ("schema_version", 99),
         ],
     )
     def test_malformed_report_exit_code_and_manifest(self, tmp_path, key, value):

@@ -43,13 +43,19 @@ class TestBoundFormula:
 
 
 class TestAlphaConditions:
-    def test_selected_alpha_passes_both(self):
-        for c1, nu, horizon in ((1.0, 0.1, 0.5), (2.0, 0.5, 0.25)):
-            alpha = select_alpha(1.0126, c1, nu, horizon)
-            res = assert_alpha_conditions(alpha, 1.0126, c1, nu, horizon)
-            assert res["ok"]
-            assert res["condition1"] <= 1 / 16 + 1e-12
-            assert res["condition2"] <= nu / 4 + 1e-12
+    @pytest.mark.parametrize("c0", [1.0126, 1.013])
+    @pytest.mark.parametrize(
+        "c1, nu, horizon", [(1.0, 0.1, 0.5), (2.0, 0.5, 0.25), (0.3, 1.0, 1.0)]
+    )
+    def test_selected_alpha_passes_both(self, c1, nu, horizon, c0):
+        # select_alpha is the smallest passing weight: the binding condition
+        # sits at its printed limit, and any smaller weight fails
+        alpha = select_alpha(c0, c1, nu, horizon)
+        res = assert_alpha_conditions(alpha, c0, c1, nu, horizon)
+        assert res["ok"]
+        binding = max(res["condition1"] / (1 / 16), res["condition2"] / (nu / 4))
+        assert binding == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert not assert_alpha_conditions(alpha * (1 - 1e-9), c0, c1, nu, horizon)["ok"]
 
     def test_too_small_alpha_fails(self):
         res = assert_alpha_conditions(0.01, 1.0, 1.0, 0.1, 0.5)
@@ -68,6 +74,13 @@ class TestMaxPrinciple:
         rep = max_principle_check(small_solution, small_solution.norms["c1"])
         assert rep["pass"]
         assert rep["margin"] >= 0.0
+
+    def test_margins_are_the_solves(self, small_solution):
+        # the diagnostics and the solve share one margin rule, to the bit
+        rep = max_principle_check(small_solution, small_solution.norms["c1"])
+        assert len(rep["per_iteration"]) == len(small_solution.history) > 0
+        for got, rec in zip(rep["per_iteration"], small_solution.history):
+            assert got["margin"] == rec["max_principle_margin"]
 
     def test_single_mode_strict_decay_margin(self, small_solution):
         # every interior node decays below C1 = sup|psi|
