@@ -35,7 +35,11 @@ an iteration count or a CLI exit code differs.  Differing bytes alone do
 not fail: a change that only reorders arithmetic moves the last bits of
 the stored numbers.  Group modes kept on a lattice cell are compared in
 the (N, N) layout.  A tree whose ``SolveStats`` has no ``max_se`` has it
-compared as ``se_grid.max(axis=(1, 2))``, which it equals bit for bit.
+compared as ``se_grid.max(axis=(1, 2))``, which it equals bit for bit,
+and one with no ``group_counts`` has it compared as the branch count per
+batch-means group, ``bincount(arange(M) * G // M)``, which the solve
+computes.  A trajectory's mode stack is read from ``.modes`` where the tree
+has it and from ``mode_stack()`` otherwise.
 
 A statistics array whose largest magnitude in OLD_TREE is below 1e-13 of
 its solve's mode stack holds rounding error only (the standard errors of a
@@ -104,9 +108,14 @@ def _lattice_layout(modes: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _solve_arrays(prefix: str, iterate, stats) -> dict:
+def _mode_stack(traj) -> np.ndarray:
+    """The (L+1, N, N) mode stack of a trajectory, in either tree's layout."""
+    return traj.modes if hasattr(traj, "modes") else traj.mode_stack()
+
+
+def _solve_arrays(prefix: str, config, iterate, stats) -> dict:
     """The mode stack and every statistics array, each with the stack's scale."""
-    modes = iterate.mode_stack()
+    modes = _mode_stack(iterate)
     field_scale = float(np.max(np.abs(modes)))
     out = {f"{prefix}.modes": (modes, field_scale)}
     for f in dataclasses.fields(stats):
@@ -116,6 +125,10 @@ def _solve_arrays(prefix: str, iterate, stats) -> dict:
         out[f"{prefix}.{f.name}"] = (value, field_scale)
     if not hasattr(stats, "max_se"):
         out[f"{prefix}.max_se"] = (stats.se_grid.max(axis=(1, 2)), field_scale)
+    if not hasattr(stats, "group_counts"):
+        m, g = config.M_inner, config.groups
+        counts = np.bincount((np.arange(m) * g) // m, minlength=g)
+        out[f"{prefix}.group_counts"] = (counts, field_scale)
     return out
 
 
@@ -171,27 +184,33 @@ def run_tree(tree: Path) -> tuple[dict, dict, dict]:
             kwargs = {n: parsed[n] for n in names if n in parsed}
             config = engine.SolverConfig(**{**kwargs, "base_seed": seed})
             solution = engine.picard_solve(psi, config)
-            modes = solution.y.mode_stack()
+            modes = _mode_stack(solution.y)
             arrays[f"{case}.picard.modes"] = (modes, float(np.max(np.abs(modes))))
             iterations[f"{case}.picard"] = [rec["iteration"] for rec in solution.history]
             arrays.update(_report_arrays(f"{case}.picard", solution))
 
             heat = engine.heat_iterate(psi, config, 0.0)
             first = engine.solve_weighted_with_stats(heat, config)
-            arrays.update(_solve_arrays(f"{case}.weighted", *first))
+            arrays.update(_solve_arrays(f"{case}.weighted", config, *first))
             arrays.update(
                 _solve_arrays(
-                    f"{case}.weighted_from_1", *engine.solve_weighted_with_stats(first[0], config)
+                    f"{case}.weighted_from_1",
+                    config,
+                    *engine.solve_weighted_with_stats(first[0], config),
                 )
             )
 
             drifted = dataclasses.replace(config, M_inner=DRIFTED_M)
             arrays.update(
-                _solve_arrays(f"{case}.drifted", *engine.solve_drifted_with_stats(heat, drifted))
+                _solve_arrays(
+                    f"{case}.drifted", drifted, *engine.solve_drifted_with_stats(heat, drifted)
+                )
             )
             arrays.update(
                 _solve_arrays(
-                    f"{case}.drifted_from_1", *engine.solve_drifted_with_stats(first[0], drifted)
+                    f"{case}.drifted_from_1",
+                    drifted,
+                    *engine.solve_drifted_with_stats(first[0], drifted),
                 )
             )
     return arrays, iterations, outputs

@@ -50,6 +50,7 @@ from .torus_field import (
     _gradient_modes,
     _heat_factor,
     _ksq,
+    _lattice_sup,
     _nyquist_mask,
     _phase_grid,
     _validate_grid_size,
@@ -129,8 +130,8 @@ def _check_trajectory_config(traj: VorticityTrajectory, config: SolverConfig, ow
     """``traj`` must sit on the grid ``config`` describes: grid size, step
     count, nu and dt."""
     found = {
-        "grid size": (traj.grid_size, config.N),
-        "step count": (traj.steps, config.L),
+        "grid size": (traj.modes.shape[-1], config.N),
+        "step count": (traj.modes.shape[0] - 1, config.L),
         "nu": (traj.nu, config.nu),
         "dt": (traj.dt, config.dt),
     }
@@ -160,7 +161,6 @@ class SolveStats:
     pooled_se: np.ndarray  # (L+1,) sqrt(mean_z variance / M)
     sup_lattice: np.ndarray  # (L+1,) max_z |omega| on the N lattice
     group_modes: np.ndarray  # (G, L+1, n1, n2) per-group mean fields (modes)
-    group_counts: np.ndarray  # (G,)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +180,7 @@ def heat_iterate(psi: ScalarField, config: SolverConfig, alpha=None) -> Vorticit
     the parameter stays for callers that still pass it.
     """
     stack = heat_mode_stack(psi.modes, config.nu, config.dt, config.L)
-    fields = tuple(ScalarField(m) for m in stack)
-    return VorticityTrajectory(fields, nu=config.nu, dt=config.dt)
+    return VorticityTrajectory(stack, nu=config.nu, dt=config.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +210,7 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
     m_inner, n_groups = config.M_inner, config.groups
     _check_trajectory_config(prev, config, "iterate")
 
-    omega = prev.mode_stack()
+    omega = prev.modes.copy()
     # The step would drop a Nyquist mode of psi that the heat stack keeps.
     _check_no_nyquist(omega[0], "psi")
     omega[:, _nyquist_mask(n)] = 0.0  # multiplier-application hygiene
@@ -286,16 +285,13 @@ def _assemble_iterate(config, heat, sum_f, sumsq_f, group_sum, group_counts):
     gmodes += heat[None, :, ::s1, ::s2]
     gmodes[:, 0] = heat[0, ::s1, ::s2][None]
 
-    fields = tuple(ScalarField(m) for m in out)
-    iterate = VorticityTrajectory(fields, nu=config.nu, dt=config.dt)
     stats = SolveStats(
         se_grid=se_grid,
         pooled_se=pooled,
         sup_lattice=np.max(np.abs(modes_to_grid(out)), axis=(-2, -1)),
         group_modes=gmodes,
-        group_counts=group_counts,
     )
-    return iterate, stats
+    return VorticityTrajectory(out, nu=config.nu, dt=config.dt), stats
 
 
 def solve_weighted_with_stats(
@@ -428,8 +424,8 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     # Velocity on the doubled grid, synthesised once: the predictable-
     # evaluation guard reads every node (|h| sqrt(dt) must stay small or the
     # exponential moments are meaningless), |u|^2 reads nodes 1..L.
-    v1 = modes_to_grid(embed_modes(u1, 2))
-    v2 = modes_to_grid(embed_modes(u2, 2))
+    v1 = modes_to_grid(embed_modes(u1, 2 * n))
+    v2 = modes_to_grid(embed_modes(u2, 2 * n))
     max_h = float(np.max(np.hypot(v1, v2))) / sqrt2nu
     if max_h * np.sqrt(dt) > 1.0:
         raise NumericalError(
@@ -620,7 +616,7 @@ def _velocity_tables(u1: np.ndarray, u2: np.ndarray, cell):
     costs several real ones per point.
     """
     n1, n2 = cell
-    u_grids = modes_to_complex_grid(embed_modes(u1 + 1j * u2, 4))
+    u_grids = modes_to_complex_grid(embed_modes(u1 + 1j * u2, 4 * u1.shape[-1]))
     padded = [
         np.pad(part, ((0, 0), (0, 1), (0, 1)), mode="wrap")
         for part in (u_grids.real, u_grids.imag)
@@ -814,7 +810,7 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
 
     # iterate 0 is deterministic: every group starts from it, on psi's cell
     s1, s2 = (config.N // c for c in _cell(np.flatnonzero(psi.modes), config.N))
-    prev_group_modes = np.stack([f.modes[::s1, ::s2] for f in current.fields])[None]
+    prev_group_modes = current.modes[None, :, ::s1, ::s2]
     history = []
     for iteration in range(1, config.max_iter + 1):
         nxt, stats = solve_weighted_with_stats(current, config)
@@ -827,7 +823,7 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
                 diagnostics={"margin": margin, "iteration": iteration},
             )
 
-        delta = nxt.mode_stack() - current.mode_stack()
+        delta = nxt.modes - current.modes
         dy = float(y_alpha_sup(modes_to_grid(delta), alpha, dt))
         dz = float(np.sqrt(z_alpha_bmo_sq(delta, alpha, dt)))
         floor = noise_floor(stats.pooled_se, alpha, dt)
@@ -888,14 +884,15 @@ def _solution(psi, config, iterate, history, group_bmo_sq, bounds) -> BsdeSoluti
     batch-means debiased and with its standard error from the G values
     ``group_bmo_sq`` of the last groups (none for zero data, whose iterate
     is exact); ``bounds`` holds alpha, c0 and c1."""
-    bmo_sq = z_alpha_bmo_sq(iterate.mode_stack(), 0.0, config.dt)
+    bmo_sq = z_alpha_bmo_sq(iterate.modes, 0.0, config.dt)
     g = len(group_bmo_sq)
     # Quadratic functionals of a mean carry an O(1/M) noise bias; batch
     # means estimate and remove it (bias of a group mean is G times the
     # bias of the full mean).
     bias = (float(np.mean(group_bmo_sq)) - bmo_sq) / (g - 1) if g else 0.0
     norms = {
-        "y_sup": float(max(sup_norm(f) for f in iterate.fields)),
+        # node by node: the whole stack on the 4x grid takes 16x its memory
+        "y_sup": max(_lattice_sup(m) for m in iterate.modes),
         "z_bmo_sq": bmo_sq,
         "z_bmo_sq_debiased": bmo_sq - bias,
         "z_bmo_sq_se": _batch_means_se(group_bmo_sq) if g else 0.0,
@@ -926,8 +923,9 @@ def bsde_residual_profile(stack: np.ndarray, nu: float, dt: float, increments) -
     if increments.ndim != 3 or increments.shape[1:] != (steps, 2):
         raise DomainError(f"increments must be (paths, {steps}, 2), got {increments.shape}")
     n = stack.shape[-1]
-    adv, _ = _advection_modes(stack)  # <grad omega, u>(tau) per node, dealiased
-    drift = dt * adv
+    # <grad omega, u>(tau), dealiased, node by node: all nodes on the 3N/2
+    # grid at once would take about 30x the stack's memory
+    drift = dt * np.stack([_advection_modes(modes)[0] for modes in stack])
     w1, w2 = _gradient_modes(stack)
 
     sqrt2nu = np.sqrt(2.0 * nu)

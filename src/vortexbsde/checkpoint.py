@@ -46,13 +46,14 @@ _FIELD_HEADER = struct.Struct("<4sHHB")
 _TRAJ_HEADER = struct.Struct("<4sHIdd")
 
 
+def _modes_to_bytes(modes: np.ndarray) -> bytes:
+    """The field block of an (N, N) mode array."""
+    header = _FIELD_HEADER.pack(FIELD_MAGIC, FORMAT_VERSION, modes.shape[-1], 1)
+    return header + modes.astype("<c16", copy=False).tobytes()
+
+
 def field_to_bytes(f: ScalarField) -> bytes:
-    n = f.grid_size
-    header = _FIELD_HEADER.pack(FIELD_MAGIC, FORMAT_VERSION, n, 1)
-    flat = np.empty((n * n, 2), dtype="<f8")
-    flat[:, 0] = f.modes.real.ravel()
-    flat[:, 1] = f.modes.imag.ravel()
-    return header + flat.tobytes()
+    return _modes_to_bytes(f.modes)
 
 
 def _read_bytes(path) -> bytes:
@@ -69,7 +70,8 @@ def _check_consumed(buf: bytes, offset: int, what: str) -> None:
         raise ConfigurationError(f"{what} has {len(buf) - offset} bytes past its end")
 
 
-def field_from_bytes(buf: bytes, offset: int = 0) -> tuple[ScalarField, int]:
+def _modes_from_bytes(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
+    """The unvalidated (N, N) modes of the field block at ``offset``, and the offset past it."""
     if len(buf) - offset < _FIELD_HEADER.size:
         raise ConfigurationError("truncated field checkpoint (incomplete header)")
     magic, version, n, mean_zero = _FIELD_HEADER.unpack_from(buf, offset)
@@ -87,8 +89,11 @@ def field_from_bytes(buf: bytes, offset: int = 0) -> tuple[ScalarField, int]:
             f"{len(buf) - offset} present"
         )
     flat = np.frombuffer(buf, dtype="<f8", count=2 * count, offset=offset).reshape(count, 2)
-    modes = (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
-    offset += 16 * count
+    return (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n), offset + 16 * count
+
+
+def field_from_bytes(buf: bytes, offset: int = 0) -> tuple[ScalarField, int]:
+    modes, offset = _modes_from_bytes(buf, offset)
     return ScalarField(modes), offset
 
 
@@ -105,7 +110,7 @@ def read_field(path) -> ScalarField:
 
 def write_trajectory(path, traj: VorticityTrajectory) -> None:
     header = _TRAJ_HEADER.pack(TRAJ_MAGIC, FORMAT_VERSION, traj.steps, traj.dt, traj.nu)
-    blocks = b"".join(field_to_bytes(f) for f in traj.fields)
+    blocks = b"".join(_modes_to_bytes(modes) for modes in traj.modes)
     Path(path).write_bytes(header + blocks)
 
 
@@ -119,12 +124,14 @@ def read_trajectory(path) -> VorticityTrajectory:
     if version != FORMAT_VERSION:
         raise ConfigurationError(f"unsupported trajectory format version {version}")
     offset = _TRAJ_HEADER.size
-    fields = []
+    blocks = []
     for _ in range(steps + 1):
-        f, offset = field_from_bytes(buf, offset)
-        fields.append(f)
+        modes, offset = _modes_from_bytes(buf, offset)
+        if blocks and modes.shape != blocks[0].shape:
+            raise ConfigurationError("trajectory fields disagree on grid size")
+        blocks.append(modes)
     _check_consumed(buf, offset, "trajectory checkpoint")
-    return VorticityTrajectory(tuple(fields), nu=nu, dt=dt)
+    return VorticityTrajectory(np.stack(blocks), nu=nu, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -192,17 +193,14 @@ class RunManifest:
         }
         self.outdir = outdir
 
+    @contextmanager
     def time_phase(self, name: str):
-        manifest = self
-
-        class _Timer:
-            def __enter__(self):
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                manifest.doc["timings"][name] = time.perf_counter() - self.start
-
-        return _Timer()
+        """Records the wall time of the block, also when it raises."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.doc["timings"][name] = time.perf_counter() - start
 
     def add_output(self, path: Path):
         self.doc["outputs"].append(
@@ -313,7 +311,7 @@ def cmd_compare(parsed: dict, manifest: RunManifest) -> None:
     config = solution.config
     # the oracle is read through field_at, so its step count may differ
     found = {
-        "grid size": (traj.grid_size, config.N),
+        "grid size": (traj.modes.shape[-1], config.N),
         "nu": (traj.nu, config.nu),
         "horizon": (traj.horizon, config.T),
     }

@@ -7,13 +7,15 @@ on the unit torus, used as ground truth for the probabilistic solver.
 Time stepping is integrating-factor RK2 (Heun on the diffusion-rescaled
 variable): diffusion is applied exactly through the mode-wise factor
 exp(-4*pi^2*nu*|k|^2*dtau), advection explicitly.  The quadratic term is
-dealiased by 3/2 zero padding.
+dealiased by 3/2 zero padding (Orszag, J. Atmos. Sci. 28, 1971), through
+``torus_field.embed_modes``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +27,12 @@ from .torus_field import (
     _gradient_modes,
     _heat_factor,
     _nyquist_mask,
+    _validated_modes,
+    embed_modes,
     grid_to_modes,
     l2_norm,
     modes_to_grid,
+    wavenumbers,
 )
 
 #: Advective CFL limit: dtau * max|u| * 2*pi*(N/2) must stay below this.
@@ -39,77 +44,53 @@ class VorticityTrajectory:
     """Vorticity fields omega(tau_m, .) on the uniform grid tau_m = m*dt.
 
     The one trajectory type: oracle runs, Picard iterates (whose tau = 0
-    slice is the terminal data psi) and ``.vbst`` checkpoints.
+    slice is the terminal data psi) and ``.vbst`` checkpoints: one read-only
+    (L+1, N, N) mode stack, validated once by the ``ScalarField`` rule.
     """
 
-    fields: tuple
+    modes: np.ndarray
     nu: float
     dt: float
 
     def __post_init__(self):
-        if len(self.fields) < 2:
-            raise ConfigurationError("trajectory needs at least two time nodes")
-        if any(f.grid_size != self.fields[0].grid_size for f in self.fields):
-            raise ConfigurationError("trajectory fields disagree on grid size")
+        shape = np.shape(self.modes)
+        if len(shape) != 3 or shape[0] < 2:
+            raise ConfigurationError(
+                f"trajectory needs an (L+1, N, N) mode stack of at least two time nodes, got {shape}"
+            )
         # A NaN passes every later comparison with dt and nu, so reject it here.
         if not (0 < self.dt < math.inf and 0 < self.nu < math.inf):
             raise ConfigurationError(
                 f"trajectory needs finite positive dt and nu, got {self.dt!r}, {self.nu!r}"
             )
+        object.__setattr__(self, "modes", _validated_modes(self.modes))
+
+    @cached_property
+    def fields(self) -> tuple:
+        """The nodes as ``ScalarField``s, built on first use."""
+        return tuple(ScalarField(m) for m in self.modes)
 
     @property
     def steps(self) -> int:
-        return len(self.fields) - 1
+        return self.modes.shape[0] - 1
 
     @property
     def horizon(self) -> float:
         return self.steps * self.dt
 
-    @property
-    def grid_size(self) -> int:
-        return self.fields[0].grid_size
-
-    def mode_stack(self) -> np.ndarray:
-        return np.stack([f.modes for f in self.fields])
-
-
-def _pad_grid_size(n: int) -> int:
-    p = (3 * n) // 2
-    return p if p % 2 == 0 else p + 1
-
-
-def _pad_modes(modes: np.ndarray, p: int) -> np.ndarray:
-    """Place resolved modes (Nyquist row assumed zero) onto a larger grid."""
-    n = modes.shape[-1]
-    half = n // 2
-    out = np.zeros(modes.shape[:-2] + (p, p), dtype=np.complex128)
-    idx = np.r_[0:half, p - half : p]
-    src = np.r_[0:half, n - half : n]
-    out[..., idx[:, None], idx[None, :]] = modes[..., src[:, None], src[None, :]]
-    return out
-
-
-def _truncate_modes(big: np.ndarray, n: int) -> np.ndarray:
-    p = big.shape[-1]
-    half = n // 2
-    idx = np.r_[0:half, p - half : p]
-    src = np.r_[0:half, n - half : n]
-    out = np.zeros(big.shape[:-2] + (n, n), dtype=np.complex128)
-    out[..., src[:, None], src[None, :]] = big[..., idx[:, None], idx[None, :]]
-    out[..., _nyquist_mask(n)] = 0.0
-    return out
-
 
 def _advection_modes(omega_modes: np.ndarray) -> tuple[np.ndarray, float]:
     """Dealiased modes of u . grad(omega) plus max|u| on the padded lattice."""
     n = omega_modes.shape[-1]
-    p = _pad_grid_size(n)
-    w1, w2 = _gradient_modes(omega_modes)
+    p = 2 * -(-3 * n // 4)  # 3N/2 rounded up to an even size
     u1, u2 = velocity_modes(omega_modes)
-    vals = [modes_to_grid(_pad_modes(m, p)) for m in (u1, u2, w1, w2)]
-    max_u = float(np.max(np.hypot(vals[0], vals[1])))
-    prod = vals[0] * vals[2] + vals[1] * vals[3]
-    adv = _truncate_modes(grid_to_modes(prod), n)
+    u1_vals, u2_vals, w1_vals, w2_vals = modes_to_grid(
+        embed_modes(np.stack((u1, u2, *_gradient_modes(omega_modes))), p)
+    )
+    max_u = float(np.max(np.hypot(u1_vals, u2_vals)))
+    band = wavenumbers(n) % p  # where embed_modes put each mode
+    adv = grid_to_modes(u1_vals * w1_vals + u2_vals * w2_vals)[..., band[:, None], band]
+    adv[..., _nyquist_mask(n)] = 0.0
     adv[..., 0, 0] = 0.0  # advection by a divergence-free field has zero mean
     return adv, max_u
 
@@ -136,9 +117,9 @@ def evolve(omega0: ScalarField, nu: float, horizon: float, steps: int) -> Vortic
     ny = _nyquist_mask(n)
 
     _check_no_nyquist(omega0.modes, "omega0")
-    w = omega0.modes.copy()
-    fields = [ScalarField(w)]
-    for _ in range(steps):
+    stack = np.empty((steps + 1, n, n), dtype=np.complex128)
+    w = stack[0] = omega0.modes
+    for m in range(1, steps + 1):
         adv1, max_u = _advection_modes(w)
         _cfl_or_raise(dt, max_u, n, horizon)
         k1 = -adv1
@@ -148,8 +129,8 @@ def evolve(omega0: ScalarField, nu: float, horizon: float, steps: int) -> Vortic
         w = decay * w + 0.5 * dt * (decay * k1 + k2)
         w[ny] = 0.0
         w[0, 0] = 0.0
-        fields.append(ScalarField(w))
-    return VorticityTrajectory(tuple(fields), nu=nu, dt=dt)
+        stack[m] = w
+    return VorticityTrajectory(stack, nu=nu, dt=dt)
 
 
 def field_at(traj: VorticityTrajectory, tau: float) -> ScalarField:
@@ -166,8 +147,7 @@ def field_at(traj: VorticityTrajectory, tau: float) -> ScalarField:
     frac = pos - lo
     if hi == lo or frac == 0.0:
         return traj.fields[lo]
-    modes = (1.0 - frac) * traj.fields[lo].modes + frac * traj.fields[hi].modes
-    return ScalarField(modes)
+    return ScalarField((1.0 - frac) * traj.modes[lo] + frac * traj.modes[hi])
 
 
 def enstrophy(f: ScalarField) -> float:

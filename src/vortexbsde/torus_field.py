@@ -14,11 +14,11 @@ for both +-N/2 and is zeroed by every multiplier operation (derivative,
 translation, Fourier multiplier) so real-valuedness and multiplier
 antisymmetry stay consistent.
 
-Every field is mean-zero by construction: the constructor rejects a
-fhat(0) beyond roundoff and then sets it to exactly 0, because the
-velocity operator K, and with it every solver, is defined only on
-mean-zero vorticity.  Fields are immutable after construction; all
-operations are pure and safe to share across workers.
+Every field is mean-zero by construction: one rule, for a field and for
+each node of a trajectory's (L+1, N, N) stack, rejects a fhat(0) beyond
+roundoff and then sets it to exactly 0, because the velocity operator K,
+and with it every solver, is defined only on mean-zero vorticity.  Fields
+are immutable; all operations are pure and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 TWO_PI = 2.0 * np.pi
-
-#: Oversampling factor used when estimating the sup norm on a lattice.
-SUP_NORM_OVERSAMPLE = 4
 
 #: Imaginary residue above this (relative to field scale) means a broken
 #: Hermitian symmetry rather than roundoff.
@@ -92,10 +89,50 @@ def _check_no_nyquist(modes: np.ndarray, name: str) -> None:
 
 
 def _hermitian_conjugate(modes: np.ndarray) -> np.ndarray:
-    """conj(fhat(-k)) arranged on the same FFT grid."""
-    n = modes.shape[0]
+    """conj(fhat(-k)) of (..., N, N) mode arrays, arranged on the same FFT grid."""
+    n = modes.shape[-1]
     idx = (-np.arange(n)) % n
-    return np.conj(modes[np.ix_(idx, idx)])
+    return np.conj(modes[..., idx[:, None], idx])
+
+
+def _validated_modes(modes) -> np.ndarray:
+    """Read-only copy of (..., N, N) mode arrays of real mean-zero fields:
+    each (N, N) node must be finite, Hermitian to ``_IMAG_TOL`` and mean-zero
+    to ``_MEAN_TOL`` relative to max(max |fhat|, 1), is symmetrised exactly
+    and gets fhat(0) = 0.  An error names the first node that fails."""
+    m = np.asarray(modes, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ConfigurationError(f"mode array must be square, got {m.shape}")
+    _validate_grid_size(m.shape[-1])
+
+    def check(bad: np.ndarray, message) -> None:
+        """Raise ``message(node)`` for the first node flagged in ``bad``."""
+        if np.any(bad):
+            node = np.unravel_index(np.argmax(bad), bad.shape)
+            where = f"node {', '.join(map(str, node))}: " if node else ""
+            raise DomainError(where + message(node))
+
+    # Every check below compares, and a NaN comparison is always False.
+    check(~np.isfinite(m).all(axis=(-2, -1)), lambda node: "mode array has non-finite entries")
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    conj = _hermitian_conjugate(m)
+    asym = np.abs(m - conj).max(axis=(-2, -1))
+    check(
+        asym > _IMAG_TOL * scale,
+        lambda node: f"mode array breaks Hermitian symmetry (asymmetry {asym[node]:.3e}); "
+        "field would not be real-valued",
+    )
+    # Symmetrize exactly so the invariant holds bit-for-bit downstream;
+    # halving first keeps entries near the float maximum finite.
+    m = 0.5 * m + 0.5 * conj
+    mean = m[..., 0, 0]
+    check(
+        np.abs(mean) > _MEAN_TOL * scale,
+        lambda node: f"field must be mean-zero (fhat(0) = {mean[node]:.3e})",
+    )
+    m[..., 0, 0] = 0.0
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -106,28 +143,9 @@ class ScalarField:
     modes: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.modes, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigurationError(f"mode array must be square, got {m.shape}")
-        _validate_grid_size(m.shape[0])
-        # Every check below compares, and a NaN comparison is always False.
-        if not np.all(np.isfinite(m)):
-            raise DomainError("mode array has non-finite entries")
-        scale = max(float(np.max(np.abs(m))), 1.0)
-        asym = float(np.max(np.abs(m - _hermitian_conjugate(m))))
-        if asym > _IMAG_TOL * scale:
-            raise DomainError(
-                f"mode array breaks Hermitian symmetry (asymmetry {asym:.3e}); "
-                "field would not be real-valued"
-            )
-        # Symmetrize exactly so the invariant holds bit-for-bit downstream;
-        # halving first keeps entries near the float maximum finite.
-        m = 0.5 * m + 0.5 * _hermitian_conjugate(m)
-        if abs(m[0, 0]) > _MEAN_TOL * scale:
-            raise DomainError(f"field must be mean-zero (fhat(0) = {m[0, 0]:.3e})")
-        m[0, 0] = 0.0
-        m.setflags(write=False)
-        object.__setattr__(self, "modes", m)
+        if np.ndim(self.modes) != 2:
+            raise ConfigurationError(f"mode array must be square, got {np.shape(self.modes)}")
+        object.__setattr__(self, "modes", _validated_modes(self.modes))
 
     @property
     def grid_size(self) -> int:
@@ -253,34 +271,32 @@ def l2_norm(f: ScalarField) -> float:
     return float(np.sqrt(np.sum(np.abs(f.modes) ** 2)))
 
 
-def embed_modes(modes: np.ndarray, factor: int) -> np.ndarray:
-    """Zero-pad (..., N, N) mode arrays onto a ``factor``-times-larger grid.
+def embed_modes(modes: np.ndarray, size: int) -> np.ndarray:
+    """Zero-pad (..., N, N) mode arrays onto the (size, size) grid: mode k
+    goes to index k mod size.
 
     Nyquist coefficients are split half/half onto +-N/2 so the trigonometric
     interpolant through the original samples is reproduced exactly; the
-    split needs ``factor >= 2`` to keep +-N/2 apart.
+    split needs an even ``size`` > N to keep +-N/2 apart.
     """
-    if factor < 2:
-        raise ConfigurationError(f"embedding factor must be >= 2, got {factor}")
     n = modes.shape[-1]
-    big_n = factor * n
+    if size % 2 or size <= n:
+        raise ConfigurationError(f"embedding grid size must be even and > {n}, got {size}")
     half = n // 2
-    lead = modes.shape[:-2]
-    ext = np.zeros(lead + (n + 1, n + 1), dtype=np.complex128)
-    ext[..., :n, :n] = np.fft.fftshift(modes, axes=(-2, -1))  # k = -half .. half-1
-    ext[..., 0, :] *= 0.5
-    ext[..., n, :] = ext[..., 0, :]
-    ext[..., :, 0] *= 0.5
-    ext[..., :, n] = ext[..., :, 0]
-    big = np.zeros(lead + (big_n, big_n), dtype=np.complex128)
-    pos = np.arange(-half, half + 1) % big_n
-    big[..., pos[:, None], pos] = ext
+    pos = wavenumbers(n) % size
+    big = np.zeros(modes.shape[:-2] + (size, size), dtype=np.complex128)
+    big[..., pos[:, None], pos] = modes
+    low = size - half  # k = -N/2, copied to k = +N/2
+    big[..., low, :] *= 0.5
+    big[..., half, :] = big[..., low, :]
+    big[..., :, low] *= 0.5
+    big[..., :, half] = big[..., :, low]
     return big
 
 
-def oversampled_values(f: ScalarField) -> np.ndarray:
-    """Samples on a SUP_NORM_OVERSAMPLE-times-finer lattice via zero-padded synthesis."""
-    return modes_to_grid(embed_modes(f.modes, SUP_NORM_OVERSAMPLE))
+def _lattice_sup(modes: np.ndarray) -> float:
+    """max |f| over the 4x oversampled lattice of one (N, N) mode array."""
+    return float(np.max(np.abs(modes_to_grid(embed_modes(modes, 4 * modes.shape[-1])))))
 
 
 def sup_norm(f: ScalarField) -> float:
@@ -290,4 +306,4 @@ def sup_norm(f: ScalarField) -> float:
     slack of the oversampled lattice; callers treating it as exact must
     keep that caveat in mind.
     """
-    return float(np.max(np.abs(oversampled_values(f))))
+    return _lattice_sup(f.modes)

@@ -155,6 +155,18 @@ def dump_csv(increments, dt: float, stream) -> None:
         stream.write(f"{m},{t!r},{b1!r},{b2!r}\n")
 
 
+def pad_modes_reference(modes: np.ndarray, size: int) -> np.ndarray:
+    """Resolved modes (zero Nyquist row and column) of (..., N, N) arrays
+    placed on the (size, size) grid by a literal loop over wavenumbers:
+    mode k goes to index k mod size, every other mode is zero."""
+    n = modes.shape[-1]
+    out = np.zeros(modes.shape[:-2] + (size, size), dtype=np.complex128)
+    for k1 in range(-(n // 2) + 1, n // 2):
+        for k2 in range(-(n // 2) + 1, n // 2):
+            out[..., k1 % size, k2 % size] = modes[..., k1 % n, k2 % n]
+    return out
+
+
 def bilinear_reference(grid: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of one periodic (P, P) grid at positions (..., 2),
     wrapping positions with ``% 1.0`` and cell indices with ``% P``."""
@@ -194,8 +206,8 @@ def weighted_estimator_two_transform(config, psi_modes, u1, u2):
     sqrt2nu = np.sqrt(2.0 * nu)
     k_base = wavenumbers(n).astype(np.float64)
     k_ext = wavenumbers(2 * n).astype(np.float64)
-    v1 = modes_to_grid(np.stack([embed_modes(m, 2) for m in u1]))
-    v2 = modes_to_grid(np.stack([embed_modes(m, 2) for m in u2]))
+    v1 = modes_to_grid(np.stack([embed_modes(m, 2 * n) for m in u1]))
+    v2 = modes_to_grid(np.stack([embed_modes(m, 2 * n) for m in u2]))
     q = grid_to_modes(v1 * v1 + v2 * v2)  # |u_n|^2, exact on the doubled grid
 
     def phase(d, k):
@@ -233,7 +245,7 @@ def drifted_estimator_one_chunk(config, psi_modes, u1, u2):
     # Pack both components into one complex grid: a single interpolation
     # pass per step recovers the drift as (real, imag).
     u_grids = modes_to_complex_grid(
-        np.stack([embed_modes(a, 4) + 1j * embed_modes(b, 4) for a, b in zip(u1, u2)])
+        np.stack([embed_modes(a, 4 * n) + 1j * embed_modes(b, 4 * n) for a, b in zip(u1, u2)])
     )
     grid_1d = np.arange(n) / n
     zx = np.repeat(grid_1d, n)  # lattice point (i, j) at flat index i * N + j

@@ -158,8 +158,9 @@ def test_criterion_3_heat_equation_reduction():
     cfg = SolverConfig(
         N=N, L=128, M_inner=1000, nu=0.5, T=0.25, alpha=0.0, base_seed=42
     )
-    zero = ScalarField(np.zeros((N, N)))
-    prev = VorticityTrajectory((psi,) + (zero,) * cfg.L, nu=cfg.nu, dt=cfg.dt)
+    stack = np.zeros((cfg.L + 1, N, N), dtype=complex)
+    stack[0] = psi.modes
+    prev = VorticityTrajectory(stack, nu=cfg.nu, dt=cfg.dt)
     it, stats = solve_weighted_with_stats(prev, cfg)
     heat = heat_mode_stack(psi.modes, cfg.nu, cfg.dt, cfg.L)
     worst = 0.0
@@ -274,7 +275,7 @@ def test_criterion_7_contraction(two_mode_run, two_mode_deep_run):
 def test_criterion_8_pathwise_residual(single_mode_512_run):
     solution = single_mode_512_run
     cfg = solution.config
-    stack = solution.y.mode_stack()
+    stack = solution.y.modes
     paths = np.stack([brownian.simulate(1000 + p, cfg.L, cfg.T) for p in range(32)])
     coarse_paths = paths.reshape(32, cfg.L // 2, 2, 2).sum(axis=2)
     sq_fine = bsde_residual_profile(stack, cfg.nu, cfg.dt, paths) ** 2
@@ -306,7 +307,7 @@ def test_criterion_9_determinism(tmp_path):
     a = picard_solve(field_from_mode_list(16, [(1, 0, -0.25j), (0, 2, 0.25)]), cfg)
     b = picard_solve(field_from_mode_list(16, [(1, 0, -0.25j), (0, 2, 0.25)]), cfg)
     engine_ok = bool(
-        np.array_equal(a.y.mode_stack(), b.y.mode_stack()) and a.history == b.history
+        np.array_equal(a.y.modes, b.y.modes) and a.history == b.history
     )
     # CLI level: rerunning a config reproduces every output file bit for bit
     out = tmp_path / "out"

@@ -75,8 +75,9 @@ def zero_field(n):
 
 def iterate_with_zero_interior(psi, cfg):
     """prev with psi at the terminal slice and zero fields after: h == 0."""
-    fields = (psi,) + tuple(zero_field(psi.grid_size) for _ in range(cfg.L))
-    return VorticityTrajectory(fields, nu=cfg.nu, dt=cfg.dt)
+    stack = np.zeros((cfg.L + 1,) + psi.modes.shape, dtype=complex)
+    stack[0] = psi.modes
+    return VorticityTrajectory(stack, nu=cfg.nu, dt=cfg.dt)
 
 
 class TestTerminalValue:
@@ -178,9 +179,7 @@ class TestLinearSolve:
             [extra * np.exp(-3.0 * m * cfg.dt) for m in range(steps + 1)]
         )
         stack[0] = psi.modes
-        prev = VorticityTrajectory(
-            tuple(ScalarField(m) for m in stack), nu=cfg.nu, dt=cfg.dt
-        )
+        prev = VorticityTrajectory(stack, nu=cfg.nu, dt=cfg.dt)
         it, _ = solve_weighted_with_stats(prev, cfg)
 
         dt, nu = cfg.dt, cfg.nu
@@ -306,7 +305,7 @@ def record_weighted_blocks(monkeypatch, single_nodes=False) -> list:
 def solve_arrays(solve) -> list:
     """The mode stack and every ``SolveStats`` array of a linear solve."""
     it, stats = solve
-    return [it.mode_stack()] + [getattr(stats, f.name) for f in dataclasses.fields(stats)]
+    return [it.modes] + [getattr(stats, f.name) for f in dataclasses.fields(stats)]
 
 
 def node_block_case(case):
@@ -337,7 +336,7 @@ def assert_solve_matches_reference(solve, reference):
     to 1e-12 of the reference's scale, group modes on the (N, N) layout."""
     (it, stats), (it_ref, stats_ref) = solve, reference
     lattice = (it.fields[0].grid_size,) * 2
-    pairs = [(it.mode_stack(), it_ref.mode_stack())]
+    pairs = [(it.modes, it_ref.modes)]
     for f in dataclasses.fields(stats):
         got, ref = getattr(stats, f.name), getattr(stats_ref, f.name)
         if f.name == "group_modes":
@@ -379,10 +378,10 @@ def weighted_case(case, n=16):
         # interior nodes makes the velocity fill the lattice; with no
         # threshold the reference keeps exactly the engine's modes
         cfg = dataclasses.replace(cfg, mode_threshold_rel=0.0)
-        stack = heat_iterate(psi, cfg).mode_stack()
+        stack = heat_iterate(psi, cfg).modes.copy()
         for m in range(1, cfg.L + 1):
             stack[m] += 1e-3 * random_mean_zero_field(n, 30 + m).modes
-        prev = VorticityTrajectory(tuple(ScalarField(f) for f in stack), nu=cfg.nu, dt=cfg.dt)
+        prev = VorticityTrajectory(stack, nu=cfg.nu, dt=cfg.dt)
         return prev, cfg, (n, n)
     return heat_iterate(psi, cfg), cfg, cell
 
@@ -449,7 +448,7 @@ class TestHotLoopKernels:
         for got, ref in zip(solve_arrays(solve), solve_arrays(ref_solve), strict=True):
             assert np.array_equal(got, ref)
         if picard:
-            assert np.array_equal(sol.y.mode_stack(), ref_sol.y.mode_stack())
+            assert np.array_equal(sol.y.modes, ref_sol.y.modes)
             assert sol.history == ref_sol.history
             assert sol.norms == ref_sol.norms
 
@@ -651,7 +650,7 @@ class TestPicardSolve:
         )
         a = picard_solve(two_mode(), cfg)
         b = picard_solve(two_mode(), cfg)
-        assert np.array_equal(a.y.mode_stack(), b.y.mode_stack())
+        assert np.array_equal(a.y.modes, b.y.modes)
         assert a.history == b.history
 
     def test_fixed_point_consistency(self):
@@ -661,7 +660,7 @@ class TestPicardSolve:
         )
         sol = picard_solve(two_mode(), cfg)
         again, stats = solve_weighted_with_stats(sol.y, cfg)
-        delta = again.mode_stack() - sol.y.mode_stack()
+        delta = again.modes - sol.y.modes
         from vortexbsde.bsde_engine import noise_floor
 
         alpha = sol.norms["alpha"]
@@ -677,12 +676,12 @@ class TestPicardSolve:
         sol = picard_solve(two_mode(), cfg)
         assert len(sol.history) == 2
         iterate = heat_iterate(two_mode(), cfg)
-        group_stacks = [iterate.mode_stack()[None]]
+        group_stacks = [iterate.modes[None]]
         for _ in sol.history:
             iterate, stats = solve_weighted_with_stats(iterate, cfg)
             group_stacks.append(stats.group_modes)
-        stack = sol.y.mode_stack()
-        assert np.array_equal(iterate.mode_stack(), stack)
+        stack = sol.y.modes
+        assert np.array_equal(iterate.modes, stack)
         want = picard_group_statistics(group_stacks, stack, sol.norms["alpha"], cfg.dt)
         for rec, ref in zip(sol.history, want["history"]):
             for key in ("delta_norm_se", "delta_noise_floor"):
@@ -754,11 +753,11 @@ class TestResidual:
         cfg = SolverConfig(
             N=n, L=steps, M_inner=16, nu=nu, T=horizon, alpha=0.0
         )
-        return heat_iterate(sin1(n), cfg).mode_stack(), cfg
+        return heat_iterate(sin1(n), cfg).modes, cfg
 
     def test_zero_solution_zero_residual(self):
         cfg = SolverConfig(N=16, L=8, M_inner=8, nu=0.3, T=0.2, groups=2)
-        stack = heat_iterate(zero_field(16), cfg).mode_stack()
+        stack = heat_iterate(zero_field(16), cfg).modes
         inc = brownian.simulate(5, cfg.L, cfg.T)
         assert np.max(bsde_residual_profile(stack, cfg.nu, cfg.dt, inc[None])) == 0.0
 
@@ -791,6 +790,7 @@ class TestResidual:
     def test_each_profile_independent_of_the_others(self):
         # a path's profile is the same alone and among other paths
         stack, cfg = self._exact_stack(steps=32)
+        stack = stack.copy()
         stack[1:, 1, 1] = stack[1:, -1, -1] = 0.05  # a nonzero advection term
         inc = np.stack([brownian.simulate(40 + p, 32, cfg.T) for p in range(3)])
         together = bsde_residual_profile(stack, cfg.nu, cfg.dt, inc)
@@ -837,15 +837,60 @@ class TestConfigValidation:
 
     def test_iterate_validation(self):
         # every trajectory -- oracle run, Picard iterate or checkpoint --
-        # is validated once, when it is built
-        two = (sin1(), sin1())
+        # is validated once, when it is built; a mixed-grid ``.vbst`` is
+        # the reader's case (tests/test_checkpoint.py)
+        two = np.stack([sin1().modes] * 2)
         cases = [
-            ((sin1(),), 0.1, 0.1, "two time nodes"),
-            ((sin1(16), sin1(8)), 0.1, 0.1, "grid size"),
+            (two[:1], 0.1, 0.1, "two time nodes"),
+            (two[0], 0.1, 0.1, r"\(L\+1, N, N\) mode stack"),
+            (two[None], 0.1, 0.1, r"\(L\+1, N, N\) mode stack"),
         ]
         for bad in (float("nan"), float("inf"), 0.0, -0.1):
             cases += [(two, bad, 0.1, "finite positive"), (two, 0.1, bad, "finite positive")]
-        for fields, nu, dt, match in cases:
+        for modes, nu, dt, match in cases:
             with pytest.raises(ConfigurationError, match=match):
-                VorticityTrajectory(fields, nu=nu, dt=dt)
+                VorticityTrajectory(modes, nu=nu, dt=dt)
         assert VorticityTrajectory(two, nu=0.1, dt=0.1).steps == 1
+
+    @pytest.mark.parametrize(
+        "entry, value, match",
+        [
+            ((1, 0), np.nan, "node 2: mode array has non-finite entries"),
+            ((1, 0), 1.0, "node 2: mode array breaks Hermitian symmetry"),
+            ((0, 0), 1e-3, "node 2: field must be mean-zero"),
+        ],
+    )
+    def test_stack_validation_names_the_node(self, entry, value, match):
+        # the ScalarField rule, applied to each node of the stack at once
+        stack = heat_mode_stack(two_mode().modes, 0.3, 0.05, 4)
+        stack[2][entry] += value
+        with pytest.raises(DomainError, match=match):
+            VorticityTrajectory(stack, nu=0.3, dt=0.05)
+        with pytest.raises(DomainError, match=match.removeprefix("node 2: ")):
+            ScalarField(stack[2])
+
+    def test_stack_read_only_and_fields_agree(self):
+        traj = heat_iterate(two_mode(), SolverConfig(N=16, L=4, M_inner=8, nu=0.3, T=0.2, groups=2))
+        with pytest.raises(ValueError):
+            traj.modes[1, 1, 0] = 1.0
+        assert traj.fields is traj.fields  # built once, on first use
+        assert len(traj.fields) == traj.steps + 1
+        for m, f in enumerate(traj.fields):
+            assert np.array_equal(f.modes, traj.modes[m])
+
+    def test_solve_builds_no_scalar_field(self, monkeypatch, tmp_path):
+        # the solver, the oracle and the bundle writer work on mode stacks
+        from vortexbsde.checkpoint import write_solution_bundle
+        from vortexbsde.spectral_oracle import evolve
+
+        psi = two_mode()
+        cfg = SolverConfig(N=16, L=16, M_inner=200, nu=0.5, T=0.25, max_iter=4)
+        built = []
+        post_init = ScalarField.__post_init__
+        monkeypatch.setattr(
+            ScalarField, "__post_init__", lambda self: built.append(1) or post_init(self)
+        )
+        sol = picard_solve(psi, cfg)
+        evolve(psi, cfg.nu, cfg.T, cfg.L)
+        write_solution_bundle(tmp_path, sol)
+        assert built == []

@@ -211,7 +211,7 @@ class TestSolutionBundle:
         files = write_solution_bundle(tmp_path / "bundle", sol)
         assert set(files) == {"solution.json", "psi.vbsf", "y_fields.vbst"}
         back = read_solution_bundle(tmp_path / "bundle")
-        assert np.array_equal(back.y.mode_stack(), sol.y.mode_stack())
+        assert np.array_equal(back.y.modes, sol.y.modes)
         assert back.config == sol.config
         # diagnostics must be reproducible from the on-disk record alone
         assert full_json_report(back) == full_json_report(sol)

@@ -187,6 +187,7 @@ class TestSolveCommand:
         assert manifest["status"] == "error"
         assert manifest["error"]["type"] == "NonConvergenceError"
         assert manifest["error"]["history"]  # ratio history embedded
+        assert manifest["timings"]["picard_solve"] > 0.0  # the phase that raised
 
     def test_numerical_failure_exit_code(self, tmp_path):
         out = tmp_path / "out"

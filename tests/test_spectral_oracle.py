@@ -11,9 +11,10 @@ from vortexbsde.spectral_oracle import (
 )
 from vortexbsde.torus_field import (
     ScalarField,
+    embed_modes,
     field_from_mode_list,
     l2_norm,
-    oversampled_values,
+    modes_to_grid,
 )
 
 from conftest import random_mean_zero_field
@@ -55,14 +56,22 @@ class TestNonlinearTerm:
         # on oversampled physical values.
         omega = random_mean_zero_field(N, 71)
         adv = advection(omega)
-        ov_omega = oversampled_values(omega)
-        ov_adv = oversampled_values(adv)
+        ov_omega = modes_to_grid(embed_modes(omega.modes, 4 * N))
+        ov_adv = modes_to_grid(embed_modes(adv.modes, 4 * N))
         integral = float(np.mean(ov_adv * ov_omega))
         assert abs(integral) < 1e-10
 
     def test_result_mean_zero(self):
         adv = advection(random_mean_zero_field(N, 73))
         assert adv.modes[0, 0] == 0.0
+
+    def test_stack_matches_node_by_node(self):
+        # one stacked synthesis of a trajectory gives each node's own result
+        stack = np.stack([random_mean_zero_field(16, 80 + m).modes for m in range(3)])
+        adv, max_u = _advection_modes(stack)
+        nodes = [_advection_modes(m) for m in stack]
+        assert np.array_equal(adv, np.stack([a for a, _ in nodes]))
+        assert max_u == max(u for _, u in nodes)
 
 
 class TestEvolve:

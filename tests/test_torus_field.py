@@ -17,7 +17,13 @@ from vortexbsde.torus_field import (
 )
 
 from conftest import random_mean_zero_field
-from oracles import dft_brute, l2_quadrature, series_sum_brute, sobolev_norm
+from oracles import (
+    dft_brute,
+    l2_quadrature,
+    pad_modes_reference,
+    series_sum_brute,
+    sobolev_norm,
+)
 
 N8 = 8
 X8 = np.arange(N8) / N8
@@ -90,16 +96,26 @@ class TestInverseTransform:
 
 
 class TestEmbedModes:
-    def test_nyquist_split_needs_factor_two(self):
-        # A unit Nyquist mode: with factor 1 the positions +-N/2 coincide
-        # and half of each coefficient would be lost.
+    def test_nyquist_split_needs_larger_grid(self):
+        # A unit Nyquist mode: on a grid of size N the positions +-N/2
+        # coincide and half of each coefficient would be lost.
         modes = np.zeros((N8, N8), complex)
         modes[4, 1] = modes[4, 7] = 1.0
-        with pytest.raises(ConfigurationError):
-            embed_modes(modes, 1)
+        for size in (N8, N8 - 2, 0, N8 + 1):
+            with pytest.raises(ConfigurationError, match="even and > 8"):
+                embed_modes(modes, size)
         for factor in (2, 4):
-            fine = modes_to_grid(embed_modes(modes, factor))
+            fine = modes_to_grid(embed_modes(modes, factor * N8))
             assert np.max(np.abs(fine[::factor, ::factor] - modes_to_grid(modes))) < 1e-13
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_three_halves_grid_matches_literal_placement(self, n, rng):
+        # the oracle's dealiasing grid: resolved modes of a stack go to k mod 3N/2
+        modes = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        modes[:, n // 2, :] = 0.0
+        modes[:, :, n // 2] = 0.0
+        size = 3 * n // 2
+        assert np.array_equal(embed_modes(modes, size), pad_modes_reference(modes, size))
 
 
 class TestScalarFieldInvariants:
