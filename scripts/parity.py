@@ -18,10 +18,15 @@ repeats with period 1/2 along both axes:
 * for the two shipped solve configs at seed 42 only, ``vortexbsde solve``
   through ``cli.main``, keeping the bytes of its ``solution.json``,
   ``psi.vbsf``, ``y_fields.vbst`` and ``diagnostics.json``;
-* ``vortexbsde oracle`` on ``oracle_single_mode.cfg`` and on the two-mode
-  config's data at L = 32, keeping the bytes of its ``trajectory.vbst``
-  and ``oracle_series.csv``: the spectral oracle shares the Fourier
-  symbols of the solvers.
+* ``vortexbsde oracle`` on ``oracle_single_mode.cfg`` (at its own L and
+  at L = 16 and 24) and on the two-mode config's data at L = 32, keeping
+  the bytes of its ``trajectory.vbst`` and ``oracle_series.csv``: the
+  spectral oracle shares the Fourier symbols of the solvers;
+* ``vortexbsde compare`` of the single-mode solve bundle at seed 42
+  against the oracle at L = 16 (every node of the bundle is an oracle
+  node) and at L = 24 (every other node is interpolated), keeping the
+  bytes of ``comparison.csv`` and ``summary.json``, and ``vortexbsde
+  diagnose`` of that bundle, keeping the bytes of ``diagnostics.json``.
 
 Prints, for every mode stack, every ``SolveStats`` array, every numeric
 entry of each Picard history record (keyed by iteration) and every entry
@@ -71,8 +76,13 @@ CONFIGS = {
 CLI_CASES = ("two_mode", "single_mode")
 ORACLE_CASES = {
     "single_mode": ("oracle_single_mode.cfg", {}),
+    "single_mode_L16": ("oracle_single_mode.cfg", {"L": "16"}),
+    "single_mode_L24": ("oracle_single_mode.cfg", {"L": "24"}),
     "two_mode": ("solve_two_mode.cfg", {"L": "32"}),
 }
+#: The ``vortexbsde compare`` runs of the single-mode bundle: the oracle case
+#: each one reads its trajectory from.
+COMPARE_CASES = ("single_mode_L16", "single_mode_L24")
 ORACLE_KEYS = ("N", "L", "nu", "T", "psi_modes")
 CLI_FILES = {
     "solve": (
@@ -82,6 +92,8 @@ CLI_FILES = {
         "diagnostics.json",
     ),
     "oracle": ("trajectory.vbst", "oracle_series.csv"),
+    "compare": ("comparison.csv", "summary.json"),
+    "diagnose": ("diagnostics.json",),
 }
 DRIFTED_M = 50
 REL_TOL = 1e-12
@@ -147,19 +159,42 @@ def _report_arrays(prefix: str, solution) -> dict:
     return out
 
 
-def _cli_run(cli, command: str, text: dict) -> tuple[int, dict]:
+def _cli_run(cli, command: str, text: dict, out: Path) -> tuple[int, dict]:
     """Exit code of ``vortexbsde COMMAND`` on the config ``text`` (key to
-    value) and the bytes of each of its ``CLI_FILES`` (None if absent)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        cfg = Path(tmp) / f"{command}.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**text, "outdir": out}.items()))
-        code = cli.main([command, str(cfg)])
-        files = {
-            name: (out / name).read_bytes() if (out / name).is_file() else None
-            for name in CLI_FILES[command]
-        }
+    value) with outdir ``out``, and the bytes of each of its ``CLI_FILES``
+    (None if absent)."""
+    cfg = out.with_suffix(".cfg")
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**text, "outdir": out}.items()))
+    code = cli.main([command, str(cfg)])
+    files = {
+        name: (out / name).read_bytes() if (out / name).is_file() else None
+        for name in CLI_FILES[command]
+    }
     return code, files
+
+
+def cli_outputs(cli) -> dict:
+    """Exit code and output bytes of every CLI case, by name."""
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for label, (cfg_name, overrides) in ORACLE_CASES.items():
+            text = {**cli._parse_kv_text((SCRIPTS / cfg_name).read_text()), **overrides}
+            text = {key: text[key] for key in ORACLE_KEYS}
+            outputs[f"{label}.oracle"] = _cli_run(cli, "oracle", text, work / f"{label}.oracle")
+        for label in CLI_CASES:
+            cfg_name, overrides = CONFIGS[label]
+            text = cli._parse_kv_text((SCRIPTS / cfg_name).read_text())
+            text_42 = {**text, **overrides, "base_seed": "42"}
+            outputs[f"{label}.cli"] = _cli_run(cli, "solve", text_42, work / f"{label}.cli")
+        bundle = {"solution_bundle": work / "single_mode.cli" / "solution"}
+        for label in COMPARE_CASES:
+            text = {**bundle, "trajectory": work / f"{label}.oracle" / "trajectory.vbst"}
+            outputs[f"{label}.compare"] = _cli_run(cli, "compare", text, work / f"{label}.compare")
+        outputs["single_mode.diagnose"] = _cli_run(
+            cli, "diagnose", bundle, work / "single_mode.diagnose"
+        )
+    return outputs
 
 
 def run_tree(tree: Path) -> tuple[dict, dict, dict]:
@@ -167,16 +202,10 @@ def run_tree(tree: Path) -> tuple[dict, dict, dict]:
     output bytes of every case, by name."""
     engine, cli = load_package(tree)
     names = [f.name for f in dataclasses.fields(engine.SolverConfig)]
-    arrays, iterations, outputs = {}, {}, {}
-    for label, (cfg_name, overrides) in ORACLE_CASES.items():
-        text = {**cli._parse_kv_text((SCRIPTS / cfg_name).read_text()), **overrides}
-        text = {key: text[key] for key in ORACLE_KEYS}
-        outputs[f"{label}.oracle"] = _cli_run(cli, "oracle", text)
+    arrays, iterations = {}, {}
+    outputs = cli_outputs(cli)
     for label, (cfg_name, overrides) in CONFIGS.items():
         text = cli._parse_kv_text((SCRIPTS / cfg_name).read_text())
-        if label in CLI_CASES:
-            text_42 = {**text, **overrides, "base_seed": "42"}
-            outputs[f"{label}.cli"] = _cli_run(cli, "solve", text_42)
         parsed = cli.SOLVE_SCHEMA.parse({**text, **overrides})
         psi = cli._build_psi(parsed)
         for seed in SEEDS:

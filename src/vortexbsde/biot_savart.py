@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .torus_field import (
     ScalarField,
-    VectorField,
     _ksq,
     _nyquist_mask,
     l2_norm,
@@ -52,18 +51,23 @@ def velocity_modes(omega_modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return omega_modes * m1, omega_modes * m2
 
 
-def apply_K(omega: ScalarField) -> VectorField:
-    """Velocity field of a mean-zero vorticity; divergence-free, curl = omega."""
+def apply_K(omega: ScalarField) -> tuple[ScalarField, ScalarField]:
+    """Velocity components (u1, u2) of a mean-zero vorticity; divergence-free,
+    curl = omega."""
     u1, u2 = velocity_modes(omega.modes)
-    return VectorField(ScalarField(u1), ScalarField(u2))
+    return ScalarField(u1), ScalarField(u2)
 
 
-def divergence(u: VectorField) -> ScalarField:
-    return partial_derivative(u.component1, 1) + partial_derivative(u.component2, 2)
+def divergence(u: tuple[ScalarField, ScalarField]) -> ScalarField:
+    """d1 u1 + d2 u2; components on different grids are a ``ConfigurationError``."""
+    u1, u2 = u
+    return partial_derivative(u1, 1) + partial_derivative(u2, 2)
 
 
-def curl(u: VectorField) -> ScalarField:
-    return partial_derivative(u.component2, 1) - partial_derivative(u.component1, 2)
+def curl(u: tuple[ScalarField, ScalarField]) -> ScalarField:
+    """d1 u2 - d2 u1; components on different grids are a ``ConfigurationError``."""
+    u1, u2 = u
+    return partial_derivative(u2, 1) - partial_derivative(u1, 2)
 
 
 def verify_elliptic_estimates(f: ScalarField) -> dict:
@@ -74,10 +78,9 @@ def verify_elliptic_estimates(f: ScalarField) -> dict:
     norm_f = l2_norm(f)
     if norm_f == 0.0:
         raise DomainError("elliptic-estimate ratios are undefined for the zero field")
-    u = apply_K(f)
     grad_ratios = []
     poincare_ratios = []
-    for comp in (u.component1, u.component2):
+    for comp in apply_K(f):
         grad_sq = l2_norm(partial_derivative(comp, 1)) ** 2 + (
             l2_norm(partial_derivative(comp, 2)) ** 2
         )

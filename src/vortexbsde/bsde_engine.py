@@ -35,7 +35,8 @@ threshold):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,6 +83,14 @@ _DRIFTED_CHUNK = 16
 # configuration and data types
 
 
+#: The values each ``SolverConfig`` field annotation admits; a bool fits none.
+_ADMITTED = {
+    "int": numbers.Integral,
+    "float": numbers.Real,
+    "float | None": (numbers.Real, type(None)),
+}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Grid, path-count and physics parameters of one solver run."""
@@ -99,6 +108,10 @@ class SolverConfig:
     groups: int = 16
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _ADMITTED[f.type]):
+                raise ConfigurationError(f"config key {f.name!r} needs {f.type}, got {value!r}")
         _validate_grid_size(self.N)
         if min(self.L, self.M_inner, self.max_iter) < 1:
             raise ConfigurationError("all counts must be >= 1")

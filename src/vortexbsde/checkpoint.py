@@ -172,21 +172,6 @@ _OPTIONAL_RECORD_KEYS = {
 }
 
 
-def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value fits a ``SolverConfig`` field annotation such as
-    ``int``, ``float`` or ``float | None``; floats must be finite."""
-    if value is None:
-        return "None" in annotation
-    if isinstance(value, bool):
-        return False
-    kinds = annotation.split(" | ")
-    if isinstance(value, int):
-        return "int" in kinds or "float" in kinds
-    if isinstance(value, float):
-        return "float" in kinds and math.isfinite(value)
-    return False
-
-
 def _config_from_dict(d: dict) -> SolverConfig:
     unknown = sorted(set(d) - {f.name for f in fields(SolverConfig)})
     if unknown:
@@ -194,11 +179,6 @@ def _config_from_dict(d: dict) -> SolverConfig:
     missing = [f.name for f in fields(SolverConfig) if f.default is MISSING and f.name not in d]
     if missing:
         raise ConfigurationError(f"solution config lacks required keys {missing}")
-    for f in fields(SolverConfig):
-        if f.name in d and not _fits(d[f.name], f.type):
-            raise ConfigurationError(
-                f"solution config key {f.name!r} needs {f.type}, got {d[f.name]!r}"
-            )
     return SolverConfig(**d)
 
 

@@ -30,7 +30,7 @@ from .torus_field import (
     _validated_modes,
     embed_modes,
     grid_to_modes,
-    l2_norm,
+    l2_norms,
     modes_to_grid,
     wavenumbers,
 )
@@ -67,7 +67,9 @@ class VorticityTrajectory:
 
     @cached_property
     def fields(self) -> tuple:
-        """The nodes as ``ScalarField``s, built on first use."""
+        """The nodes as ``ScalarField``s, built on first use.  The package
+        reads ``modes``; this is kept for node-wise readers outside it (the
+        benchmark's reference errors and the tests)."""
         return tuple(ScalarField(m) for m in self.modes)
 
     @property
@@ -133,27 +135,28 @@ def evolve(omega0: ScalarField, nu: float, horizon: float, steps: int) -> Vortic
     return VorticityTrajectory(stack, nu=nu, dt=dt)
 
 
-def field_at(traj: VorticityTrajectory, tau: float) -> ScalarField:
-    """Field at time tau, linearly interpolated between grid nodes."""
+def modes_at(traj: VorticityTrajectory, tau: float) -> np.ndarray:
+    """Modes of omega(tau, .), linearly interpolated between grid nodes; at
+    a node, the stack's own read-only row."""
     horizon = traj.horizon
     if tau < -1e-12 or tau > horizon * (1 + 1e-12):
         raise DomainError(f"tau = {tau} outside [0, {horizon}]")
-    tau = min(max(tau, 0.0), horizon)
-    pos = tau / traj.dt
-    if abs(pos - round(pos)) < 1e-9:  # exact node lookup, no roundoff mixing
-        return traj.fields[int(round(pos))]
-    lo = min(int(np.floor(pos)), traj.steps)
-    hi = min(lo + 1, traj.steps)
+    pos = min(max(tau, 0.0), horizon) / traj.dt
+    node = round(pos)
+    if abs(pos - node) < 1e-9:  # exact node lookup, no roundoff mixing
+        return traj.modes[node]
+    lo = int(pos)  # pos is off every node, so lo + 1 <= L
     frac = pos - lo
-    if hi == lo or frac == 0.0:
-        return traj.fields[lo]
-    return ScalarField((1.0 - frac) * traj.modes[lo] + frac * traj.modes[hi])
+    return (1.0 - frac) * traj.modes[lo] + frac * traj.modes[lo + 1]
 
 
-def enstrophy(f: ScalarField) -> float:
-    return l2_norm(f) ** 2
+def enstrophy(modes: np.ndarray) -> np.ndarray:
+    """Squared L2 norms of (..., N, N) vorticity modes, one per leading index."""
+    return l2_norms(modes) ** 2
 
 
-def kinetic_energy(f: ScalarField) -> float:
-    u1, u2 = velocity_modes(f.modes)
-    return float(np.sum(np.abs(u1) ** 2 + np.abs(u2) ** 2))
+def kinetic_energy(modes: np.ndarray) -> np.ndarray:
+    """Squared L2 norms of the velocity K(omega) of (..., N, N) vorticity
+    modes, one per leading index."""
+    u1, u2 = velocity_modes(modes)
+    return np.sum(np.abs(u1) ** 2 + np.abs(u2) ** 2, axis=(-2, -1))

@@ -1,5 +1,5 @@
-"""Mean-zero periodic scalar/vector fields on the unit torus as truncated
-Fourier series.
+"""Mean-zero periodic scalar fields on the unit torus as truncated Fourier
+series; a vector field is a pair of them.
 
 Conventions (used verbatim by every other module):
 
@@ -164,22 +164,6 @@ class ScalarField:
         return ScalarField(self.modes - other.modes)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Pair of scalar components on a shared grid (velocities, gradients)."""
-
-    component1: ScalarField
-    component2: ScalarField
-
-    def __post_init__(self):
-        if self.component1.grid_size != self.component2.grid_size:
-            raise ConfigurationError("vector field components disagree on grid size")
-
-    @property
-    def grid_size(self) -> int:
-        return self.component1.grid_size
-
-
 def field_from_mode_list(n: int, entries) -> ScalarField:
     """Build a mean-zero field from (k1, k2, amplitude) entries.
 
@@ -267,8 +251,13 @@ def _sobolev_symbol(n: int, k_order: int) -> np.ndarray:
     return sym
 
 
+def l2_norms(modes: np.ndarray) -> np.ndarray:
+    """L2 norms of (..., N, N) mode arrays by Parseval, one per leading index."""
+    return np.sqrt(np.sum(np.abs(modes) ** 2, axis=(-2, -1)))
+
+
 def l2_norm(f: ScalarField) -> float:
-    return float(np.sqrt(np.sum(np.abs(f.modes) ** 2)))
+    return float(l2_norms(f.modes))
 
 
 def embed_modes(modes: np.ndarray, size: int) -> np.ndarray:

@@ -106,8 +106,7 @@ def measure_c0(k_order: int, trials: int, n: int = 32, seed: int = 0) -> float:
         denom = sobolev_norm(f, k_order - 1)
         if denom == 0.0:
             continue
-        u = apply_K(f)
-        for comp in (u.component1, u.component2):
+        for comp in apply_K(f):
             best = max(best, sobolev_norm(comp, k_order) / denom)
     return best
 

@@ -33,29 +33,29 @@ def sin1(n=N):
 
 class TestApplyK:
     def test_zero(self):
-        u = apply_K(ScalarField(np.zeros((N, N))))
-        assert l2_norm(u.component1) == 0.0
-        assert l2_norm(u.component2) == 0.0
+        u1, u2 = apply_K(ScalarField(np.zeros((N, N))))
+        assert l2_norm(u1) == 0.0
+        assert l2_norm(u2) == 0.0
 
     def test_single_mode_velocity(self):
         # Lap u2 = d(sin)/dx1 = 2 pi cos solves as u2 = -cos/(2 pi); u1 = 0.
-        u = apply_K(sin1())
-        assert l2_norm(u.component1) == 0.0
-        grid = modes_to_grid(u.component2.modes)
+        u1, u2 = apply_K(sin1())
+        assert l2_norm(u1) == 0.0
+        grid = modes_to_grid(u2.modes)
         analytic = -np.cos(2 * np.pi * X)[:, None] / (2 * np.pi) * np.ones(N)
         assert np.max(np.abs(grid - analytic)) < 1e-10
 
     def test_poisson_residual_on_grid(self):
         # Independent residual check: Lap u2 - d1(omega) must vanish.
         omega = random_mean_zero_field(N, 37)
-        u = apply_K(omega)
-        lap_u2 = partial_derivative(partial_derivative(u.component2, 1), 1) + (
-            partial_derivative(partial_derivative(u.component2, 2), 2)
+        u1, u2 = apply_K(omega)
+        lap_u2 = partial_derivative(partial_derivative(u2, 1), 1) + (
+            partial_derivative(partial_derivative(u2, 2), 2)
         )
         resid = lap_u2 - partial_derivative(omega, 1)
         assert l2_norm(resid) < 1e-10 * l2_norm(omega)
-        lap_u1 = partial_derivative(partial_derivative(u.component1, 1), 1) + (
-            partial_derivative(partial_derivative(u.component1, 2), 2)
+        lap_u1 = partial_derivative(partial_derivative(u1, 1), 1) + (
+            partial_derivative(partial_derivative(u1, 2), 2)
         )
         resid1 = lap_u1 + partial_derivative(omega, 2)
         assert l2_norm(resid1) < 1e-10 * l2_norm(omega)
@@ -81,12 +81,13 @@ class TestApplyK:
     def test_linearity(self, a, b):
         f = random_mean_zero_field(16, 47)
         g = random_mean_zero_field(16, 48)
-        lhs = apply_K(ScalarField(a * f.modes + b * g.modes))
-        rhs_1 = ScalarField(a * apply_K(f).component1.modes + b * apply_K(g).component1.modes)
-        rhs_2 = ScalarField(a * apply_K(f).component2.modes + b * apply_K(g).component2.modes)
+        lhs_1, lhs_2 = apply_K(ScalarField(a * f.modes + b * g.modes))
+        (f1, f2), (g1, g2) = apply_K(f), apply_K(g)
+        rhs_1 = ScalarField(a * f1.modes + b * g1.modes)
+        rhs_2 = ScalarField(a * f2.modes + b * g2.modes)
         scale = max(l2_norm(rhs_1), l2_norm(rhs_2), 1e-30)
-        assert l2_norm(lhs.component1 - rhs_1) < 1e-12 * scale + 1e-15
-        assert l2_norm(lhs.component2 - rhs_2) < 1e-12 * scale + 1e-15
+        assert l2_norm(lhs_1 - rhs_1) < 1e-12 * scale + 1e-15
+        assert l2_norm(lhs_2 - rhs_2) < 1e-12 * scale + 1e-15
 
     @settings(max_examples=15, deadline=None)
     @given(a1=st.floats(-1, 1), a2=st.floats(-1, 1))
@@ -94,7 +95,7 @@ class TestApplyK:
         omega = random_mean_zero_field(16, 53)
         lhs = apply_K(translate(omega, (a1, a2)))
         rhs = apply_K(omega)
-        for lc, rc in ((lhs.component1, rhs.component1), (lhs.component2, rhs.component2)):
+        for lc, rc in zip(lhs, rhs, strict=True):
             diff = lc - translate(rc, (a1, a2))
             assert l2_norm(diff) < 1e-12 * max(l2_norm(rc), 1e-30) + 1e-15
 
@@ -128,15 +129,15 @@ class TestC0:
         # For f = sin(2 pi x1) only K_2 is active at |k| = 1, where the
         # per-mode ratio attains the grid supremum.
         f = sin1()
-        ratio = sobolev_norm(apply_K(f).component2, 1) / sobolev_norm(f, 0)
+        ratio = sobolev_norm(apply_K(f)[1], 1) / sobolev_norm(f, 0)
         assert ratio == pytest.approx(closed_form_c0(1, N), rel=1e-12)
         assert closed_form_c0(1, N) == pytest.approx(np.sqrt(1 + 1 / (4 * np.pi**2)), rel=1e-12)
 
     def test_scaling_invariance(self):
         f = random_mean_zero_field(N, 61)
-        r1 = sobolev_norm(apply_K(f).component1, 1) / sobolev_norm(f, 0)
+        r1 = sobolev_norm(apply_K(f)[0], 1) / sobolev_norm(f, 0)
         g = ScalarField(7.3 * f.modes)
-        r2 = sobolev_norm(apply_K(g).component1, 1) / sobolev_norm(g, 0)
+        r2 = sobolev_norm(apply_K(g)[0], 1) / sobolev_norm(g, 0)
         assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_measured_below_closed_form(self):

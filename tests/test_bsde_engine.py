@@ -713,7 +713,7 @@ class TestPicardSolve:
     def test_feynman_kac_identity_pointwise(self):
         # Y(t, x) read as omega(T - t, x + sqrt(2 nu) B_t) from the solver
         # agrees with the deterministic reference evaluated the same way.
-        from vortexbsde.spectral_oracle import evolve, field_at
+        from vortexbsde.spectral_oracle import evolve, modes_at
 
         cfg = SolverConfig(
             N=16, L=32, M_inner=500, nu=0.1, T=0.4,
@@ -726,8 +726,8 @@ class TestPicardSolve:
         for j in (0, 7, 19, 32):
             tau = cfg.T - j * cfg.dt
             pts = np.array([(0.0, 0.0), (0.3, 0.7)]) + np.sqrt(2 * cfg.nu) * b[j]
-            got = series_sum_brute(field_at(sol.y, tau).modes, pts)
-            ref = series_sum_brute(field_at(traj, tau).modes, pts)
+            got = series_sum_brute(modes_at(sol.y, tau), pts)
+            ref = series_sum_brute(modes_at(traj, tau), pts)
             assert np.max(np.abs(got - ref)) < 5e-3
 
 
@@ -810,6 +810,9 @@ class TestConfigValidation:
             SolverConfig(N=16, L=8, M_inner=8, nu=-0.1, T=0.1)
         with pytest.raises(ConfigurationError):
             SolverConfig(N=16, L=8, M_inner=8, nu=0.1, T=0.1, alpha=-1.0)
+        # any integer fits an int field and any real number a float field
+        cfg = SolverConfig(N=np.int64(16), L=8, M_inner=16, nu=1, T=np.float64(0.1), alpha=0)
+        assert (cfg.N, cfg.nu, cfg.alpha) == (16, 1, 0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -825,12 +828,26 @@ class TestConfigValidation:
             ("mode_threshold_rel", float("nan")),
             ("mode_threshold_rel", 1.0),
             ("mode_threshold_rel", -0.1),
+            ("N", 16.0),
+            ("L", 8.0),
+            ("M_inner", 64.0),
+            ("groups", 4.0),
+            ("max_iter", 2.0),
+            ("base_seed", 1.5),
+            ("groups", True),
+            ("nu", "0.1"),
+            ("T", True),
+            ("picard_tol", None),
+            ("alpha", "0"),
+            ("alpha", False),
         ],
     )
     def test_non_finite_or_out_of_range_float_rejected(self, field, value):
         # NaN passes every ordered comparison: a NaN threshold selected no
         # velocity mode and a NaN tolerance never converged (exit 4), an
-        # infinite tolerance converged after one iteration
+        # infinite tolerance converged after one iteration; an ill-typed
+        # value used to get as far as picard_solve and die there with a
+        # bare TypeError or ValueError
         base = dict(N=16, L=8, M_inner=16, nu=0.1, T=0.1)
         with pytest.raises(ConfigurationError, match=field):
             SolverConfig(**{**base, field: value})
@@ -879,7 +896,9 @@ class TestConfigValidation:
             assert np.array_equal(f.modes, traj.modes[m])
 
     def test_solve_builds_no_scalar_field(self, monkeypatch, tmp_path):
-        # the solver, the oracle and the bundle writer work on mode stacks
+        # the solver, the oracle and the bundle writer work on mode stacks,
+        # and the CLI builds a field only for a psi that enters the program
+        from vortexbsde import cli
         from vortexbsde.checkpoint import write_solution_bundle
         from vortexbsde.spectral_oracle import evolve
 
@@ -888,9 +907,24 @@ class TestConfigValidation:
         built = []
         post_init = ScalarField.__post_init__
         monkeypatch.setattr(
-            ScalarField, "__post_init__", lambda self: built.append(1) or post_init(self)
+            ScalarField, "__post_init__", lambda self: post_init(self) or built.append(self.modes)
         )
         sol = picard_solve(psi, cfg)
         evolve(psi, cfg.nu, cfg.T, cfg.L)
-        write_solution_bundle(tmp_path, sol)
+        write_solution_bundle(tmp_path / "bundle", sol)
         assert built == []
+
+        oracle = tmp_path / "oracle.cfg"
+        oracle.write_text(
+            f"outdir = {tmp_path / 'oracle'}\nN = 16\nL = 16\nnu = 0.5\nT = 0.25\n"
+            "psi_modes = 1 0 0 -0.5 ; 0 2 0.5 0\n"
+        )
+        compare = tmp_path / "compare.cfg"
+        compare.write_text(
+            f"outdir = {tmp_path / 'compare'}\nsolution_bundle = {tmp_path / 'bundle'}\n"
+            f"trajectory = {tmp_path / 'oracle' / 'trajectory.vbst'}\n"
+        )
+        for command, path in (("oracle", oracle), ("compare", compare)):
+            assert cli.main([command, str(path)]) == 0
+            # the oracle's config psi, then the bundle's psi.vbsf
+            assert len(built) == 1 and np.array_equal(built.pop(), psi.modes)

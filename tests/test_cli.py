@@ -14,7 +14,7 @@ from vortexbsde.bsde_engine import BsdeSolution, SolverConfig
 from vortexbsde.checkpoint import write_solution_bundle
 from vortexbsde.errors import ConfigurationError, VortexError
 from vortexbsde.spectral_oracle import evolve
-from vortexbsde.torus_field import field_from_mode_list, l2_norm
+from vortexbsde.torus_field import ScalarField, field_from_mode_list, l2_norm
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -389,19 +389,41 @@ class TestCompareCommand:
         assert manifest["error"]["type"] == "ConfigurationError"
         assert f"trajectory {what} " in manifest["error"]["message"]
 
-    def test_oracle_step_count_may_differ(self, tmp_path):
-        # the oracle is read through field_at: 32 steps serve a 16-step bundle
+    @pytest.mark.parametrize("steps", [32, 24])
+    def test_oracle_step_count_may_differ(self, tmp_path, steps):
+        # the oracle is read through modes_at: 32 steps put an oracle node on
+        # every node of a 16-step bundle, 24 steps on every other one, and
+        # the nodes in between are interpolated linearly
         bundle, _ = self._oracle_as_solution(tmp_path)
         psi = field_from_mode_list(16, [(1, 0, -0.5j), (0, 2, 0.5)])
-        from vortexbsde.checkpoint import write_trajectory
+        oracle = evolve(psi, 0.3, 0.2, steps)
+        from vortexbsde.checkpoint import read_solution_bundle, write_trajectory
 
         fine = tmp_path / "fine.vbst"
-        write_trajectory(fine, evolve(psi, 0.3, 0.2, 32))
+        write_trajectory(fine, oracle)
+        out = tmp_path / "cmp"
         cfg = write_cfg(
             tmp_path / "c.cfg",
-            f"outdir = {tmp_path/'cmp'}\nsolution_bundle = {bundle}\ntrajectory = {fine}\n",
+            f"outdir = {out}\nsolution_bundle = {bundle}\ntrajectory = {fine}\n",
         )
         assert cli.main(["compare", str(cfg)]) == 0
+        rows = (out / "comparison.csv").read_text().strip().splitlines()[2:]
+        y = read_solution_bundle(bundle).y.modes
+        interpolated = 0
+        for j, row in enumerate(rows):
+            pos = (16 - j) * steps / 16  # oracle node of tau = T - t_j, exact in binary
+            lo = int(pos)
+            frac = pos - lo
+            b = oracle.modes[lo]
+            if frac:
+                b = (1 - frac) * b + frac * oracle.modes[lo + 1]
+                interpolated += 1
+            expected = l2_norm(ScalarField(y[16 - j]) - ScalarField(b))
+            got = float(row.split(",")[1])
+            # the command finds the same position only up to roundoff in tau / dt
+            assert got == (pytest.approx(expected, rel=1e-12) if frac else expected)
+        assert len(rows) == 17
+        assert interpolated == {32: 0, 24: 8}[steps]
 
     def test_bundle_step_count_mismatch_exit_code_and_manifest(self, tmp_path):
         # config L disagrees with the 16 steps of y_fields.vbst: compare used

@@ -6,8 +6,8 @@ from vortexbsde.spectral_oracle import (
     _advection_modes,
     enstrophy,
     evolve,
-    field_at,
     kinetic_energy,
+    modes_at,
 )
 from vortexbsde.torus_field import (
     ScalarField,
@@ -88,12 +88,16 @@ class TestEvolve:
 
     def test_enstrophy_decreases(self):
         traj = evolve(two_mode(), 0.05, 0.25, 64)
-        ens = [enstrophy(f) for f in traj.fields]
+        ens = enstrophy(traj.modes)
+        assert ens.shape == (traj.steps + 1,)
+        assert ens[-1] == l2_norm(traj.fields[-1]) ** 2
         assert all(ens[i + 1] <= ens[i] + 1e-12 for i in range(len(ens) - 1))
 
     def test_energy_decreases(self):
         traj = evolve(two_mode(), 0.05, 0.25, 64)
-        en = [kinetic_energy(f) for f in traj.fields]
+        en = kinetic_energy(traj.modes)
+        assert en.shape == (traj.steps + 1,)
+        assert en[-1] == kinetic_energy(traj.modes[-1])
         assert all(en[i + 1] <= en[i] + 1e-12 for i in range(len(en) - 1))
 
     def test_mean_zero_conserved_exactly(self):
@@ -150,13 +154,15 @@ class TestEvolve:
 
 def point_value(traj, tau: float, x) -> float:
     """omega(tau, x) by the literal Fourier sum of the interpolated field."""
-    return float(series_sum_brute(field_at(traj, tau).modes, np.array([x]))[0])
+    return float(series_sum_brute(modes_at(traj, tau), np.array([x]))[0])
 
 
 class TestEvaluate:
     def test_initial_time_exact(self):
         traj = evolve(sin1(), 0.1, 0.5, 16)
-        assert field_at(traj, 0.0) is traj.fields[0]
+        node = modes_at(traj, 0.0)
+        assert np.shares_memory(node, traj.modes) and not node.flags.writeable
+        assert np.array_equal(node, traj.modes[0])
         assert point_value(traj, 0.0, (0.25, 0.1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_mode_decay_between_nodes(self):
@@ -170,11 +176,11 @@ class TestEvaluate:
     def test_out_of_range(self):
         traj = evolve(sin1(), 0.1, 0.5, 16)
         with pytest.raises(DomainError):
-            field_at(traj, 0.6)
+            modes_at(traj, 0.6)
         with pytest.raises(DomainError):
-            field_at(traj, -0.1)
+            modes_at(traj, -0.1)
 
     def test_node_interpolation_consistency(self):
         traj = evolve(two_mode(), 0.05, 0.25, 16)
-        f = field_at(traj, 3 * traj.dt)
-        assert np.max(np.abs(f.modes - traj.fields[3].modes)) == 0.0
+        f = modes_at(traj, 3 * traj.dt)
+        assert np.max(np.abs(f - traj.modes[3])) == 0.0

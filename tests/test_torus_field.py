@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vortexbsde.biot_savart import curl, divergence
 from vortexbsde.errors import ConfigurationError, DomainError
 from vortexbsde.torus_field import (
     ScalarField,
-    VectorField,
     embed_modes,
     field_from_mode_list,
     grid_to_modes,
@@ -160,8 +160,12 @@ class TestScalarFieldInvariants:
             field_from_mode_list(N8, [(N8 // 2, 0, 1.0)])
 
     def test_vector_field_grid_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            VectorField(sin1(), random_mean_zero_field(16, 0))
+        # a velocity is a pair of fields; the field algebra checks their grids
+        pair = (sin1(), random_mean_zero_field(16, 0))
+        with pytest.raises(ConfigurationError, match="grid size mismatch"):
+            divergence(pair)
+        with pytest.raises(ConfigurationError, match="grid size mismatch"):
+            curl(pair)
 
 
 class TestPartialDerivative:
