@@ -17,7 +17,9 @@ repeats with period 1/2 along both axes:
   and again from iterate 1, whose velocity carries noise-lifted modes;
 * for the two shipped solve configs at seed 42 only, ``vortexbsde solve``
   through ``cli.main``, keeping the bytes of its ``solution.json``,
-  ``psi.vbsf``, ``y_fields.vbst`` and ``diagnostics.json``;
+  ``y_fields.vbst`` and ``diagnostics.json``, and the bytes of psi's
+  field block: the bundle's ``psi.vbsf`` where a tree wrote one, and
+  otherwise node 0's block of ``y_fields.vbst``, which holds psi;
 * ``vortexbsde oracle`` on ``oracle_single_mode.cfg`` (at its own L and
   at L = 16 and 24) and on the two-mode config's data at L = 32, keeping
   the bytes of its ``trajectory.vbst`` and ``oracle_series.csv``: the
@@ -33,8 +35,9 @@ entry of each Picard history record (keyed by iteration) and every entry
 of the solution's ``norms``, the largest difference between the trees
 relative to the entry's largest magnitude, and compares the Picard
 iteration counts of the histories, and prints whether each CLI output
-file is byte-identical between the trees; the last line names the worst
-entry and counts the CLI files whose bytes differ.  Exits 1 if a relative
+file and each solve's psi block is byte-identical between the trees; the
+last line names the worst entry and counts the CLI files whose bytes
+differ, a psi block among them.  Exits 1 if a relative
 difference exceeds 1e-12, an entry of OLD_TREE is missing from NEW_TREE,
 an iteration count or a CLI exit code differs.  Differing bytes alone do
 not fail: a change that only reorders arithmetic moves the last bits of
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -87,7 +91,6 @@ ORACLE_KEYS = ("N", "L", "nu", "T", "psi_modes")
 CLI_FILES = {
     "solve": (
         "solution/solution.json",
-        "solution/psi.vbsf",
         "solution/y_fields.vbst",
         "diagnostics.json",
     ),
@@ -159,10 +162,23 @@ def _report_arrays(prefix: str, solution) -> dict:
     return out
 
 
+def _psi_block(bundle: Path) -> bytes | None:
+    """psi's field block in a solution bundle: ``psi.vbsf`` where the tree
+    wrote one, else node 0's block of ``y_fields.vbst`` (None if absent)."""
+    if (bundle / "psi.vbsf").is_file():
+        return (bundle / "psi.vbsf").read_bytes()
+    if not (bundle / "y_fields.vbst").is_file():
+        return None
+    buf = (bundle / "y_fields.vbst").read_bytes()
+    # 26-byte trajectory header, then a 9-byte block header with N at byte 6
+    (n,) = struct.unpack_from("<H", buf, 26 + 6)
+    return buf[26 : 26 + 9 + 16 * n * n]
+
+
 def _cli_run(cli, command: str, text: dict, out: Path) -> tuple[int, dict]:
     """Exit code of ``vortexbsde COMMAND`` on the config ``text`` (key to
     value) with outdir ``out``, and the bytes of each of its ``CLI_FILES``
-    (None if absent)."""
+    (None if absent), and for a solve those of psi's field block."""
     cfg = out.with_suffix(".cfg")
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**text, "outdir": out}.items()))
     code = cli.main([command, str(cfg)])
@@ -170,6 +186,8 @@ def _cli_run(cli, command: str, text: dict, out: Path) -> tuple[int, dict]:
         name: (out / name).read_bytes() if (out / name).is_file() else None
         for name in CLI_FILES[command]
     }
+    if command == "solve":
+        files["solution/psi block"] = _psi_block(out / "solution")
     return code, files
 
 

@@ -112,6 +112,8 @@ class SolverConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _ADMITTED[f.type]):
                 raise ConfigurationError(f"config key {f.name!r} needs {f.type}, got {value!r}")
+            if value is not None:  # numpy scalars become the Python numbers JSON holds
+                object.__setattr__(self, f.name, int(value) if f.type == "int" else float(value))
         _validate_grid_size(self.N)
         if min(self.L, self.M_inner, self.max_iter) < 1:
             raise ConfigurationError("all counts must be >= 1")
@@ -156,13 +158,17 @@ class BsdeSolution:
     """Converged solution pair: Y as the last Picard iterate's trajectory
     (its Picard count is ``len(history)``, its weight ``norms["alpha"]``);
     Z at node tau is the spatial gradient of omega(tau, .), translated by
-    sqrt(2*nu) B_t along a path."""
+    sqrt(2*nu) B_t along a path.  The terminal data psi is node tau = 0 of
+    ``y``, which every iterate keeps exactly."""
 
     y: VorticityTrajectory
-    psi: ScalarField
     config: SolverConfig
     norms: dict
     history: tuple
+
+    @property
+    def psi(self) -> ScalarField:
+        return ScalarField(self.y.modes[0])
 
 
 @dataclass
@@ -819,7 +825,7 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
 
     current = heat_iterate(psi, config)
     if c1 == 0.0:
-        return _solution(psi, config, current, (), np.zeros(0), bounds)
+        return _solution(config, current, (), np.zeros(0), bounds)
 
     # iterate 0 is deterministic: every group starts from it, on psi's cell
     s1, s2 = (config.N // c for c in _cell(np.flatnonzero(psi.modes), config.N))
@@ -889,10 +895,10 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
             history=tuple(history),
         )
     group_bmo_sq = _group_bmo_sq(prev_group_modes, config.N, 0.0, dt)
-    return _solution(psi, config, current, tuple(history), group_bmo_sq, bounds)
+    return _solution(config, current, tuple(history), group_bmo_sq, bounds)
 
 
-def _solution(psi, config, iterate, history, group_bmo_sq, bounds) -> BsdeSolution:
+def _solution(config, iterate, history, group_bmo_sq, bounds) -> BsdeSolution:
     """The solution and its norms: the unweighted BMO proxy of ``iterate``,
     batch-means debiased and with its standard error from the G values
     ``group_bmo_sq`` of the last groups (none for zero data, whose iterate
@@ -912,7 +918,7 @@ def _solution(psi, config, iterate, history, group_bmo_sq, bounds) -> BsdeSoluti
         "z_bmo_group_values": group_bmo_sq.tolist(),
         **bounds,
     }
-    return BsdeSolution(y=iterate, psi=psi, config=config, norms=norms, history=history)
+    return BsdeSolution(y=iterate, config=config, norms=norms, history=history)
 
 
 # ---------------------------------------------------------------------------

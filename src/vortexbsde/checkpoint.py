@@ -1,6 +1,15 @@
-"""Binary checkpoint formats and the on-disk solution bundle.
+"""Binary trajectory checkpoint and the on-disk solution bundle.
 
-Field checkpoint (usually ``.vbsf``), little-endian throughout:
+Trajectory checkpoint (``.vbst``), little-endian throughout: a trajectory
+header followed by L+1 self-contained field blocks, one per time node:
+
+    bytes 0..3   magic "VBST"
+    bytes 4..5   version u16
+    bytes 6..9   step count L, u32
+    bytes 10..17 dt, f64
+    bytes 18..25 nu, f64
+
+Field block (node 0 starts at byte 26):
 
     bytes 0..3   magic "VBSF"
     bytes 4..5   format version, u16 (currently 1)
@@ -10,17 +19,9 @@ Field checkpoint (usually ``.vbsf``), little-endian throughout:
     entry (i1, i2) is fhat(k) with k_a = fftfreq(N)[i_a] * N, rows varying
     slowest (numpy C order of the mode array).
 
-Trajectory checkpoint (``.vbst``): a trajectory header followed by L+1
-self-contained field blocks:
-
-    bytes 0..3   magic "VBST"
-    bytes 4..5   version u16
-    bytes 6..9   step count L, u32
-    bytes 10..17 dt, f64
-    bytes 18..25 nu, f64
-
 A solution bundle is a directory holding ``solution.json`` (config echo,
-norms, iteration history), ``psi.vbsf`` and ``y_fields.vbst``.
+norms, iteration history) and ``y_fields.vbst``, whose node 0 is psi.  A
+``psi.vbsf`` left in a bundle by an earlier version is ignored.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde_engine import BsdeSolution, SolverConfig, _check_agrees, _check_trajectory_config
+from .bsde_engine import BsdeSolution, SolverConfig, _check_trajectory_config
 from .errors import ConfigurationError
 from .spectral_oracle import VorticityTrajectory
-from .torus_field import ScalarField
 
 FIELD_MAGIC = b"VBSF"
 TRAJ_MAGIC = b"VBST"
@@ -52,10 +52,6 @@ def _modes_to_bytes(modes: np.ndarray) -> bytes:
     return header + modes.astype("<c16", copy=False).tobytes()
 
 
-def field_to_bytes(f: ScalarField) -> bytes:
-    return _modes_to_bytes(f.modes)
-
-
 def _read_bytes(path) -> bytes:
     """Contents of a checkpoint file; a path naming no readable file is a
     configuration error, like any other bad input path."""
@@ -65,47 +61,26 @@ def _read_bytes(path) -> bytes:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _check_consumed(buf: bytes, offset: int, what: str) -> None:
-    if offset != len(buf):
-        raise ConfigurationError(f"{what} has {len(buf) - offset} bytes past its end")
-
-
 def _modes_from_bytes(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     """The unvalidated (N, N) modes of the field block at ``offset``, and the offset past it."""
     if len(buf) - offset < _FIELD_HEADER.size:
-        raise ConfigurationError("truncated field checkpoint (incomplete header)")
+        raise ConfigurationError("truncated field block (incomplete header)")
     magic, version, n, mean_zero = _FIELD_HEADER.unpack_from(buf, offset)
     if magic != FIELD_MAGIC:
-        raise ConfigurationError("not a field checkpoint (bad magic)")
+        raise ConfigurationError("not a field block (bad magic)")
     if version != FORMAT_VERSION:
-        raise ConfigurationError(f"unsupported field format version {version}")
+        raise ConfigurationError(f"unsupported field block version {version}")
     if mean_zero != 1:
-        raise ConfigurationError(f"field checkpoint mean-zero byte is {mean_zero}, not 1")
+        raise ConfigurationError(f"field block mean-zero byte is {mean_zero}, not 1")
     offset += _FIELD_HEADER.size
     count = n * n
     if len(buf) - offset < 16 * count:
         raise ConfigurationError(
-            f"truncated field checkpoint: N={n} needs {16 * count} coefficient bytes, "
+            f"truncated field block: N={n} needs {16 * count} coefficient bytes, "
             f"{len(buf) - offset} present"
         )
     flat = np.frombuffer(buf, dtype="<f8", count=2 * count, offset=offset).reshape(count, 2)
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n), offset + 16 * count
-
-
-def field_from_bytes(buf: bytes, offset: int = 0) -> tuple[ScalarField, int]:
-    modes, offset = _modes_from_bytes(buf, offset)
-    return ScalarField(modes), offset
-
-
-def write_field(path, f: ScalarField) -> None:
-    Path(path).write_bytes(field_to_bytes(f))
-
-
-def read_field(path) -> ScalarField:
-    buf = _read_bytes(path)
-    f, offset = field_from_bytes(buf)
-    _check_consumed(buf, offset, "field checkpoint")
-    return f
 
 
 def write_trajectory(path, traj: VorticityTrajectory) -> None:
@@ -130,7 +105,9 @@ def read_trajectory(path) -> VorticityTrajectory:
         if blocks and modes.shape != blocks[0].shape:
             raise ConfigurationError("trajectory fields disagree on grid size")
         blocks.append(modes)
-    _check_consumed(buf, offset, "trajectory checkpoint")
+    if offset != len(buf):
+        extra = len(buf) - offset
+        raise ConfigurationError(f"trajectory checkpoint has {extra} bytes past its end")
     return VorticityTrajectory(np.stack(blocks), nu=nu, dt=dt)
 
 
@@ -216,9 +193,8 @@ def write_solution_bundle(directory, solution: BsdeSolution) -> list:
     (directory / "solution.json").write_text(
         json.dumps(doc, sort_keys=True, indent=1) + "\n"
     )
-    write_field(directory / "psi.vbsf", solution.psi)
     write_trajectory(directory / "y_fields.vbst", solution.y)
-    return ["solution.json", "psi.vbsf", "y_fields.vbst"]
+    return ["solution.json", "y_fields.vbst"]
 
 
 def read_solution_bundle(directory) -> BsdeSolution:
@@ -240,14 +216,11 @@ def read_solution_bundle(directory) -> BsdeSolution:
         version = doc["schema_version"]
         raise ConfigurationError(f"{where} has schema_version {version}, not {FORMAT_VERSION}")
     config = _config_from_dict(doc["config"])
-    psi = read_field(directory / "psi.vbsf")
     traj = read_trajectory(directory / "y_fields.vbst")
-    _check_agrees("bundle psi", {"grid size": (psi.grid_size, config.N)})
     _check_trajectory_config(traj, config, "bundle trajectory")
     _check_report(where, doc["norms"], doc["history"], config.L)
     return BsdeSolution(
         y=traj,
-        psi=psi,
         config=config,
         norms=doc["norms"],
         history=tuple(doc["history"]),

@@ -626,6 +626,24 @@ class TestPicardSolve:
         assert sol.norms["y_sup"] == 0.0
         assert sol.norms["alpha"] == 0.0
 
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            zero_field(16),  # c1 == 0 returns the heat iterate unsolved
+            sin1(),
+            two_mode(),
+            random_mean_zero_field(16, 3),
+            field_from_mode_list(16, [(1, 0, -0.5j), (0, 2, 1e-310)]),
+        ],
+        ids=["zero", "single-mode", "two-mode", "full-spectrum", "subnormal"],
+    )
+    def test_psi_is_node_zero(self, psi):
+        # a bundle stores psi only as node 0 of Y, so every solve must keep it bit for bit
+        cfg = SolverConfig(N=16, L=4, M_inner=16, nu=0.3, T=0.1, picard_tol=1e6, groups=2)
+        sol = picard_solve(psi, cfg)
+        assert np.array_equal(sol.y.modes[0], psi.modes)
+        assert np.array_equal(sol.psi.modes, psi.modes)
+
     def test_single_mode_converges_fast(self):
         cfg = SolverConfig(
             N=16, L=16, M_inner=300, nu=0.1, T=0.4,
@@ -810,9 +828,11 @@ class TestConfigValidation:
             SolverConfig(N=16, L=8, M_inner=8, nu=-0.1, T=0.1)
         with pytest.raises(ConfigurationError):
             SolverConfig(N=16, L=8, M_inner=8, nu=0.1, T=0.1, alpha=-1.0)
-        # any integer fits an int field and any real number a float field
+        # any integer fits an int field and any real number a float field,
+        # and each is stored as the Python number of its field's type
         cfg = SolverConfig(N=np.int64(16), L=8, M_inner=16, nu=1, T=np.float64(0.1), alpha=0)
         assert (cfg.N, cfg.nu, cfg.alpha) == (16, 1, 0)
+        assert [type(v) for v in (cfg.N, cfg.nu, cfg.T, cfg.alpha)] == [int, float, float, float]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -924,7 +944,13 @@ class TestConfigValidation:
             f"outdir = {tmp_path / 'compare'}\nsolution_bundle = {tmp_path / 'bundle'}\n"
             f"trajectory = {tmp_path / 'oracle' / 'trajectory.vbst'}\n"
         )
-        for command, path in (("oracle", oracle), ("compare", compare)):
+        diagnose = tmp_path / "diagnose.cfg"
+        diagnose.write_text(
+            f"outdir = {tmp_path / 'diagnose'}\nsolution_bundle = {tmp_path / 'bundle'}\n"
+        )
+        assert cli.main(["oracle", str(oracle)]) == 0
+        # the oracle's config psi; a bundle's psi is node 0 of its stack
+        assert len(built) == 1 and np.array_equal(built.pop(), psi.modes)
+        for command, path in (("compare", compare), ("diagnose", diagnose)):
             assert cli.main([command, str(path)]) == 0
-            # the oracle's config psi, then the bundle's psi.vbsf
-            assert len(built) == 1 and np.array_equal(built.pop(), psi.modes)
+            assert built == []

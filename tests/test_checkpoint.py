@@ -1,6 +1,6 @@
-import struct
-
+import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,18 +12,15 @@ from vortexbsde.checkpoint import (
     FIELD_MAGIC,
     TRAJ_MAGIC,
     _config_from_dict,
-    field_from_bytes,
-    field_to_bytes,
-    read_field,
+    _modes_to_bytes,
     read_solution_bundle,
     read_trajectory,
-    write_field,
     write_solution_bundle,
     write_trajectory,
 )
 from vortexbsde.diagnostics import full_json_report
 from vortexbsde.errors import ConfigurationError, VortexError
-from vortexbsde.spectral_oracle import evolve
+from vortexbsde.spectral_oracle import VorticityTrajectory, evolve
 from vortexbsde.torus_field import ScalarField, field_from_mode_list
 
 from conftest import random_mean_zero_field
@@ -32,72 +29,85 @@ from conftest import random_mean_zero_field
 ABSENT = object()
 
 
+def _write_blocks(path, blocks, steps):
+    """A ``.vbst`` of header step count ``steps`` and field blocks of the given mode arrays."""
+    header = struct.pack("<4sHIdd", TRAJ_MAGIC, 1, steps, 0.1, 0.1)
+    path.write_bytes(header + b"".join(_modes_to_bytes(m) for m in blocks))
+
+
 class TestFieldFormat:
+    """The field block, the per-node block of a ``.vbst``; node 0 starts at byte 26."""
+
+    @staticmethod
+    def _two_node_file(path, n=4):
+        """A one-step ``.vbst`` whose two field blocks are of grid size ``n``."""
+        f = field_from_mode_list(n, [(1, 0, -0.5j)])
+        _write_blocks(path, (f.modes, f.modes), 1)
+        return bytearray(path.read_bytes())
+
     def test_round_trip_bit_exact(self, tmp_path):
         f = random_mean_zero_field(16, 5)
-        p = tmp_path / "f.vbsf"
-        write_field(p, f)
-        g = read_field(p)
-        assert np.array_equal(g.modes, f.modes)
+        p = tmp_path / "t.vbst"
+        write_trajectory(p, VorticityTrajectory(np.stack([f.modes, -f.modes]), nu=0.1, dt=0.1))
+        back = read_trajectory(p)
+        assert np.array_equal(back.modes[0], f.modes)
+        assert np.array_equal(back.modes[1], -f.modes)
 
-    def test_documented_byte_layout(self):
+    def test_documented_byte_layout(self, tmp_path):
         # header: magic 'VBSF', version u16, N u16, mean_zero u8 (little endian),
         # then N*N (re, im) f64 pairs in row-major mode order.
-        f = field_from_mode_list(4, [(1, 0, -0.5j)])
-        buf = field_to_bytes(f)
-        magic, version, n, mz = struct.unpack_from("<4sHHB", buf, 0)
+        buf = self._two_node_file(tmp_path / "t.vbst")
+        magic, version, n, mz = struct.unpack_from("<4sHHB", buf, 26)
         assert magic == FIELD_MAGIC
         assert (version, n, mz) == (1, 4, 1)
-        coeffs = np.frombuffer(buf, dtype="<f8", offset=9).reshape(16, 2)
+        coeffs = np.frombuffer(bytes(buf), dtype="<f8", count=32, offset=26 + 9).reshape(16, 2)
         # row-major: entry index 4 is mode (k1=1, k2=0) = -0.5j
         assert coeffs[4, 0] == 0.0 and coeffs[4, 1] == -0.5
         # its Hermitian partner (k1=-1 -> storage row 3) carries +0.5j
         assert coeffs[12, 1] == 0.5
-        assert len(buf) == 9 + 16 * 16
+        assert len(buf) == 26 + 2 * (9 + 16 * 16)
+        assert buf[26 + 9 + 16 * 16:][:4] == FIELD_MAGIC  # node 1 follows at once
 
-    def test_bad_magic(self):
-        with pytest.raises(ConfigurationError):
-            field_from_bytes(b"XXXX" + b"\x00" * 64)
+    def _corrupted(self, path, offset, value):
+        """The two-node file at ``path`` with ``value`` written at byte ``offset``."""
+        buf = self._two_node_file(path)
+        buf[offset:offset + len(value)] = value
+        path.write_bytes(bytes(buf))
+        return path
+
+    def test_bad_magic(self, tmp_path):
+        p = self._corrupted(tmp_path / "t.vbst", 26 + 9 + 16 * 16, b"XXXX")  # node 1's block
+        with pytest.raises(ConfigurationError, match="not a field block"):
+            read_trajectory(p)
+
+    def test_bad_version(self, tmp_path):
+        p = self._corrupted(tmp_path / "t.vbst", 26 + 4, struct.pack("<H", 2))
+        with pytest.raises(ConfigurationError, match="field block version 2"):
+            read_trajectory(p)
 
     def test_mean_zero_byte_other_than_one_rejected(self, tmp_path):
-        buf = bytearray(field_to_bytes(field_from_mode_list(4, [(1, 0, -0.5j)])))
-        buf[8] = 0
-        p = tmp_path / "f.vbsf"
-        p.write_bytes(bytes(buf))
-        with pytest.raises(ConfigurationError, match="mean-zero byte"):
-            read_field(p)
+        p = self._corrupted(tmp_path / "t.vbst", 26 + 8, b"\x00")
+        with pytest.raises(ConfigurationError, match="mean-zero byte is 0"):
+            read_trajectory(p)
 
     @pytest.mark.parametrize("cut", [0, 5, 9, 9 + 16 * 16 - 1])
-    def test_truncated_buffer(self, cut):
-        buf = field_to_bytes(field_from_mode_list(16, [(1, 0, -0.5j)]))
-        with pytest.raises(ConfigurationError, match="truncated"):
-            field_from_bytes(buf[:cut])
+    def test_truncated_buffer(self, tmp_path, cut):
+        # node 1's block of an N = 16 trajectory, cut ``cut`` bytes in
+        p = tmp_path / "t.vbst"
+        buf = self._two_node_file(p, n=16)
+        p.write_bytes(bytes(buf[:26 + 9 + 16 * 16 * 16 + cut]))
+        with pytest.raises(ConfigurationError, match="truncated field block"):
+            read_trajectory(p)
 
     def test_trailing_bytes(self, tmp_path):
-        p = tmp_path / "f.vbsf"
-        p.write_bytes(field_to_bytes(field_from_mode_list(4, [(1, 0, -0.5j)])) + b"\x00")
+        p = tmp_path / "t.vbst"
+        p.write_bytes(bytes(self._two_node_file(p)) + b"\x00")
         with pytest.raises(ConfigurationError, match="past its end"):
-            read_field(p)
+            read_trajectory(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
-            read_field(tmp_path / "absent.vbsf")
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        cut=st.integers(0, 9 + 16 * 16),
-        edits=st.lists(st.tuples(st.integers(0, 9 + 16 * 16 - 1), st.integers(0, 255)), max_size=6),
-    )
-    def test_fuzz_truncated_or_corrupted(self, cut, edits):
-        # anything a damaged checkpoint makes the reader raise is a package error
-        buf = bytearray(field_to_bytes(field_from_mode_list(4, [(1, 0, -0.5j), (0, 1, 0.25)])))
-        for i, value in edits:
-            buf[i] = value
-        try:
-            f, _ = field_from_bytes(bytes(buf[:cut]))
-        except VortexError:
-            return
-        assert np.all(np.isfinite(f.modes))
+            read_trajectory(tmp_path / "absent.vbst")
 
 
 class TestTrajectoryFormat:
@@ -155,24 +165,18 @@ class TestTrajectoryFormat:
         with pytest.raises(ConfigurationError, match="past its end"):
             read_trajectory(p)
 
-    @staticmethod
-    def _write_blocks(path, fields, steps):
-        """A ``.vbst`` of header step count ``steps`` and the given field blocks."""
-        header = struct.pack("<4sHIdd", TRAJ_MAGIC, 1, steps, 0.1, 0.1)
-        path.write_bytes(header + b"".join(field_to_bytes(f) for f in fields))
-
     def test_fields_disagree_on_grid_size(self, tmp_path):
         # no VorticityTrajectory holds mixed grids, so write the blocks directly
         fields = (field_from_mode_list(4, [(1, 0, -0.5j)]), field_from_mode_list(8, [(1, 0, -0.5j)]))
         p = tmp_path / "t.vbst"
-        self._write_blocks(p, fields, 1)
+        _write_blocks(p, [f.modes for f in fields], 1)
         with pytest.raises(ConfigurationError, match="grid size"):
             read_trajectory(p)
 
     def test_zero_steps_rejected(self, tmp_path):
         # L = 0 holds psi alone: no trajectory to solve on or compare with
         p = tmp_path / "t.vbst"
-        self._write_blocks(p, (field_from_mode_list(4, [(1, 0, -0.5j)]),), 0)
+        _write_blocks(p, (field_from_mode_list(4, [(1, 0, -0.5j)]).modes,), 0)
         with pytest.raises(ConfigurationError, match="two time nodes"):
             read_trajectory(p)
 
@@ -208,13 +212,36 @@ class TestSolutionBundle:
             picard_tol=2.0, max_iter=4,
         )
         sol = picard_solve(psi, cfg)
-        files = write_solution_bundle(tmp_path / "bundle", sol)
-        assert set(files) == {"solution.json", "psi.vbsf", "y_fields.vbst"}
-        back = read_solution_bundle(tmp_path / "bundle")
+        bundle = tmp_path / "bundle"
+        files = write_solution_bundle(bundle, sol)
+        assert set(files) == {p.name for p in bundle.iterdir()}
+        assert set(files) == {"solution.json", "y_fields.vbst"}
+        back = read_solution_bundle(bundle)
         assert np.array_equal(back.y.modes, sol.y.modes)
+        assert np.array_equal(back.psi.modes, sol.psi.modes)  # node 0 of Y
         assert back.config == sol.config
         # diagnostics must be reproducible from the on-disk record alone
         assert full_json_report(back) == full_json_report(sol)
+        # an earlier version's psi.vbsf, here holding another field, is not read
+        other = field_from_mode_list(16, [(0, 1, 0.25)])
+        (bundle / "psi.vbsf").write_bytes(_modes_to_bytes(other.modes))
+        stale = read_solution_bundle(bundle)
+        assert np.array_equal(stale.psi.modes, psi.modes)
+        assert full_json_report(stale) == full_json_report(sol)
+
+    def test_numpy_config_values_round_trip(self, tmp_path):
+        # numpy scalars fit the config's fields and used to reach json.dumps
+        # as numpy types, which it rejects with a bare TypeError
+        cfg = SolverConfig(
+            N=np.int64(16), L=4, M_inner=np.int32(64), nu=np.float32(0.1), T=0.1,
+            alpha=np.float32(1.0), groups=2,
+        )
+        sol = picard_solve(field_from_mode_list(16, [(1, 0, -0.5j)]), cfg)
+        write_solution_bundle(tmp_path, sol)
+        back = read_solution_bundle(tmp_path)
+        assert back.config == cfg
+        for f in dataclasses.fields(SolverConfig):
+            assert type(getattr(back.config, f.name)) is type(getattr(cfg, f.name))
 
     @pytest.mark.parametrize("scale", [1.0, 0.0])
     def test_top_level_count_and_weight(self, tmp_path, scale):
@@ -261,7 +288,7 @@ class TestSolutionBundle:
         psi = field_from_mode_list(16, [(1, 0, -0.5j)])
         cfg = SolverConfig(N=16, L=4, M_inner=8, nu=0.1, T=0.1, groups=2)
         sol = BsdeSolution(
-            y=evolve(psi, 0.1, 0.1, 4), psi=psi, config=cfg,
+            y=evolve(psi, 0.1, 0.1, 4), config=cfg,
             norms={"alpha": 0.0}, history=(),
         )
         write_solution_bundle(tmp_path, sol)
@@ -286,7 +313,7 @@ class TestSolutionBundle:
              "delta_norm_se": 0.01, "contraction_ratio": 0.5},
         )
         sol = BsdeSolution(
-            y=evolve(psi, 0.1, 0.4, 8), psi=psi, config=cfg,
+            y=evolve(psi, 0.1, 0.4, 8), config=cfg,
             norms=norms, history=history,
         )
         write_solution_bundle(directory, sol)

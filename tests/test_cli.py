@@ -234,7 +234,7 @@ class TestCompareCommand:
         traj = evolve(psi, nu, horizon, 16)
         cfg = SolverConfig(N=16, L=16, M_inner=8, nu=nu, T=horizon, groups=2)
         sol = BsdeSolution(
-            y=traj, psi=psi, config=cfg,
+            y=traj, config=cfg,
             norms={"c1": 1.0, "c0": 1.0, "alpha": 0.0, "y_sup": 1.0,
                    "z_bmo_sq": 0.0, "z_bmo_sq_debiased": 0.0, "z_bmo_sq_se": 0.0,
                    "z_bmo_group_values": []},
