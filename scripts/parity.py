@@ -17,9 +17,7 @@ repeats with period 1/2 along both axes:
   and again from iterate 1, whose velocity carries noise-lifted modes;
 * for the two shipped solve configs at seed 42 only, ``vortexbsde solve``
   through ``cli.main``, keeping the bytes of its ``solution.json``,
-  ``y_fields.vbst`` and ``diagnostics.json``, and the bytes of psi's
-  field block: the bundle's ``psi.vbsf`` where a tree wrote one, and
-  otherwise node 0's block of ``y_fields.vbst``, which holds psi;
+  ``y_fields.vbst`` (whose node 0 is psi) and ``diagnostics.json``;
 * ``vortexbsde oracle`` on ``oracle_single_mode.cfg`` (at its own L and
   at L = 16 and 24) and on the two-mode config's data at L = 32, keeping
   the bytes of its ``trajectory.vbst`` and ``oracle_series.csv``: the
@@ -35,19 +33,13 @@ entry of each Picard history record (keyed by iteration) and every entry
 of the solution's ``norms``, the largest difference between the trees
 relative to the entry's largest magnitude, and compares the Picard
 iteration counts of the histories, and prints whether each CLI output
-file and each solve's psi block is byte-identical between the trees; the
-last line names the worst entry and counts the CLI files whose bytes
-differ, a psi block among them.  Exits 1 if a relative
+file is byte-identical between the trees; the last line names the worst
+entry and counts the CLI files whose bytes differ.  Exits 1 if a relative
 difference exceeds 1e-12, an entry of OLD_TREE is missing from NEW_TREE,
 an iteration count or a CLI exit code differs.  Differing bytes alone do
 not fail: a change that only reorders arithmetic moves the last bits of
 the stored numbers.  Group modes kept on a lattice cell are compared in
-the (N, N) layout.  A tree whose ``SolveStats`` has no ``max_se`` has it
-compared as ``se_grid.max(axis=(1, 2))``, which it equals bit for bit,
-and one with no ``group_counts`` has it compared as the branch count per
-batch-means group, ``bincount(arange(M) * G // M)``, which the solve
-computes.  A trajectory's mode stack is read from ``.modes`` where the tree
-has it and from ``mode_stack()`` otherwise.
+the (N, N) layout.
 
 A statistics array whose largest magnitude in OLD_TREE is below 1e-13 of
 its solve's mode stack holds rounding error only (the standard errors of a
@@ -60,7 +52,6 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -123,14 +114,9 @@ def _lattice_layout(modes: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _mode_stack(traj) -> np.ndarray:
-    """The (L+1, N, N) mode stack of a trajectory, in either tree's layout."""
-    return traj.modes if hasattr(traj, "modes") else traj.mode_stack()
-
-
-def _solve_arrays(prefix: str, config, iterate, stats) -> dict:
+def _solve_arrays(prefix: str, iterate, stats) -> dict:
     """The mode stack and every statistics array, each with the stack's scale."""
-    modes = _mode_stack(iterate)
+    modes = iterate.modes
     field_scale = float(np.max(np.abs(modes)))
     out = {f"{prefix}.modes": (modes, field_scale)}
     for f in dataclasses.fields(stats):
@@ -138,12 +124,6 @@ def _solve_arrays(prefix: str, config, iterate, stats) -> dict:
         if f.name == "group_modes":
             value = _lattice_layout(value, modes.shape[-1])
         out[f"{prefix}.{f.name}"] = (value, field_scale)
-    if not hasattr(stats, "max_se"):
-        out[f"{prefix}.max_se"] = (stats.se_grid.max(axis=(1, 2)), field_scale)
-    if not hasattr(stats, "group_counts"):
-        m, g = config.M_inner, config.groups
-        counts = np.bincount((np.arange(m) * g) // m, minlength=g)
-        out[f"{prefix}.group_counts"] = (counts, field_scale)
     return out
 
 
@@ -162,23 +142,10 @@ def _report_arrays(prefix: str, solution) -> dict:
     return out
 
 
-def _psi_block(bundle: Path) -> bytes | None:
-    """psi's field block in a solution bundle: ``psi.vbsf`` where the tree
-    wrote one, else node 0's block of ``y_fields.vbst`` (None if absent)."""
-    if (bundle / "psi.vbsf").is_file():
-        return (bundle / "psi.vbsf").read_bytes()
-    if not (bundle / "y_fields.vbst").is_file():
-        return None
-    buf = (bundle / "y_fields.vbst").read_bytes()
-    # 26-byte trajectory header, then a 9-byte block header with N at byte 6
-    (n,) = struct.unpack_from("<H", buf, 26 + 6)
-    return buf[26 : 26 + 9 + 16 * n * n]
-
-
 def _cli_run(cli, command: str, text: dict, out: Path) -> tuple[int, dict]:
     """Exit code of ``vortexbsde COMMAND`` on the config ``text`` (key to
     value) with outdir ``out``, and the bytes of each of its ``CLI_FILES``
-    (None if absent), and for a solve those of psi's field block."""
+    (None if absent)."""
     cfg = out.with_suffix(".cfg")
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**text, "outdir": out}.items()))
     code = cli.main([command, str(cfg)])
@@ -186,8 +153,6 @@ def _cli_run(cli, command: str, text: dict, out: Path) -> tuple[int, dict]:
         name: (out / name).read_bytes() if (out / name).is_file() else None
         for name in CLI_FILES[command]
     }
-    if command == "solve":
-        files["solution/psi block"] = _psi_block(out / "solution")
     return code, files
 
 
@@ -231,33 +196,27 @@ def run_tree(tree: Path) -> tuple[dict, dict, dict]:
             kwargs = {n: parsed[n] for n in names if n in parsed}
             config = engine.SolverConfig(**{**kwargs, "base_seed": seed})
             solution = engine.picard_solve(psi, config)
-            modes = _mode_stack(solution.y)
+            modes = solution.y.modes
             arrays[f"{case}.picard.modes"] = (modes, float(np.max(np.abs(modes))))
             iterations[f"{case}.picard"] = [rec["iteration"] for rec in solution.history]
             arrays.update(_report_arrays(f"{case}.picard", solution))
 
-            heat = engine.heat_iterate(psi, config, 0.0)
+            heat = engine.heat_iterate(psi, config)
             first = engine.solve_weighted_with_stats(heat, config)
-            arrays.update(_solve_arrays(f"{case}.weighted", config, *first))
+            arrays.update(_solve_arrays(f"{case}.weighted", *first))
             arrays.update(
                 _solve_arrays(
-                    f"{case}.weighted_from_1",
-                    config,
-                    *engine.solve_weighted_with_stats(first[0], config),
+                    f"{case}.weighted_from_1", *engine.solve_weighted_with_stats(first[0], config)
                 )
             )
 
             drifted = dataclasses.replace(config, M_inner=DRIFTED_M)
             arrays.update(
-                _solve_arrays(
-                    f"{case}.drifted", drifted, *engine.solve_drifted_with_stats(heat, drifted)
-                )
+                _solve_arrays(f"{case}.drifted", *engine.solve_drifted_with_stats(heat, drifted))
             )
             arrays.update(
                 _solve_arrays(
-                    f"{case}.drifted_from_1",
-                    drifted,
-                    *engine.solve_drifted_with_stats(first[0], drifted),
+                    f"{case}.drifted_from_1", *engine.solve_drifted_with_stats(first[0], drifted)
                 )
             )
     return arrays, iterations, outputs

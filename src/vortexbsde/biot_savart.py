@@ -23,7 +23,6 @@ from .errors import ConfigurationError, DomainError
 from .torus_field import (
     ScalarField,
     _ksq,
-    _nyquist_mask,
     l2_norm,
     partial_derivative,
     _sobolev_symbol,
@@ -35,19 +34,18 @@ LAMBDA_1 = 4.0 * np.pi**2
 
 
 def velocity_modes(omega_modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-array K multipliers; used by the Monte Carlo engine hot path."""
+    """Raw-array K multipliers; used by the solvers' hot paths.
+
+    ``omega_modes`` are the (..., N, N) modes of validated fields, so
+    mean-zero and Nyquist-free; their velocity is too.
+    """
     n = omega_modes.shape[-1]
     k = wavenumbers(n).astype(np.float64)
     ksq = _ksq(n)
-    ksq[0, 0] = np.inf  # k = 0 mode is annihilated, never divided
+    ksq[0, 0] = np.inf  # 1/inf = 0: the k = 0 mode is annihilated, never divided
     inv = 1.0 / ksq
     m1 = 1j * k[None, :] * inv / (2.0 * np.pi)  # i*k2/(2*pi*|k|^2)
     m2 = -1j * k[:, None] * inv / (2.0 * np.pi)
-    ny = _nyquist_mask(n)
-    m1[ny] = 0.0
-    m2[ny] = 0.0
-    m1[0, 0] = 0.0
-    m2[0, 0] = 0.0
     return omega_modes * m1, omega_modes * m2
 
 

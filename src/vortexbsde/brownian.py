@@ -23,6 +23,10 @@ from .errors import ConfigurationError
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
+#: The largest float below 1: the top word 2^53 - 1 rounds to u = 1.0, whose
+#: inverse normal CDF is +inf, so u is clamped here.
+_U_MAX = np.nextafter(1.0, 0.0)
+
 # Purpose tags keep independent uses of the same base seed non-colliding.
 TAG_SIMULATE = 0x51
 TAG_INNER = 0x1E
@@ -36,7 +40,7 @@ def stream_key(seed: int, tag: int) -> list:
 def _words_to_normals(words: np.ndarray) -> np.ndarray:
     """Map raw 64-bit words to standard normals via inverse CDF."""
     u = ((words >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    return ndtri(np.minimum(u, _U_MAX, out=u))
 
 
 def simulate(seed: int, steps: int, horizon: float) -> np.ndarray:

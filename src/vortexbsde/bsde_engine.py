@@ -47,7 +47,6 @@ from .spectral_oracle import VorticityTrajectory, _advection_modes
 from .torus_field import (
     TWO_PI,
     ScalarField,
-    _check_no_nyquist,
     _gradient_modes,
     _heat_factor,
     _ksq,
@@ -210,11 +209,12 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
     """One Picard step: heat control variate plus a Monte Carlo correction.
 
     ``prev`` is the previous iterate omega_n(tau_m, .), whose tau = 0 slice
-    is the terminal data psi.  Owns what both estimators share: the check
-    of ``prev`` against the config (grid size, step count, nu and dt), the
-    Nyquist check of psi and hygiene of the later nodes, the velocity of
-    ``prev``, the exact heat stack, the keyed increments and displacements,
-    branch chunking and the sum, sum-of-squares and group accumulation.
+    is the terminal data psi; like every trajectory it is mean-zero and
+    Nyquist-free by construction.  Owns what both estimators share: the
+    check of ``prev`` against the config (grid size, step count, nu and
+    dt), the velocity of ``prev``, the exact heat stack, the keyed
+    increments and displacements, branch chunking and the sum,
+    sum-of-squares and group accumulation.
     ``estimator(config, psi_modes, u1, u2)`` returns ``(chunk, cell,
     samples)``: the correction and psi repeat on the lattice cell (n1, n2)
     at the origin, n_a dividing N ((N, N) is the whole lattice), which each
@@ -229,12 +229,8 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
     m_inner, n_groups = config.M_inner, config.groups
     _check_trajectory_config(prev, config, "iterate")
 
-    omega = prev.modes.copy()
-    # The step would drop a Nyquist mode of psi that the heat stack keeps.
-    _check_no_nyquist(omega[0], "psi")
-    omega[:, _nyquist_mask(n)] = 0.0  # multiplier-application hygiene
-    psi_modes = omega[0]
-    u1, u2 = velocity_modes(omega)
+    psi_modes = prev.modes[0]
+    u1, u2 = velocity_modes(prev.modes)
     chunk, cell, samples = estimator(config, psi_modes, u1, u2)
     heat = heat_mode_stack(psi_modes, nu, dt, steps)
 

@@ -170,6 +170,17 @@ def resolve_config_path(arg: str) -> Path:
     raise ConfigurationError(f"config file not found: {arg}")
 
 
+def _read_config_text(path: Path) -> str:
+    """The text of a config file, newlines translated as in text mode; a
+    path naming no readable file, or bytes that are not UTF-8, is a
+    configuration error."""
+    try:
+        text = checkpoint._read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -363,7 +374,7 @@ def main(argv=None) -> int:
     manifest = None
     try:
         config_path = resolve_config_path(args.config)
-        text = config_path.read_text()
+        text = _read_config_text(config_path)
         parsed = schema.parse(_parse_kv_text(text))
         outdir = Path(parsed["outdir"])
         outdir.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,8 @@ class ConfigurationError(VortexError):
 
 class DomainError(VortexError):
     """Input outside an operation's mathematical domain (e.g. a mode array
-    with a nonzero mean fhat(0), which no field may carry)."""
+    with a nonzero mean fhat(0) or a nonzero Nyquist mode, which no field
+    may carry)."""
 
     exit_code = 2
 

@@ -9,16 +9,21 @@ Conventions (used verbatim by every other module):
 so the Laplacian acts as multiplication by -4*pi^2*|k|^2.  Coefficients are
 stored as an (N, N) complex array in numpy FFT layout: entry [i1, i2] is
 fhat(k) with k_a the integer frequency ``fftfreq(N)*N`` at index i_a, i.e.
-k_a in {-N/2, ..., N/2 - 1}.  The row k_a = -N/2 (the Nyquist row) stands
-for both +-N/2 and is zeroed by every multiplier operation (derivative,
-translation, Fourier multiplier) so real-valuedness and multiplier
-antisymmetry stay consistent.
+k_a in {-N/2, ..., N/2 - 1}.
 
-Every field is mean-zero by construction: one rule, for a field and for
-each node of a trajectory's (L+1, N, N) stack, rejects a fhat(0) beyond
-roundoff and then sets it to exactly 0, because the velocity operator K,
-and with it every solver, is defined only on mean-zero vorticity.  Fields
-are immutable; all operations are pure and safe to share across workers.
+One constructor rule, for a field and for each node of a trajectory's
+(L+1, N, N) stack, makes every field
+
+* real: Hermitian to roundoff, then symmetrised exactly;
+* mean-zero: a fhat(0) beyond roundoff is rejected, then fhat(0) is set to
+  exactly 0, because the velocity operator K, and with it every solver, is
+  defined only on mean-zero vorticity;
+* Nyquist-free: any nonzero entry on the row or column k_a = -N/2 is
+  rejected, because that index stands for both +-N/2 and no multiplier
+  (derivative, translation, K) can act on it consistently.
+
+Operations on fields therefore need no hygiene of their own.  Fields are
+immutable; all operations are pure and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -75,19 +80,6 @@ def _nyquist_mask(n: int) -> np.ndarray:
     return ny[:, None] | ny[None, :]
 
 
-def _check_no_nyquist(modes: np.ndarray, name: str) -> None:
-    """Reject an (N, N) mode array with a nonzero Nyquist mode: the solvers
-    zero those modes at every step, so they would drop it silently."""
-    n = modes.shape[-1]
-    bad = np.argwhere(_nyquist_mask(n) & (modes != 0))
-    if bad.size:
-        i, j = bad[0]
-        raise ConfigurationError(
-            f"{name} has a nonzero Nyquist mode at index ({i}, {j}) of the ({n}, {n}) "
-            "mode array; the solvers cannot carry it"
-        )
-
-
 def _hermitian_conjugate(modes: np.ndarray) -> np.ndarray:
     """conj(fhat(-k)) of (..., N, N) mode arrays, arranged on the same FFT grid."""
     n = modes.shape[-1]
@@ -97,13 +89,15 @@ def _hermitian_conjugate(modes: np.ndarray) -> np.ndarray:
 
 def _validated_modes(modes) -> np.ndarray:
     """Read-only copy of (..., N, N) mode arrays of real mean-zero fields:
-    each (N, N) node must be finite, Hermitian to ``_IMAG_TOL`` and mean-zero
-    to ``_MEAN_TOL`` relative to max(max |fhat|, 1), is symmetrised exactly
-    and gets fhat(0) = 0.  An error names the first node that fails."""
+    each (N, N) node must be finite, zero on the Nyquist row and column,
+    Hermitian to ``_IMAG_TOL`` and mean-zero to ``_MEAN_TOL`` relative to
+    max(max |fhat|, 1), is symmetrised exactly and gets fhat(0) = 0.  An
+    error names the first node that fails."""
     m = np.asarray(modes, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ConfigurationError(f"mode array must be square, got {m.shape}")
-    _validate_grid_size(m.shape[-1])
+    n = m.shape[-1]
+    _validate_grid_size(n)
 
     def check(bad: np.ndarray, message) -> None:
         """Raise ``message(node)`` for the first node flagged in ``bad``."""
@@ -114,6 +108,12 @@ def _validated_modes(modes) -> np.ndarray:
 
     # Every check below compares, and a NaN comparison is always False.
     check(~np.isfinite(m).all(axis=(-2, -1)), lambda node: "mode array has non-finite entries")
+    nyquist = _nyquist_mask(n) & (m != 0)
+    check(
+        nyquist.any(axis=(-2, -1)),
+        lambda node: "mode array has a nonzero Nyquist mode at index ({}, {}); "
+        "no solver can carry it".format(*np.argwhere(nyquist[node])[0]),
+    )
     scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
     conj = _hermitian_conjugate(m)
     asym = np.abs(m - conj).max(axis=(-2, -1))
@@ -210,17 +210,12 @@ def grid_to_modes(values: np.ndarray) -> np.ndarray:
 # multiplier operations
 
 
-def _without_nyquist(modes: np.ndarray) -> ScalarField:
-    """The field of a fresh (N, N) mode array, its Nyquist modes zeroed in place."""
-    modes[_nyquist_mask(modes.shape[-1])] = 0.0
-    return ScalarField(modes)
-
-
 def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
-    """Spectral partial derivative along axis 1 or 2; Nyquist row zeroed."""
+    """Spectral partial derivative along axis 1 or 2: multiply fhat(k) by
+    2*pi*i*k_a."""
     if axis not in (1, 2):
         raise ConfigurationError(f"axis must be 1 or 2, got {axis}")
-    return _without_nyquist(_gradient_modes(f.modes)[axis - 1])
+    return ScalarField(_gradient_modes(f.modes)[axis - 1])
 
 
 def _phase_grid(n: int, shift: np.ndarray) -> np.ndarray:
@@ -232,7 +227,7 @@ def _phase_grid(n: int, shift: np.ndarray) -> np.ndarray:
 def translate(f: ScalarField, a) -> ScalarField:
     """Shift x -> f(x + a): multiply fhat(k) by exp(2*pi*i*<k,a>)."""
     a = np.asarray(a, dtype=np.float64) % 1.0
-    return _without_nyquist(f.modes * _phase_grid(f.grid_size, a))
+    return ScalarField(f.modes * _phase_grid(f.grid_size, a))
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +256,14 @@ def l2_norm(f: ScalarField) -> float:
 
 
 def embed_modes(modes: np.ndarray, size: int) -> np.ndarray:
-    """Zero-pad (..., N, N) mode arrays onto the (size, size) grid: mode k
-    goes to index k mod size.
-
-    Nyquist coefficients are split half/half onto +-N/2 so the trigonometric
-    interpolant through the original samples is reproduced exactly; the
-    split needs an even ``size`` > N to keep +-N/2 apart.
-    """
+    """Zero-pad (..., N, N) mode arrays of fields (Nyquist-free) onto the
+    (size, size) grid, ``size`` even and > N: mode k goes to index k mod size."""
     n = modes.shape[-1]
     if size % 2 or size <= n:
         raise ConfigurationError(f"embedding grid size must be even and > {n}, got {size}")
-    half = n // 2
     pos = wavenumbers(n) % size
     big = np.zeros(modes.shape[:-2] + (size, size), dtype=np.complex128)
     big[..., pos[:, None], pos] = modes
-    low = size - half  # k = -N/2, copied to k = +N/2
-    big[..., low, :] *= 0.5
-    big[..., half, :] = big[..., low, :]
-    big[..., :, low] *= 0.5
-    big[..., :, half] = big[..., :, low]
     return big
 
 

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from vortexbsde import brownian
 from vortexbsde.errors import ConfigurationError
@@ -28,6 +29,26 @@ class TestSimulate:
         for m in (0, 7, 19):
             inc = increment_at(key, m, 0.01)
             assert np.array_equal(inc, bulk[m])
+
+    def test_top_words_give_finite_normals(self):
+        # a word whose top 53 bits are all ones used to map to u = 1.0 and
+        # ndtri(1.0) = +inf, an infinite increment
+        words = np.array([2**64 - 1, 2**64 - 2**11, 2**64 - 2**11 - 1], dtype=np.uint64)
+        z = brownian._words_to_normals(words)
+        assert np.all(np.isfinite(z))
+        assert z[0] == z[1] > z[2] > 8.0
+
+    def test_generator_values_unchanged(self):
+        # 10^6 values of the stream equal the unclamped uniform-to-normal map
+        # u = (top 53 bits + 1/2) / 2^53, bit for bit
+        count, steps = 1000, 500
+        inc = brownian.ensemble_increments(5, brownian.TAG_INNER, count, steps, 1.0)
+        key = brownian.stream_key(5, brownian.TAG_INNER)
+        words = np.random.Philox(counter=0, key=key).random_raw(4 * count * steps)
+        words = words.reshape(count, steps, 4)[:, :, :2]
+        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert inc.size == 10**6
+        assert np.array_equal(inc, ndtri(u))
 
     def test_terminal_statistics(self):
         # CLT oracle: over 1e5 paths the sample mean of B_T is within

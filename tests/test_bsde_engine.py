@@ -715,18 +715,18 @@ class TestPicardSolve:
             picard_solve(sin1(), cfg)
 
     def test_nyquist_mode_of_psi_rejected(self):
-        # the heat iterate keeps psi's (N/2, 0) mode and the linear step
-        # cannot, so the solve would lose it and read it as a Picard delta
+        # the heat iterate would keep psi's (N/2, 0) mode and the linear
+        # step cannot, so no field or iterate may carry it
         n = 16
         modes = field_from_mode_list(n, [(0, 2, 0.25), (0, 4, 0.1)]).modes.copy()
         modes[n // 2, 0] = 0.05
-        psi = ScalarField(modes)
-        cfg = SolverConfig(N=n, L=8, M_inner=40, nu=0.3, T=0.2)
         match = r"Nyquist mode at index \(8, 0\)"
-        with pytest.raises(ConfigurationError, match=match):
-            picard_solve(psi, cfg)
-        with pytest.raises(ConfigurationError, match=match):
-            solve_drifted_with_stats(heat_iterate(psi, cfg), cfg)
+        with pytest.raises(DomainError, match=match):
+            ScalarField(modes)
+        cfg = SolverConfig(N=n, L=8, M_inner=40, nu=0.3, T=0.2)
+        stack = np.stack([modes] * (cfg.L + 1))
+        with pytest.raises(DomainError, match="node 0: .*" + match):
+            VorticityTrajectory(stack, nu=cfg.nu, dt=cfg.dt)
 
     def test_feynman_kac_identity_pointwise(self):
         # Y(t, x) read as omega(T - t, x + sqrt(2 nu) B_t) from the solver

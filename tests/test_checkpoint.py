@@ -19,7 +19,7 @@ from vortexbsde.checkpoint import (
     write_trajectory,
 )
 from vortexbsde.diagnostics import full_json_report
-from vortexbsde.errors import ConfigurationError, VortexError
+from vortexbsde.errors import ConfigurationError, DomainError, VortexError
 from vortexbsde.spectral_oracle import VorticityTrajectory, evolve
 from vortexbsde.torus_field import ScalarField, field_from_mode_list
 
@@ -171,6 +171,16 @@ class TestTrajectoryFormat:
         p = tmp_path / "t.vbst"
         _write_blocks(p, [f.modes for f in fields], 1)
         with pytest.raises(ConfigurationError, match="grid size"):
+            read_trajectory(p)
+
+    def test_nyquist_mode_of_a_node_rejected(self, tmp_path):
+        # a node carrying the (N/2, 0) mode breaks the field rule like a bad mean
+        traj = evolve(field_from_mode_list(16, [(1, 0, -0.5j), (0, 2, 0.5)]), 0.2, 0.1, 4)
+        blocks = [m.copy() for m in traj.modes]
+        blocks[2][8, 0] = 0.05
+        p = tmp_path / "t.vbst"
+        _write_blocks(p, blocks, 4)
+        with pytest.raises(DomainError, match=r"^node 2: .*Nyquist mode at index \(8, 0\)"):
             read_trajectory(p)
 
     def test_zero_steps_rejected(self, tmp_path):

@@ -177,6 +177,20 @@ class TestSolveCommand:
     def test_missing_config_exit_code(self):
         assert cli.main(["solve", "/does/not/exist.cfg"]) == 2
 
+    def test_directory_config_exit_code(self, tmp_path, capsys):
+        assert cli.main(["solve", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read")
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_bytes(SOLVE_CFG.format(out=tmp_path / "out").encode() + b"# \xff\n")
+        assert cli.main(["solve", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file") and "not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_nonconvergence_exit_code_and_manifest(self, tmp_path):
         out = tmp_path / "out"
         text = SOLVE_CFG.format(out=out).replace("picard_tol = 2.0", "picard_tol = 1e-9")
@@ -350,6 +364,25 @@ class TestCompareCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["error"]["type"] == "ConfigurationError"
+
+    def test_nyquist_node_exit_code_and_manifest(self, tmp_path):
+        # node 2 of the oracle trajectory carries a nonzero (N/2, 0) mode
+        bundle, traj_path = self._oracle_as_solution(tmp_path)
+        buf = bytearray(traj_path.read_bytes())
+        block = 9 + 16 * 16 * 16
+        struct.pack_into("<d", buf, 26 + 2 * block + 9 + 16 * (8 * 16), 0.05)
+        traj_path.write_bytes(bytes(buf))
+        out = tmp_path / "cmp"
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            f"outdir = {out}\nsolution_bundle = {bundle}\ntrajectory = {traj_path}\n",
+        )
+        assert cli.main(["compare", str(cfg)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"]["type"] == "DomainError"
+        assert manifest["error"]["message"].startswith("node 2: ")
+        assert "Nyquist" in manifest["error"]["message"]
 
     def test_parameter_mismatch(self, tmp_path):
         bundle, _ = self._oracle_as_solution(tmp_path)

@@ -138,12 +138,11 @@ class TestEvolve:
             evolve(sin1(), nu, horizon, 8)
 
     def test_rejects_nonzero_nyquist_mode(self):
-        # evolve used to zero the (N/2, 0) mode, so its tau = 0 field was
-        # not omega0; the linear solve rejects the same psi
+        # evolve cannot carry the (N/2, 0) mode, and no omega0 holds one
         modes = field_from_mode_list(16, [(0, 2, 0.25), (0, 4, 0.1)]).modes.copy()
         modes[8, 0] = 0.05
-        with pytest.raises(ConfigurationError, match=r"Nyquist mode at index \(8, 0\)"):
-            evolve(ScalarField(modes), 0.3, 0.2, 8)
+        with pytest.raises(DomainError, match=r"Nyquist mode at index \(8, 0\)"):
+            ScalarField(modes)
 
     def test_rejects_nonzero_mean(self):
         modes = np.zeros((N, N), complex)

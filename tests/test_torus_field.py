@@ -96,11 +96,8 @@ class TestInverseTransform:
 
 
 class TestEmbedModes:
-    def test_nyquist_split_needs_larger_grid(self):
-        # A unit Nyquist mode: on a grid of size N the positions +-N/2
-        # coincide and half of each coefficient would be lost.
-        modes = np.zeros((N8, N8), complex)
-        modes[4, 1] = modes[4, 7] = 1.0
+    def test_size_must_be_even_and_larger(self):
+        modes = field_from_mode_list(N8, [(1, 2, 0.5)]).modes
         for size in (N8, N8 - 2, 0, N8 + 1):
             with pytest.raises(ConfigurationError, match="even and > 8"):
                 embed_modes(modes, size)
@@ -134,6 +131,15 @@ class TestScalarFieldInvariants:
             ScalarField(modes)
         modes[0, 0] = 1e-13
         assert ScalarField(modes).modes[0, 0] == 0.0
+
+    @pytest.mark.parametrize("index", [(4, 0), (0, 4), (4, 4), (4, 1)])
+    def test_nyquist_mode_rejected(self, index):
+        # the row and the column k_a = -N/2 stand for both +-N/2
+        modes = field_from_mode_list(N8, [(1, 2, 0.5)]).modes.copy()
+        modes[index] = 0.25
+        modes[(-index[0]) % N8, (-index[1]) % N8] = 0.25
+        with pytest.raises(DomainError, match=r"Nyquist mode at index \(%d, %d\)" % index):
+            ScalarField(modes)
 
     def test_nan_mode_rejected(self):
         # a NaN fails every comparison, so only an explicit check catches it
