@@ -106,23 +106,16 @@ def load_package(tree: Path):
         sys.path.pop(0)
 
 
-def _lattice_layout(modes: np.ndarray, n: int) -> np.ndarray:
-    """(..., n1, n2) cell modes on the (N, N) layout: mode [p1, p2] goes to
-    [p1 * N/n1, p2 * N/n2], every other mode is zero."""
-    out = np.zeros(modes.shape[:-2] + (n, n), dtype=modes.dtype)
-    out[..., :: n // modes.shape[-2], :: n // modes.shape[-1]] = modes
-    return out
-
-
-def _solve_arrays(prefix: str, iterate, stats) -> dict:
-    """The mode stack and every statistics array, each with the stack's scale."""
+def _solve_arrays(engine, prefix: str, iterate, stats) -> dict:
+    """The mode stack and every statistics array, each with the stack's
+    scale; cell group modes go onto the (N, N) layout by ``engine``'s rule."""
     modes = iterate.modes
     field_scale = float(np.max(np.abs(modes)))
     out = {f"{prefix}.modes": (modes, field_scale)}
     for f in dataclasses.fields(stats):
         value = getattr(stats, f.name)
         if f.name == "group_modes":
-            value = _lattice_layout(value, modes.shape[-1])
+            value = engine._on_cell(value, modes.shape[-2:])
         out[f"{prefix}.{f.name}"] = (value, field_scale)
     return out
 
@@ -203,22 +196,15 @@ def run_tree(tree: Path) -> tuple[dict, dict, dict]:
 
             heat = engine.heat_iterate(psi, config)
             first = engine.solve_weighted_with_stats(heat, config)
-            arrays.update(_solve_arrays(f"{case}.weighted", *first))
-            arrays.update(
-                _solve_arrays(
-                    f"{case}.weighted_from_1", *engine.solve_weighted_with_stats(first[0], config)
-                )
-            )
-
             drifted = dataclasses.replace(config, M_inner=DRIFTED_M)
-            arrays.update(
-                _solve_arrays(f"{case}.drifted", *engine.solve_drifted_with_stats(heat, drifted))
-            )
-            arrays.update(
-                _solve_arrays(
-                    f"{case}.drifted_from_1", *engine.solve_drifted_with_stats(first[0], drifted)
-                )
-            )
+            solves = {
+                "weighted": first,
+                "weighted_from_1": engine.solve_weighted_with_stats(first[0], config),
+                "drifted": engine.solve_drifted_with_stats(heat, drifted),
+                "drifted_from_1": engine.solve_drifted_with_stats(first[0], drifted),
+            }
+            for name, solve in solves.items():
+                arrays.update(_solve_arrays(engine, f"{case}.{name}", *solve))
     return arrays, iterations, outputs
 
 

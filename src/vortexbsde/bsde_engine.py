@@ -340,39 +340,11 @@ def _active_indices(mag: np.ndarray, threshold_rel: float):
     return np.nonzero(mag > threshold_rel * peak)
 
 
-def _fold_positions(kvals1: np.ndarray, kvals2: np.ndarray, n: int):
-    """Fold extended-grid wavenumbers mod N onto base-grid flat positions.
-
-    Evaluation on the N lattice cannot distinguish k from k mod N, so
-    folded scatter-addition is exact for lattice sampling.
-    """
-    return (kvals1 % n) * n + (kvals2 % n)
-
-
-@dataclass
-class _ScatterPlan:
-    order: np.ndarray
-    starts: np.ndarray
-    targets: np.ndarray
-
-    @classmethod
-    def build(cls, flat_positions: np.ndarray):
-        order = np.argsort(flat_positions, kind="stable")
-        ordered = flat_positions[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        return cls(order=order, starts=starts, targets=ordered[starts])
-
-    def accumulate(self, values: np.ndarray) -> np.ndarray:
-        """Sum values (..., K) into the unique ``targets``, in their order."""
-        ordered = values[..., self.order]
-        return np.add.reduceat(ordered, self.starts, axis=-1)
-
-
-def _cell(flat_positions: np.ndarray, n: int) -> tuple:
-    """Lattice cell (n1, n2) a sum of the modes at flat (N, N) positions
-    repeats on: periods N / gcd(N, |k|...) of their wavenumbers per axis."""
-    k = np.abs(wavenumbers(n))
-    return tuple(n // int(np.gcd.reduce(k[i], initial=n)) for i in divmod(flat_positions, n))
+def _cell(k1: np.ndarray, k2: np.ndarray, n: int) -> tuple:
+    """Lattice cell (n1, n2) a sum of modes with wavenumbers k1 along the
+    first axis and k2 along the second repeats on: periods
+    N / gcd(N, |k|...) per axis.  Congruent wavenumbers give one period."""
+    return tuple(n // int(np.gcd.reduce(np.abs(k), initial=n)) for k in (k1, k2))
 
 
 def _on_cell(modes: np.ndarray, cell) -> np.ndarray:
@@ -385,10 +357,11 @@ def _on_cell(modes: np.ndarray, cell) -> np.ndarray:
 
 @dataclass
 class _SubBlock:
-    """Lattice synthesis of complex mode arrays supported on fixed rows and
-    columns of the (N, N) FFT layout: two small matrix products in place of
-    a dense ``ifft2``.  The Nyquist index N/2 stands for k = -N/2, as in
-    ``ifft2``; the phases k*j are reduced mod N before the ``exp``.
+    """Lattice synthesis of complex mode arrays supported on fixed row and
+    column wavenumbers: two small matrix products in place of a dense
+    ``ifft2``.  The phases k*j are reduced mod N before the ``exp``, so
+    congruent wavenumbers (k and k - N) share a phase row and the products
+    add them, as sampling on the N lattice does.
 
     Such a sum repeats on the lattice with period n_a = N / gcd(N, |k|) of
     the occupied wavenumbers along each axis, so only the (n1, n2) cell at
@@ -396,43 +369,35 @@ class _SubBlock:
     lattice points have identical phase rows, so the cell holds exactly the
     values the full lattice would repeat."""
 
-    rows: np.ndarray
-    cols: np.ndarray
     e_rows: np.ndarray  # (n1, R): exp(2 pi i k_r j / N)
     e_cols: np.ndarray  # (C, n2): exp(2 pi i k_c j / N)
 
     @classmethod
-    def build(cls, flat_positions: np.ndarray, n: int):
-        rows = np.unique(flat_positions // n)
-        cols = np.unique(flat_positions % n)
-        k = wavenumbers(n)
-        j1, j2 = map(np.arange, _cell(flat_positions, n))
-        e_rows = np.exp(TWO_PI * 1j * ((j1[:, None] * k[rows]) % n) / n)
-        e_cols = np.exp(TWO_PI * 1j * ((k[cols][:, None] * j2) % n) / n)
-        return cls(rows, cols, e_rows, e_cols)
+    def build(cls, k1: np.ndarray, k2: np.ndarray, n: int):
+        """From the distinct row and column wavenumbers k1 and k2."""
+        j1, j2 = map(np.arange, _cell(k1, k2, n))
+        e_rows = np.exp(TWO_PI * 1j * ((j1[:, None] * k1) % n) / n)
+        e_cols = np.exp(TWO_PI * 1j * ((k2[:, None] * j2) % n) / n)
+        return cls(e_rows, e_cols)
 
     @property
     def cell(self) -> tuple:
         """The (n1, n2) lattice cell the synthesised values repeat on."""
         return self.e_rows.shape[0], self.e_cols.shape[1]
 
-    def slots(self, flat_positions: np.ndarray, n: int) -> np.ndarray:
-        """Flat (R, C) sub-block indices of flat (N, N) mode positions."""
-        r = np.searchsorted(self.rows, flat_positions // n)
-        return r * self.cols.size + np.searchsorted(self.cols, flat_positions % n)
-
     def synthesise(self, z: np.ndarray) -> np.ndarray:
         """Cell values (B, n1, n2) of the sub-block modes z, shape (B, R*C)."""
-        bc, c = z.shape[0], self.cols.size
-        n1, n2 = self.cell
-        g = np.matmul(self.e_rows, z.reshape(bc, self.rows.size, c))  # (B, n1, C)
+        bc = z.shape[0]
+        (n1, r), (c, n2) = self.e_rows.shape, self.e_cols.shape
+        g = np.matmul(self.e_rows, z.reshape(bc, r, c))  # (B, n1, C)
         return (g.reshape(bc * n1, c) @ self.e_cols).reshape(bc, n1, n2)
 
 
 def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     """Samples psi(z + disp_m) * (W_m - 1) over Girsanov-weighted branches,
-    on the lattice cell of the ``_SubBlock`` its modes occupy, in blocks of
-    consecutive nodes sized by ``_WEIGHTED_BLOCK``: one synthesis per block."""
+    on the lattice cell of the ``_SubBlock`` of the wavenumbers of psi and
+    the active u and |u|^2 modes, in blocks of consecutive nodes sized by
+    ``_WEIGHTED_BLOCK``: one synthesis per block."""
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     sqrt2nu = np.sqrt(2.0 * nu)
 
@@ -455,9 +420,11 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     thr = config.mode_threshold_rel
     mag_a = (np.abs(u1[1:]) + np.abs(u2[1:])).max(axis=0)
     ia1, ia2 = _active_indices(mag_a, thr)
+    k_base = wavenumbers(n)
+    ip1, ip2 = np.nonzero(psi_modes)
 
     if not ia1.size:  # W = 1 exactly: a zero correction on psi's cell
-        cell = _cell(np.flatnonzero(psi_modes), n)
+        cell = _cell(k_base[ip1], k_base[ip2], n)
 
         def no_correction(db, disp):
             # one block of every node, as a read-only view of a single zero
@@ -469,7 +436,6 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     q_modes = grid_to_modes(w1 * w1 + w2 * w2)
     iq1, iq2 = _active_indices(np.abs(q_modes).max(axis=0), thr)
     k_ext = wavenumbers(2 * n)
-    kq1, kq2 = k_ext[iq1], k_ext[iq2]
 
     # Frequency-domain coefficient tables for the causal convolutions
     # A_m = sum_{j<m} <u_{m-j}, dB_j> phase_j, Q_m = sum_{j<m} q_{m-j} phase_j.
@@ -485,25 +451,20 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     fq = np.fft.fft(cq, axis=0)
 
     # Each node's complex mode array, the exponent plus 1j * the shifted psi
-    # (both real fields), lives on the rows and columns occupied by psi, the
-    # active u modes and the folded |u|^2 targets.
-    ip1, ip2 = np.nonzero(psi_modes)
+    # (both real fields), has a row per distinct first-axis wavenumber of psi,
+    # the active u modes and the active |u|^2 modes, and a column per
+    # second-axis one, in the doubled grid's FFT order.  The same tables
+    # index the phases exp(2 pi i k disp) each term reads.
     ipsi = 1j * psi_modes[ip1, ip2]
-    flat_p = ip1 * n + ip2
-    flat_a = ia1 * n + ia2
-    plan_q = _ScatterPlan.build(_fold_positions(kq1, kq2, n))
-    block = _SubBlock.build(np.concatenate([flat_p, flat_a, plan_q.targets]), n)
-    slot_p = block.slots(flat_p, n)
-    slot_a = block.slots(flat_a, n)
-    slot_q = block.slots(plan_q.targets, n)
-    size = block.rows.size * block.cols.size
-
-    # Phase tables exp(2 pi i k disp) only at the wavenumbers some term reads.
-    k_base = wavenumbers(n)
-    kx, kx_of = np.unique(np.concatenate([k_base[ip1], k_base[ia1], kq1]), return_inverse=True)
-    ky, ky_of = np.unique(np.concatenate([k_base[ip2], k_base[ia2], kq2]), return_inverse=True)
-    xp, xa, xq = np.split(kx_of, [ip1.size, ip1.size + ia1.size])
-    yp, ya, yq = np.split(ky_of, [ip2.size, ip2.size + ia2.size])
+    kx, x_of = np.unique(np.r_[k_base[ip1], k_base[ia1], k_ext[iq1]] % (2 * n), return_inverse=True)
+    ky, y_of = np.unique(np.r_[k_base[ip2], k_base[ia2], k_ext[iq2]] % (2 * n), return_inverse=True)
+    kx, ky = k_ext[kx], k_ext[ky]
+    block = _SubBlock.build(kx, ky, n)
+    terms = [ip1.size, ip1.size + ia1.size]
+    xp, xa, xq = np.split(x_of, terms)
+    yp, ya, yq = np.split(y_of, terms)
+    slot_p, slot_a, slot_q = np.split(x_of * ky.size + y_of, terms)
+    size = kx.size * ky.size
     kx, ky = kx.astype(np.float64), ky.astype(np.float64)
     n1, n2 = block.cell
 
@@ -536,7 +497,7 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
             z = np.zeros((bc, nodes.stop - m, size), dtype=np.complex128)
             z[:, :, slot_p] = ipsi * (px[:, nodes, xp] * py[:, nodes, yp])
             z[:, :, slot_a] += a_nodes[:, nodes, :] / sqrt2nu
-            z[:, :, slot_q] += plan_q.accumulate(q_nodes[:, nodes, :]) * (dt / (4.0 * nu))
+            z[:, :, slot_q] += q_nodes[:, nodes, :] * (dt / (4.0 * nu))
             g = block.synthesise(z.reshape(-1, size)).reshape(z.shape[:2] + (n1, n2))
             # An overflowing weight is left to the skeleton's finiteness check.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -667,7 +628,9 @@ def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
     drift_step = -dt * p
     sqrt2nu = np.sqrt(2.0 * nu)
     occupied = (psi_modes != 0) | np.any((u1 != 0) | (u2 != 0), axis=0)
-    n1, n2 = _cell(np.flatnonzero(occupied), n)
+    k = wavenumbers(n)
+    i1, i2 = np.nonzero(occupied)
+    n1, n2 = _cell(k[i1], k[i2], n)
     ((pad1, diff1), (pad2, diff2)), lattice = _velocity_tables(u1, u2, (n1, n2))
     # cell point (i, j), at (4i, 4j) in grid units, has flat index i * n2 + j
     zx = np.repeat(4.0 * np.arange(n1), n2)
@@ -824,7 +787,9 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
         return _solution(config, current, (), np.zeros(0), bounds)
 
     # iterate 0 is deterministic: every group starts from it, on psi's cell
-    s1, s2 = (config.N // c for c in _cell(np.flatnonzero(psi.modes), config.N))
+    k = wavenumbers(config.N)
+    i1, i2 = np.nonzero(psi.modes)
+    s1, s2 = (config.N // c for c in _cell(k[i1], k[i2], config.N))
     prev_group_modes = current.modes[None, :, ::s1, ::s2]
     history = []
     for iteration in range(1, config.max_iter + 1):

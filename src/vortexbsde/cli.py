@@ -230,14 +230,6 @@ class RunManifest:
         _write_json(self.outdir / "manifest.json", self.doc)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _content_hash(config_text: str, extra_files=()) -> str:
     h = hashlib.sha256()
     h.update(config_text.encode())
@@ -257,7 +249,7 @@ def _config_echo(parsed: dict) -> dict:
 
 
 def _write_json(path: Path, doc: dict) -> Path:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1, default=_json_default) + "\n")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     return path
 
 
@@ -377,7 +369,10 @@ def main(argv=None) -> int:
         text = _read_config_text(config_path)
         parsed = schema.parse(_parse_kv_text(text))
         outdir = Path(parsed["outdir"])
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way: no manifest can be written
+            raise ConfigurationError(f"cannot create outdir {outdir}: {exc.strerror}") from exc
         extra = []
         for key in ("solution_bundle", "trajectory"):
             if key in parsed:

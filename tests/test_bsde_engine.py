@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import warnings
 
@@ -456,29 +457,43 @@ class TestHotLoopKernels:
     def test_sub_block_synthesis_matches_ifft2(self, seed):
         n = 16
         rng = np.random.default_rng(seed)
-        k = wavenumbers(n)
         # modes whose wavenumbers share the factor f_a along axis a, and
         # include f_a itself, repeat on the cell (N / f1, N / f2); (8, 16)
-        # occupies only the Nyquist row and row 0, and column 0
-        for f1, f2 in [(1, 1), (2, 1), (1, 4), (4, 2), (8, 16)]:
-            rows, cols = np.flatnonzero(k % f1 == 0), np.flatnonzero(k % f2 == 0)
+        # occupies only the Nyquist row and row 0, and column 0.  Wavenumbers
+        # of the base grid, then of the doubled grid, where |u|^2 lives.
+        factors = [(1, 1), (2, 1), (1, 4), (4, 2), (8, 16)]
+        for grid, (f1, f2) in itertools.product([1, 2], factors):
+            k = wavenumbers(grid * n)
             size = rng.integers(1, 40)
-            flat = rng.choice(rows, size) * n + rng.choice(cols, size)
-            flat = np.r_[flat, (f1 % n) * n + f2 % n]
-            # the Nyquist row and column, which folded |u|^2 targets can reach
+            k1 = np.r_[rng.choice(k[k % f1 == 0], size), k[f1 % k.size]]
+            k2 = np.r_[rng.choice(k[k % f2 == 0], size), k[f2 % k.size]]
+            # the Nyquist row and column, which |u|^2 modes can reach
             if (n // 2) % f1 == 0:
-                flat = np.r_[flat, (n // 2) * n + rng.choice(cols)]
+                k1, k2 = np.r_[k1, -n // 2], np.r_[k2, rng.choice(k2)]
             if (n // 2) % f2 == 0:
-                flat = np.r_[flat, rng.choice(rows) * n + n // 2]
-            flat = np.unique(flat)
-            values = rng.standard_normal((5, flat.size)) + 1j * rng.standard_normal((5, flat.size))
-            dense = np.zeros((5, n * n), dtype=np.complex128)
-            dense[:, flat] = values
-            block = _SubBlock.build(flat, n)
+                k1, k2 = np.r_[k1, rng.choice(k1)], np.r_[k2, -n // 2]
+            if grid == 2:
+                # doubled-grid modes come with their congruent k - N (or
+                # k + N) on the first axis, the second, or both
+                pick = rng.random(k1.size) < 0.5
+                pick[0] = True
+                p1, p2 = k1[pick], k2[pick]
+                q1, q2 = np.where(p1 < 0, p1 + n, p1 - n), np.where(p2 < 0, p2 + n, p2 - n)
+                k1, k2 = np.r_[k1, q1, p1, q1], np.r_[k2, p2, q2, q2]
+            _, first = np.unique((k1 % k.size) * k.size + k2 % k.size, return_index=True)
+            k1, k2 = k1[first], k2[first]
+            if grid == 2:
+                assert np.unique((k1 % n) * n + k2 % n).size < k1.size  # some modes fold
+            values = rng.standard_normal((5, k1.size)) + 1j * rng.standard_normal((5, k1.size))
+            folded = np.zeros((5, n, n), dtype=np.complex128)
+            np.add.at(folded, (slice(None), k1 % n, k2 % n), values)
+            rows, x_of = np.unique(k1, return_inverse=True)
+            cols, y_of = np.unique(k2, return_inverse=True)
+            block = _SubBlock.build(rows, cols, n)
             assert block.cell == (n // f1, n // f2)
-            z = np.zeros((5, block.rows.size * block.cols.size), dtype=np.complex128)
-            z[:, block.slots(flat, n)] = values
-            ref = modes_to_complex_grid(dense.reshape(5, n, n))
+            z = np.zeros((5, rows.size * cols.size), dtype=np.complex128)
+            z[:, x_of * cols.size + y_of] = values
+            ref = modes_to_complex_grid(folded)
             got = np.tile(block.synthesise(z), (1, f1, f2))
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -535,7 +550,8 @@ class TestHotLoopKernels:
             # modes whose k_a are multiples of f_a repeat on (N / f1, N / f2)
             kept = stack * ((k[:, None] % f1 == 0) & (k[None, :] % f2 == 0))
             cell = (n // f1, n // f2)
-            assert _cell(np.flatnonzero(kept[0]), n) == cell
+            i1, i2 = np.nonzero(kept[0])
+            assert _cell(k[i1], k[i2], n) == cell
             u1, u2 = velocity_modes(kept)
             tables, lattice = _velocity_tables(u1, u2, cell)
             zx = np.repeat(4.0 * np.arange(cell[0]), cell[1])
@@ -852,6 +868,8 @@ class TestConfigValidation:
             ("L", 8.0),
             ("M_inner", 64.0),
             ("groups", 4.0),
+            ("groups", 1),
+            ("groups", 17),  # more than M_inner
             ("max_iter", 2.0),
             ("base_seed", 1.5),
             ("groups", True),
@@ -881,6 +899,7 @@ class TestConfigValidation:
             (two[:1], 0.1, 0.1, "two time nodes"),
             (two[0], 0.1, 0.1, r"\(L\+1, N, N\) mode stack"),
             (two[None], 0.1, 0.1, r"\(L\+1, N, N\) mode stack"),
+            (two[:, :, :4], 0.1, 0.1, r"mode array must be square, got \(2, 16, 4\)"),
         ]
         for bad in (float("nan"), float("inf"), 0.0, -0.1):
             cases += [(two, bad, 0.1, "finite positive"), (two, 0.1, bad, "finite positive")]

@@ -146,6 +146,15 @@ class TestTrajectoryFormat:
         with pytest.raises(ConfigurationError, match="finite positive dt and nu"):
             read_trajectory(p)
 
+    def test_unsupported_version(self, tmp_path):
+        p = tmp_path / "t.vbst"
+        write_trajectory(p, evolve(field_from_mode_list(16, [(1, 0, -0.5j)]), 0.2, 0.1, 4))
+        buf = bytearray(p.read_bytes())
+        struct.pack_into("<H", buf, 4, 2)
+        p.write_bytes(bytes(buf))
+        with pytest.raises(ConfigurationError, match="unsupported trajectory format version 2"):
+            read_trajectory(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.vbst"
         p.write_bytes(b"NOPE" + b"\x00" * 30)

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexbsde import cli
-from vortexbsde.bsde_engine import BsdeSolution, SolverConfig
+from vortexbsde import bsde_engine, cli
+from vortexbsde.biot_savart import closed_form_c0
+from vortexbsde.bsde_engine import BsdeSolution, SolverConfig, select_alpha
 from vortexbsde.checkpoint import write_solution_bundle
 from vortexbsde.errors import ConfigurationError, VortexError
 from vortexbsde.spectral_oracle import evolve
-from vortexbsde.torus_field import ScalarField, field_from_mode_list, l2_norm
+from vortexbsde.torus_field import ScalarField, field_from_mode_list, l2_norm, sup_norm
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -90,6 +91,8 @@ class TestConfigParsing:
         entries = cli._parse_modes("1 0 0 -0.5 ; 0 2 0.5 0")
         assert entries[0] == (1, 0, -0.5j)
         assert entries[1] == (0, 2, 0.5 + 0j)
+        # a blank entry is skipped
+        assert cli._parse_modes(" ; 1 0 0 -0.5 ;; 0 2 0.5 0 ;") == entries
         with pytest.raises(ValueError):
             cli._parse_modes("1 0 0")
 
@@ -190,6 +193,52 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config file") and "not UTF-8" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
+    def test_outdir_in_a_file_exit_code(self, tmp_path, capsys, below):
+        # no manifest.json can be written where a file is in the way
+        afile = write_cfg(tmp_path / "afile", "")
+        out = afile / below
+        cfg = write_cfg(tmp_path / "s.cfg", SOLVE_CFG.format(out=out))
+        assert cli.main(["solve", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create outdir {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "modes, message, error",
+        [(";", "empty mode list", None), ("0 0 1 0", "k=0 mode", "DomainError")],
+        ids=["no_entry", "mean_mode"],
+    )
+    def test_bad_psi_modes_exit_code(self, tmp_path, capsys, modes, message, error):
+        out = tmp_path / "out"
+        text = SOLVE_CFG.format(out=out).replace("1 0 0 -0.5 ; 0 2 0.5 0", modes)
+        assert cli.main(["solve", str(write_cfg(tmp_path / "s.cfg", text))]) == 2
+        assert message in capsys.readouterr().err
+        manifest = out / "manifest.json"
+        if error is None:  # a config that does not parse fails before the manifest starts
+            assert not manifest.exists()
+        else:
+            assert json.loads(manifest.read_text())["error"]["type"] == error
+
+    def test_auto_alpha_selected_from_bounds(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "s.cfg", SOLVE_CFG.format(out=out) + "alpha = auto\n")
+        assert cli.main(["solve", str(cfg)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["alpha"] is None
+        norms = json.loads((out / "solution" / "solution.json").read_text())["norms"]
+        psi = field_from_mode_list(16, [(1, 0, -0.5j), (0, 2, 0.5)])
+        assert norms["alpha"] == select_alpha(closed_form_c0(1, 16), sup_norm(psi), 0.3, 0.2)
+
+    def test_max_principle_violation_exit_code_and_manifest(self, tmp_path, monkeypatch):
+        # an understated bound C1 = sup |psi| / 2: the first iterate exceeds it
+        monkeypatch.setattr(bsde_engine, "sup_norm", lambda field: 0.5 * sup_norm(field))
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "s.cfg", SOLVE_CFG.format(out=out))
+        assert cli.main(["solve", str(cfg)]) == 3
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error["type"] == "NumericalError"
+        assert error["message"] == "maximum principle violated beyond Monte Carlo allowance"
 
     def test_nonconvergence_exit_code_and_manifest(self, tmp_path):
         out = tmp_path / "out"

@@ -141,6 +141,11 @@ class TestScalarFieldInvariants:
         with pytest.raises(DomainError, match=r"Nyquist mode at index \(%d, %d\)" % index):
             ScalarField(modes)
 
+    @pytest.mark.parametrize("shape", [(8,), (8, 4), (2, 8, 8)])
+    def test_non_square_mode_array_rejected(self, shape):
+        with pytest.raises(ConfigurationError, match="mode array must be square"):
+            ScalarField(np.zeros(shape, complex))
+
     def test_nan_mode_rejected(self):
         # a NaN fails every comparison, so only an explicit check catches it
         modes = np.zeros((N8, N8), complex)
