@@ -221,9 +221,13 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
     estimator takes from the modes it reads (``_cell``); ``samples(db,
     disp)`` yields ``(m, sample)`` blocks of consecutive nodes that cover
     m = 1..L in order, ``sample`` being the (branches, k, n1, n2) cell
-    values of the correction at nodes m..m+k-1 for one chunk of branches.
-    Sums and groups stay on the cell; only the sums are tiled over the
-    lattice, for the mean and the standard errors.
+    values of the correction at nodes m..m+k-1 for one chunk of at most
+    ``chunk`` branches (chunks run one after another, so an estimator may
+    reuse buffers across them); a zero correction may yield no block.
+    Group sums take one matrix product per block, the sums over all
+    branches are the groups' sum.  Sums and groups stay on the cell; only
+    the sums are tiled over the lattice, for the mean and the standard
+    errors.
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     m_inner, n_groups = config.M_inner, config.groups
@@ -241,16 +245,15 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
 
     group_of = (np.arange(m_inner) * n_groups) // m_inner
     group_counts = np.bincount(group_of, minlength=n_groups)
-    sum_f = np.zeros((steps + 1,) + cell)
     sumsq_f = np.zeros((steps + 1,) + cell)
     group_sum = np.zeros((n_groups, steps + 1) + cell)
 
     for b0 in range(0, m_inner, chunk):
         b1 = min(b0 + chunk, m_inner)
-        run_starts = np.flatnonzero(
-            np.r_[True, group_of[b0 + 1 : b1] != group_of[b0 : b1 - 1]]
-        )
-        run_groups = group_of[b0:b1][run_starts]
+        # group_of is non-decreasing, so the chunk's groups are g0..g1 - 1: a
+        # 0/1 membership matrix sums each of them in one product.
+        g0, g1 = group_of[b0], group_of[b1 - 1] + 1
+        member = (group_of[b0:b1] == np.arange(g0, g1)[:, None]).astype(np.float64)
         for m, sample in samples(db[b0:b1], disp[b0:b1]):
             nodes = slice(m, m + sample.shape[1])
             # A non-finite sample (e.g. an overflowing Girsanov weight) makes
@@ -264,12 +267,10 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
                     diagnostics={"node": m + int(np.argmin(finite))},
                 )
             sumsq_f[nodes] += sq
-            # group_of is non-decreasing, so the groups of a chunk's runs
-            # are distinct and plain fancy-index addition is exact.
-            partial = np.add.reduceat(sample, run_starts, axis=0)
-            sum_f[nodes] += partial.sum(axis=0)
-            group_sum[run_groups, nodes] += partial
+            partial = member @ sample.reshape(sample.shape[0], -1)
+            group_sum[g0:g1, nodes] += partial.reshape((-1,) + sample.shape[1:])
     del samples  # frees the estimator's tables before the assembly allocates
+    sum_f = group_sum.sum(axis=0)
     reps = (1, n // cell[0], n // cell[1])
     return _assemble_iterate(
         config, heat, np.tile(sum_f, reps), np.tile(sumsq_f, reps), group_sum, group_counts
@@ -423,32 +424,23 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     k_base = wavenumbers(n)
     ip1, ip2 = np.nonzero(psi_modes)
 
-    if not ia1.size:  # W = 1 exactly: a zero correction on psi's cell
-        cell = _cell(k_base[ip1], k_base[ip2], n)
-
-        def no_correction(db, disp):
-            # one block of every node, as a read-only view of a single zero
-            yield 1, np.broadcast_to(0.0, (db.shape[0], steps) + cell)
-
-        return _WEIGHTED_CHUNK, cell, no_correction
+    if not ia1.size:  # W = 1 exactly: a zero correction on psi's cell, no block
+        return _WEIGHTED_CHUNK, _cell(k_base[ip1], k_base[ip2], n), lambda db, disp: iter(())
 
     w1, w2 = v1[1:], v2[1:]
     q_modes = grid_to_modes(w1 * w1 + w2 * w2)
     iq1, iq2 = _active_indices(np.abs(q_modes).max(axis=0), thr)
     k_ext = wavenumbers(2 * n)
 
-    # Frequency-domain coefficient tables for the causal convolutions
-    # A_m = sum_{j<m} <u_{m-j}, dB_j> phase_j, Q_m = sum_{j<m} q_{m-j} phase_j.
-    pad = 2 * steps
-    cu1 = np.zeros((pad, ia1.size), dtype=np.complex128)
-    cu2 = np.zeros((pad, ia1.size), dtype=np.complex128)
-    cu1[1 : steps + 1] = u1[1:, ia1, ia2]
-    cu2[1 : steps + 1] = u2[1:, ia1, ia2]
-    fu1 = np.fft.fft(cu1, axis=0)
-    fu2 = np.fft.fft(cu2, axis=0)
-    cq = np.zeros((pad, iq1.size), dtype=np.complex128)
-    cq[1 : steps + 1] = q_modes[:, iq1, iq2]
-    fq = np.fft.fft(cq, axis=0)
+    # Frequency-domain kernel table of the causal convolutions
+    # A_m = sum_{j<m} <u_{m-j}, dB_j> phase_j, Q_m = sum_{j<m} q_{m-j} phase_j:
+    # one row per active u1, u2 and |u|^2 mode, the time axis last.
+    pad, k_a = 2 * steps, ia1.size
+    kern = np.zeros((2 * k_a + iq1.size, pad), dtype=np.complex128)
+    kern[:, 1 : steps + 1] = np.concatenate(
+        (u1[1:, ia1, ia2], u2[1:, ia1, ia2], q_modes[:, iq1, iq2]), axis=1
+    ).T
+    kern = np.fft.fft(kern, axis=-1)
 
     # Each node's complex mode array, the exponent plus 1j * the shifted psi
     # (both real fields), has a row per distinct first-axis wavenumber of psi,
@@ -468,36 +460,40 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     kx, ky = kx.astype(np.float64), ky.astype(np.float64)
     n1, n2 = block.cell
 
+    # The time-axis input, reused by every chunk: a fresh array per chunk
+    # would be faulted in anew each time.
+    x_buf = np.empty((_WEIGHTED_CHUNK, kern.shape[0], steps), dtype=np.complex128)
+
     def samples(db, disp):
         bc = db.shape[0]
         px = np.exp(TWO_PI * 1j * disp[:, :, 0, None] * kx)
         py = np.exp(TWO_PI * 1j * disp[:, :, 1, None] * ky)
 
-        # The generator's locals live across every yield, so the time-axis
-        # temporaries are updated in place and dropped before the node loop.
-        ph_a = px[:, :steps, xa] * py[:, :steps, ya]  # (bc, L, K_A)
-        fa = np.fft.fft(db[:, :, 0, None] * ph_a, n=pad, axis=1)
-        fa *= fu1
-        fa2 = np.fft.fft(db[:, :, 1, None] * ph_a, n=pad, axis=1)
-        del ph_a
-        fa2 *= fu2
-        fa += fa2
-        del fa2
-        # indexed by node m; node 0, the empty sum, is never read
-        a_nodes = np.fft.ifft(fa, axis=1)[:, : steps + 1, :]
-        del fa
-        fqq = np.fft.fft(px[:, :steps, xq] * py[:, :steps, yq], n=pad, axis=1)
-        fqq *= fq
-        q_nodes = np.fft.ifft(fqq, axis=1)[:, : steps + 1, :]
-        del fqq
+        # One forward and one inverse FFT for all three convolutions; the
+        # generator's locals live across every yield, so the time-axis
+        # temporaries are dropped before the node loop.
+        pxt, pyt = px.transpose(0, 2, 1), py.transpose(0, 2, 1)
+        x = x_buf[:bc]
+        ph_a = pxt[:, xa, :steps] * pyt[:, ya, :steps]  # (bc, K_A, L)
+        np.multiply(db[:, None, :, 0], ph_a, out=x[:, :k_a])
+        np.multiply(db[:, None, :, 1], ph_a, out=x[:, k_a : 2 * k_a])
+        np.multiply(pxt[:, xq, :steps], pyt[:, yq, :steps], out=x[:, 2 * k_a :])
+        f = np.fft.fft(x, n=pad, axis=-1)
+        f *= kern
+        f[:, k_a : 2 * k_a] += f[:, :k_a]
+        f = np.fft.ifft(f[:, k_a:], axis=-1)
+        # indexed by node m: the A columns, then the Q columns; node 0, the
+        # empty sum, is never read
+        conv = f[..., : steps + 1].transpose(0, 2, 1).copy()
+        del f
 
         k = max(1, _WEIGHTED_BLOCK // (bc * n1 * n2))
         for m in range(1, steps + 1, k):
             nodes = slice(m, min(m + k, steps + 1))
             z = np.zeros((bc, nodes.stop - m, size), dtype=np.complex128)
             z[:, :, slot_p] = ipsi * (px[:, nodes, xp] * py[:, nodes, yp])
-            z[:, :, slot_a] += a_nodes[:, nodes, :] / sqrt2nu
-            z[:, :, slot_q] += q_nodes[:, nodes, :] * (dt / (4.0 * nu))
+            z[:, :, slot_a] += conv[:, nodes, :k_a] / sqrt2nu
+            z[:, :, slot_q] += conv[:, nodes, k_a:] * (dt / (4.0 * nu))
             g = block.synthesise(z.reshape(-1, size)).reshape(z.shape[:2] + (n1, n2))
             # An overflowing weight is left to the skeleton's finiteness check.
             with np.errstate(over="ignore", invalid="ignore"):

@@ -193,8 +193,10 @@ def field_from_mode_list(n: int, entries) -> ScalarField:
 
 
 def modes_to_grid(modes: np.ndarray) -> np.ndarray:
-    """Raw-array synthesis used in hot loops; caller guarantees symmetry."""
-    return np.fft.ifft2(modes).real * (modes.shape[-2] * modes.shape[-1])
+    """Raw-array synthesis of real fields used in hot loops; caller guarantees
+    symmetry.  Reads the k2 >= 0 half of the last axis: a real inverse FFT."""
+    n1, n2 = modes.shape[-2:]
+    return np.fft.irfft2(modes[..., : n2 // 2 + 1], s=(n1, n2), norm="forward")
 
 
 def modes_to_complex_grid(modes: np.ndarray) -> np.ndarray:

@@ -152,13 +152,47 @@ class TestGirsanovWeight:
 
 class TestLinearSolve:
     def test_zero_prev_reduces_to_heat(self):
+        # zero nodes 1..L: h = 0, a zero correction, so the heat stack exactly
         cfg = SolverConfig(N=16, L=8, M_inner=50, nu=0.3, T=0.2, alpha=0.0)
         prev = iterate_with_zero_interior(two_mode(), cfg)
         it, stats = solve_weighted_with_stats(prev, cfg)
         heat = heat_mode_stack(two_mode().modes, cfg.nu, cfg.dt, cfg.L)
-        for m in range(cfg.L + 1):
-            assert np.max(np.abs(it.fields[m].modes - heat[m])) < 1e-15
-        assert np.all(stats.se_grid == 0.0)
+        assert np.array_equal(it.modes, heat)
+        assert not stats.se_grid.any() and not stats.pooled_se.any()
+        assert stats.group_modes.shape == (cfg.groups, cfg.L + 1, 16, 8)  # psi's cell
+        assert np.all(stats.group_modes == heat[:, :, ::2])
+
+    def test_group_means_weighted_by_counts_give_the_monte_carlo_part(self):
+        # 16 groups of 15-16 branches over chunks of 64: groups straddle the
+        # chunk boundaries, and each adds its part of both chunks
+        cfg = SolverConfig(N=16, L=8, M_inner=250, nu=0.3, T=0.2, alpha=0.0, groups=16)
+        prev = heat_iterate(two_mode(), cfg)
+        it, stats = solve_weighted_with_stats(prev, cfg)
+        heat = heat_mode_stack(two_mode().modes, cfg.nu, cfg.dt, cfg.L)
+        group_of = (np.arange(cfg.M_inner) * cfg.groups) // cfg.M_inner
+        counts = np.bincount(group_of)
+        assert sorted(set(counts)) == [15, 16] and group_of[63] == group_of[64]
+        cell = stats.group_modes.shape[-2:]
+        mc_groups = stats.group_modes - heat[:, :: 16 // cell[0], :: 16 // cell[1]]
+        pooled = np.tensordot(counts, mc_groups, axes=1) / cfg.M_inner
+        mc = it.modes - heat
+        assert np.max(np.abs(mc)) > 1e-6  # the drift is active
+        assert np.max(np.abs(_on_cell(pooled, (16, 16)) - mc)) <= 1e-13 * np.max(np.abs(mc))
+
+        # each group against the plain mean of its own branches' samples
+        db = brownian.ensemble_increments(0, brownian.TAG_INNER, cfg.M_inner, cfg.L, cfg.dt)
+        disp = np.sqrt(2.0 * cfg.nu) * np.cumsum(np.pad(db, ((0, 0), (1, 0), (0, 0))), axis=1)
+        chunk, _, samples = _weighted_estimator(cfg, prev.modes[0], *velocity_modes(prev.modes))
+        values = []
+        for b in range(0, cfg.M_inner, chunk):
+            blocks = samples(db[b : b + chunk], disp[b : b + chunk])
+            values.append(np.concatenate([sample for _, sample in blocks], axis=1))
+        values = np.concatenate(values)
+        for g in range(cfg.groups):
+            want = grid_to_modes(values[group_of == g].mean(axis=0))
+            want[:, 0, 0] = 0.0
+            want[:, _nyquist_mask(16)[:, ::2]] = 0.0
+            assert np.max(np.abs(mc_groups[g, 1:] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_terminal_slice_exact(self):
         cfg = SolverConfig(N=16, L=8, M_inner=50, nu=0.3, T=0.2, alpha=0.0)
@@ -278,11 +312,9 @@ class TestLinearSolve:
             solve_weighted_with_stats(prev, cfg)
 
 
-def record_weighted_blocks(monkeypatch, single_nodes=False) -> list:
+def record_weighted_blocks(monkeypatch) -> list:
     """Wraps the weighted estimator so that each node block it yields
-    appends (first node, nodes) to the returned list.  With
-    ``single_nodes`` the block is passed on one node at a time, as the
-    zero-drift branch's one block is not sized by ``_WEIGHTED_BLOCK``."""
+    appends (first node, nodes) to the returned list."""
     blocks = []
 
     def recording(*args):
@@ -291,11 +323,7 @@ def record_weighted_blocks(monkeypatch, single_nodes=False) -> list:
         def recorded(db, disp):
             for m, sample in samples(db, disp):
                 blocks.append((m, sample.shape[1]))
-                if not single_nodes:
-                    yield m, sample
-                    continue
-                for i in range(sample.shape[1]):
-                    yield m + i, sample[:, i : i + 1]
+                yield m, sample
 
         return chunk, cell, recorded
 
@@ -328,8 +356,8 @@ def node_block_case(case):
     if case == "two_mode":
         # cell (32, 16): one node per block, as before blocks
         return heat_iterate(two_mode(32), cfg), cfg, [(m, 1) for m in range(1, 9)]
-    # zero drift: one block of zeros holding every node
-    return iterate_with_zero_interior(two_mode(32), cfg), cfg, [(1, 8)]
+    # zero drift: a zero correction, which yields no block at all
+    return iterate_with_zero_interior(two_mode(32), cfg), cfg, []
 
 
 def assert_solve_matches_reference(solve, reference):
@@ -436,9 +464,9 @@ class TestHotLoopKernels:
         # so the zero-drift case compares the step alone
         picard = case != "zero_drift"
         runs = []
-        for node_block, single_nodes in ((_WEIGHTED_BLOCK, False), (1, True)):
+        for node_block in (_WEIGHTED_BLOCK, 1):
             monkeypatch.setattr(bsde_engine, "_WEIGHTED_BLOCK", node_block)
-            blocks = record_weighted_blocks(monkeypatch, single_nodes)
+            blocks = record_weighted_blocks(monkeypatch)
             solve = solve_weighted_with_stats(prev, cfg)
             step_blocks = list(blocks)  # before the Picard solve adds its own
             runs.append((solve, step_blocks, picard_solve(prev.fields[0], cfg) if picard else None))

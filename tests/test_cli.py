@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vortexbsde
 from vortexbsde import bsde_engine, cli
 from vortexbsde.biot_savart import closed_form_c0
 from vortexbsde.bsde_engine import BsdeSolution, SolverConfig, select_alpha
@@ -172,6 +176,27 @@ class TestSolveCommand:
         for entry in manifest["outputs"]:
             p = out / entry["path"]
             assert hashlib.sha256(p.read_bytes()).hexdigest() == entry["sha256"]
+
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # the skeleton's group sums and the sub-block synthesis are matrix
+        # products; a tiny two-mode solve in fresh processes, whose BLAS
+        # reads its thread count at start-up, writes the same bytes
+        src = str(Path(vortexbsde.__file__).resolve().parents[1])
+        solved = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            text = SOLVE_CFG.format(out=out).replace("M_inner = 150", "M_inner = 64")
+            cfg = write_cfg(tmp_path / f"threads{threads}.cfg", text.replace("L = 16", "L = 8"))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            run = subprocess.run(
+                [sys.executable, "-m", "vortexbsde", "solve", str(cfg)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            files = ("solution.json", "y_fields.vbst")
+            solved.append([(out / "solution" / name).read_bytes() for name in files])
+        assert solved[0] == solved[1]
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path / "bad.cfg", "outdir = x\nbogus = 1\n")

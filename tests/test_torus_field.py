@@ -94,6 +94,31 @@ class TestInverseTransform:
         back = modes_to_grid(grid_to_modes(vals))
         assert np.max(np.abs(back - vals)) < 1e-12 * np.max(np.abs(vals))
 
+    @staticmethod
+    def _hermitian(raw):
+        """The Hermitian part of (..., n1, n2) mode arrays, Nyquist lines included."""
+        i1, i2 = ((-np.arange(s)) % s for s in raw.shape[-2:])
+        return 0.5 * (raw + np.conj(raw[..., i1[:, None], i2]))
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 16, 16), (32, 16), (2, 8, 1), (16, 2), (1, 1)], ids=str
+    )
+    def test_half_spectrum_synthesis_matches_complex_ifft2(self, shape, rng):
+        # modes_to_grid reads only the k2 >= 0 half; on Hermitian arrays, and
+        # on the 2x and 4x embeddings of square Nyquist-free stacks, it gives
+        # the real part of the full complex synthesis
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stacks = [self._hermitian(raw)]
+        if shape[-2] == shape[-1]:
+            nyquist_free = stacks[0].copy()
+            nyquist_free[..., shape[-1] // 2, :] = nyquist_free[..., shape[-1] // 2] = 0.0
+            stacks += [embed_modes(nyquist_free, f * shape[-1]) for f in (2, 4)]
+        for modes in stacks:
+            want = np.fft.ifft2(modes).real * (modes.shape[-2] * modes.shape[-1])
+            got = modes_to_grid(modes)
+            assert got.shape == modes.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
 
 class TestEmbedModes:
     def test_size_must_be_even_and_larger(self):
