@@ -56,7 +56,6 @@ from .torus_field import (
     _validate_grid_size,
     embed_modes,
     grid_to_modes,
-    modes_to_complex_grid,
     modes_to_grid,
     sup_norm,
     wavenumbers,
@@ -172,12 +171,14 @@ class BsdeSolution:
 
 @dataclass
 class SolveStats:
-    """Per-solve Monte Carlo bookkeeping (standard errors, sups, groups); the
-    groups hold their lattice cell's modes, ``_on_cell`` places them on (N, N)."""
+    """Per-solve Monte Carlo bookkeeping (standard errors, sups, groups), all
+    taken on the estimator's lattice cell; only ``se_grid`` is tiled over
+    the lattice.  The groups hold their cell's modes, ``_on_cell`` places
+    them on (N, N)."""
 
-    se_grid: np.ndarray  # (L+1, N, N) pointwise standard error
+    se_grid: np.ndarray  # (L+1, N, N) pointwise standard error, tiled from the cell
     pooled_se: np.ndarray  # (L+1,) sqrt(mean_z variance / M)
-    sup_lattice: np.ndarray  # (L+1,) max_z |omega| on the N lattice
+    sup_lattice: np.ndarray  # (L+1,) max_z |omega| on the N lattice, read on the cell
     group_modes: np.ndarray  # (G, L+1, n1, n2) per-group mean fields (modes)
 
 
@@ -225,11 +226,10 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
     ``chunk`` branches (chunks run one after another, so an estimator may
     reuse buffers across them); a zero correction may yield no block.
     Group sums take one matrix product per block, the sums over all
-    branches are the groups' sum.  Sums and groups stay on the cell; only
-    the sums are tiled over the lattice, for the mean and the standard
-    errors.
+    branches are the groups' sum.  Every sum stays on the cell, and the
+    mean is placed on the lattice from its cell modes.
     """
-    n, steps, dt, nu = config.N, config.L, config.dt, config.nu
+    steps, dt, nu = config.L, config.dt, config.nu
     m_inner, n_groups = config.M_inner, config.groups
     _check_trajectory_config(prev, config, "iterate")
 
@@ -270,44 +270,47 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
             partial = member @ sample.reshape(sample.shape[0], -1)
             group_sum[g0:g1, nodes] += partial.reshape((-1,) + sample.shape[1:])
     del samples  # frees the estimator's tables before the assembly allocates
-    sum_f = group_sum.sum(axis=0)
-    reps = (1, n // cell[0], n // cell[1])
-    return _assemble_iterate(
-        config, heat, np.tile(sum_f, reps), np.tile(sumsq_f, reps), group_sum, group_counts
-    )
+    return _assemble_iterate(config, heat, sumsq_f, group_sum, group_counts)
 
 
-def _assemble_iterate(config, heat, sum_f, sumsq_f, group_sum, group_counts):
+def _cell_iterate(heat: np.ndarray, mean_values: np.ndarray) -> np.ndarray:
+    """Cell modes (..., L+1, n1, n2) of the heat stack plus the Monte Carlo
+    correction whose cell values are ``mean_values``: the cell's modes are
+    the lattice modes at strides (N / n1, N / n2), as psi's.  The correction
+    is projected to mean zero and off the Nyquist lines; node 0 is psi
+    exactly."""
+    n = heat.shape[-1]
+    s1, s2 = n // mean_values.shape[-2], n // mean_values.shape[-1]
+    modes = grid_to_modes(mean_values)
+    modes[..., 0, 0] = 0.0
+    modes[..., _nyquist_mask(n)[::s1, ::s2]] = 0.0
+    modes += heat[:, ::s1, ::s2]
+    modes[..., 0, :, :] = heat[0, ::s1, ::s2]
+    return modes
+
+
+def _assemble_iterate(config, heat, sumsq_f, group_sum, group_counts):
+    """The iterate and its ``SolveStats`` from the cell's sums: the mean
+    and every group by one rule (``_cell_iterate``), the mean then placed on
+    the (N, N) lattice, so its off-cell modes are exact zeros."""
     n, m_inner = config.N, config.M_inner
-    ny = _nyquist_mask(n)
-    s1, s2 = n // group_sum.shape[-2], n // group_sum.shape[-1]
+    cell = group_sum.shape[-2:]
+    sum_f = group_sum.sum(axis=0)
+    mean_modes = _cell_iterate(heat, sum_f / m_inner)
 
-    mc_modes = grid_to_modes(sum_f / m_inner)
-    mc_modes[:, 0, 0] = 0.0  # re-project to mean zero
-    mc_modes[:, ny] = 0.0
-    out = heat + mc_modes
-    out[0] = heat[0]  # tau = 0 slice is psi exactly
-
-    var_z = np.maximum(sumsq_f - sum_f**2 / m_inner, 0.0) / max(m_inner - 1, 1)
-    se_grid = np.sqrt(var_z / m_inner)
-    se_grid[0] = 0.0
+    var_z = np.maximum(sumsq_f - sum_f**2 / m_inner, 0.0) / (m_inner - 1)
+    se_cell = np.sqrt(var_z / m_inner)
+    se_cell[0] = 0.0
     pooled = np.sqrt(np.mean(var_z, axis=(1, 2)) / m_inner)
     pooled[0] = 0.0
 
-    # the cell's modes are the lattice modes at strides (s1, s2), as psi's
-    gmodes = grid_to_modes(group_sum / group_counts[:, None, None, None])
-    gmodes[:, :, 0, 0] = 0.0
-    gmodes[:, :, ny[::s1, ::s2]] = 0.0
-    gmodes += heat[None, :, ::s1, ::s2]
-    gmodes[:, 0] = heat[0, ::s1, ::s2][None]
-
     stats = SolveStats(
-        se_grid=se_grid,
+        se_grid=np.tile(se_cell, (1, n // cell[0], n // cell[1])),
         pooled_se=pooled,
-        sup_lattice=np.max(np.abs(modes_to_grid(out)), axis=(-2, -1)),
-        group_modes=gmodes,
+        sup_lattice=np.max(np.abs(modes_to_grid(mean_modes)), axis=(-2, -1)),
+        group_modes=_cell_iterate(heat, group_sum / group_counts[:, None, None, None]),
     )
-    return VorticityTrajectory(out, nu=config.nu, dt=config.dt), stats
+    return VorticityTrajectory(_on_cell(mean_modes, (n, n)), nu=config.nu, dt=config.dt), stats
 
 
 def solve_weighted_with_stats(
@@ -583,18 +586,17 @@ def _velocity_tables(u1: np.ndarray, u2: np.ndarray, cell):
     Returns the ``_bilinear_tables`` of each component, with a leading node
     axis, and each component's (L+1, n1*n2) values on the lattice cell
     ``cell`` = (n1, n2) at the origin, point (i, j) at flat index
-    i * n2 + j.  One packed synthesis gives both components as (real,
-    imag); they are split into contiguous real tables, since a complex add
-    costs several real ones per point.
+    i * n2 + j.  Each component is synthesised on its own, so only one
+    component's 4x modes exist at a time.
     """
     n1, n2 = cell
-    u_grids = modes_to_complex_grid(embed_modes(u1 + 1j * u2, 4 * u1.shape[-1]))
-    padded = [
-        np.pad(part, ((0, 0), (0, 1), (0, 1)), mode="wrap")
-        for part in (u_grids.real, u_grids.imag)
+    p = 4 * u1.shape[-1]
+    tables = [
+        _bilinear_tables(
+            np.pad(modes_to_grid(embed_modes(u, p)), ((0, 0), (0, 1), (0, 1)), mode="wrap")
+        )
+        for u in (u1, u2)
     ]
-    del u_grids  # before the row differences, so the two never coexist
-    tables = [_bilinear_tables(part) for part in padded]
     # The lattice is every fourth node of the 4x grid; reshaping the
     # strided view of the cell copies it, so only the tables stay referenced.
     lattice = [

@@ -199,11 +199,6 @@ def modes_to_grid(modes: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(modes[..., : n2 // 2 + 1], s=(n1, n2), norm="forward")
 
 
-def modes_to_complex_grid(modes: np.ndarray) -> np.ndarray:
-    """Complex synthesis: packed modes f + 1j*g of real fields give f, g as (real, imag)."""
-    return np.fft.ifft2(modes) * (modes.shape[-1] ** 2)
-
-
 def grid_to_modes(values: np.ndarray) -> np.ndarray:
     return np.fft.fft2(values) / (values.shape[-2] * values.shape[-1])
 

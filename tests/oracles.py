@@ -23,7 +23,6 @@ from vortexbsde.torus_field import (
     _sobolev_symbol,
     embed_modes,
     grid_to_modes,
-    modes_to_complex_grid,
     modes_to_grid,
     translate,
     wavenumbers,
@@ -243,9 +242,8 @@ def drifted_estimator_one_chunk(config, psi_modes, u1, u2):
     sqrt2nu = np.sqrt(2.0 * nu)
     # Pack both components into one complex grid: a single interpolation
     # pass per step recovers the drift as (real, imag).
-    u_grids = modes_to_complex_grid(
-        np.stack([embed_modes(a, 4 * n) + 1j * embed_modes(b, 4 * n) for a, b in zip(u1, u2)])
-    )
+    packed = np.stack([embed_modes(a, 4 * n) + 1j * embed_modes(b, 4 * n) for a, b in zip(u1, u2)])
+    u_grids = np.fft.ifft2(packed) * (4 * n) ** 2
     grid_1d = np.arange(n) / n
     zx = np.repeat(grid_1d, n)  # lattice point (i, j) at flat index i * N + j
     zy = np.tile(grid_1d, n)

@@ -44,7 +44,6 @@ from vortexbsde.torus_field import (
     field_from_mode_list,
     grid_to_modes,
     l2_norm,
-    modes_to_complex_grid,
     modes_to_grid,
     translate,
     wavenumbers,
@@ -258,6 +257,38 @@ class TestLinearSolve:
         cfg = SolverConfig(N=16, L=8, M_inner=60, nu=0.3, T=0.2, alpha=0.0)
         it, _ = solve_weighted_with_stats(heat_iterate(two_mode(), cfg), cfg)
         assert all(f.modes[0, 0] == 0.0 for f in it.fields)
+
+    @pytest.mark.parametrize("n, cell", [(12, (12, 4)), (24, (24, 8))])
+    def test_iterate_is_exactly_zero_off_its_cell(self, n, cell):
+        # On grids that are not powers of two, an FFT of the mean tiled over
+        # the lattice leaves roundoff at off-cell modes, and a drifted step
+        # from such an iterate has to run on the whole lattice.
+        cfg = SolverConfig(N=n, L=8, M_inner=128, nu=0.5, T=0.25, alpha=0.0)
+        psi = field_from_mode_list(n, [(1, 0, -0.5j), (0, 3, 0.5)])
+        it, stats = solve_weighted_with_stats(heat_iterate(psi, cfg), cfg)
+        assert stats.group_modes.shape[-2:] == cell
+        off_cell = np.ones((n, n), dtype=bool)
+        off_cell[:: n // cell[0], :: n // cell[1]] = False
+        assert not it.modes[:, off_cell].any()
+        assert not np.array_equal(it.modes, heat_iterate(psi, cfg).modes)
+        _, drifted = solve_drifted_with_stats(it, dataclasses.replace(cfg, M_inner=16))
+        assert drifted.group_modes.shape[-2:] == cell
+
+    @pytest.mark.parametrize("n", [16, 12])
+    @pytest.mark.parametrize("solve", [solve_weighted_with_stats, solve_drifted_with_stats])
+    def test_stats_taken_on_the_cell_describe_the_lattice(self, solve, n):
+        cfg = SolverConfig(N=n, L=8, M_inner=48, nu=0.5, T=0.25, alpha=0.0)
+        prev = solve_weighted_with_stats(heat_iterate(two_mode(n), cfg), cfg)[0]
+        it, stats = solve(prev, cfg)
+        n1, n2 = stats.group_modes.shape[-2:]
+        assert (n1, n2) == (n, n // 2)  # two_mode's cell, not the lattice
+        sup = np.abs(modes_to_grid(it.modes)).max(axis=(1, 2))
+        assert np.max(np.abs(stats.sup_lattice - sup) / sup) <= 1e-14
+        se_cell = stats.se_grid[:, :n1, :n2]
+        assert np.array_equal(stats.se_grid, np.tile(se_cell, (1, n // n1, n // n2)))
+        assert np.array_equal(stats.se_grid.max(axis=(1, 2)), se_cell.max(axis=(1, 2)))
+        lattice_pooled = np.sqrt(np.mean(stats.se_grid**2, axis=(1, 2)))
+        assert np.allclose(stats.pooled_se, lattice_pooled, rtol=1e-13, atol=0.0)
 
     def test_weight_overflow_fails_loudly(self, monkeypatch):
         # Increments scaled by 4e4 keep the exponent finite but overflow
@@ -521,7 +552,7 @@ class TestHotLoopKernels:
             assert block.cell == (n // f1, n // f2)
             z = np.zeros((5, rows.size * cols.size), dtype=np.complex128)
             z[:, x_of * cols.size + y_of] = values
-            ref = modes_to_complex_grid(folded)
+            ref = np.fft.ifft2(folded) * n**2
             got = np.tile(block.synthesise(z), (1, f1, f2))
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
