@@ -21,7 +21,6 @@ from scipy.special import ndtri
 from .errors import ConfigurationError
 
 _U64 = np.uint64
-_MASK64 = (1 << 64) - 1
 
 #: The largest float below 1: the top word 2^53 - 1 rounds to u = 1.0, whose
 #: inverse normal CDF is +inf, so u is clamped here.
@@ -33,8 +32,8 @@ TAG_INNER = 0x1E
 TAG_DRIFT = 0xD3
 
 
-def stream_key(seed: int, tag: int) -> list:
-    return [seed & _MASK64, (tag & 0xFFFF) << 48]
+def stream_key(seed: int, tag: int) -> np.ndarray:
+    return np.array([seed, (tag & 0xFFFF) << 48], dtype=np.uint64)
 
 
 def _words_to_normals(words: np.ndarray) -> np.ndarray:

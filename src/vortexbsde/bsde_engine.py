@@ -125,6 +125,8 @@ class SolverConfig:
             raise ConfigurationError("mode_threshold_rel must be in [0, 1)")
         if not 2 <= self.groups <= self.M_inner:
             raise ConfigurationError("groups must be in [2, M_inner]")
+        if not 0 <= self.base_seed < 2**64:  # a Philox key word is a uint64
+            raise ConfigurationError(f"base_seed must be in [0, 2^64), got {self.base_seed!r}")
 
     @property
     def dt(self) -> float:
@@ -338,10 +340,7 @@ def solve_drifted_with_stats(
 
 
 def _active_indices(mag: np.ndarray, threshold_rel: float):
-    peak = float(mag.max(initial=0.0))
-    if peak == 0.0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.nonzero(mag > threshold_rel * peak)
+    return np.nonzero(mag > threshold_rel * mag.max(initial=0.0))
 
 
 def _cell(k1: np.ndarray, k2: np.ndarray, n: int) -> tuple:

@@ -1,27 +1,21 @@
 """Binary trajectory checkpoint and the on-disk solution bundle.
 
-Trajectory checkpoint (``.vbst``), little-endian throughout: a trajectory
-header followed by L+1 self-contained field blocks, one per time node:
+Trajectory checkpoint (``.vbst``, format version 2), little-endian: a
+28-byte header, then the (L+1, N, N) mode stack as one complex128 array.
 
     bytes 0..3   magic "VBST"
-    bytes 4..5   version u16
+    bytes 4..5   version u16 (2)
     bytes 6..9   step count L, u32
-    bytes 10..17 dt, f64
-    bytes 18..25 nu, f64
+    bytes 10..11 grid size N, u16
+    bytes 12..19 dt, f64
+    bytes 20..27 nu, f64
 
-Field block (node 0 starts at byte 26):
-
-    bytes 0..3   magic "VBSF"
-    bytes 4..5   format version, u16 (currently 1)
-    bytes 6..7   grid size N, u16
-    byte  8      mean-zero byte, u8: always 1 (every field is mean-zero)
-    then N*N coefficients as f64 (re, im) pairs in row-major k-order:
-    entry (i1, i2) is fhat(k) with k_a = fftfreq(N)[i_a] * N, rows varying
-    slowest (numpy C order of the mode array).
+The body holds 16 (L+1) N^2 bytes, one (re, im) f64 pair per mode, in
+numpy C order of the stack: node slowest, then rows; entry (m, i1, i2) is
+fhat(tau_m, k) with k_a = fftfreq(N)[i_a] * N.
 
 A solution bundle is a directory holding ``solution.json`` (config echo,
-norms, iteration history) and ``y_fields.vbst``, whose node 0 is psi.  A
-``psi.vbsf`` left in a bundle by an earlier version is ignored.
+norms, iteration history) and ``y_fields.vbst``, whose node 0 is psi.
 """
 
 from __future__ import annotations
@@ -38,18 +32,10 @@ from .bsde_engine import BsdeSolution, SolverConfig, _check_trajectory_config
 from .errors import ConfigurationError
 from .spectral_oracle import VorticityTrajectory
 
-FIELD_MAGIC = b"VBSF"
 TRAJ_MAGIC = b"VBST"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_FIELD_HEADER = struct.Struct("<4sHHB")
-_TRAJ_HEADER = struct.Struct("<4sHIdd")
-
-
-def _modes_to_bytes(modes: np.ndarray) -> bytes:
-    """The field block of an (N, N) mode array."""
-    header = _FIELD_HEADER.pack(FIELD_MAGIC, FORMAT_VERSION, modes.shape[-1], 1)
-    return header + modes.astype("<c16", copy=False).tobytes()
+_TRAJ_HEADER = struct.Struct("<4sHIHdd")
 
 
 def _read_bytes(path) -> bytes:
@@ -61,54 +47,30 @@ def _read_bytes(path) -> bytes:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _modes_from_bytes(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
-    """The unvalidated (N, N) modes of the field block at ``offset``, and the offset past it."""
-    if len(buf) - offset < _FIELD_HEADER.size:
-        raise ConfigurationError("truncated field block (incomplete header)")
-    magic, version, n, mean_zero = _FIELD_HEADER.unpack_from(buf, offset)
-    if magic != FIELD_MAGIC:
-        raise ConfigurationError("not a field block (bad magic)")
-    if version != FORMAT_VERSION:
-        raise ConfigurationError(f"unsupported field block version {version}")
-    if mean_zero != 1:
-        raise ConfigurationError(f"field block mean-zero byte is {mean_zero}, not 1")
-    offset += _FIELD_HEADER.size
-    count = n * n
-    if len(buf) - offset < 16 * count:
-        raise ConfigurationError(
-            f"truncated field block: N={n} needs {16 * count} coefficient bytes, "
-            f"{len(buf) - offset} present"
-        )
-    flat = np.frombuffer(buf, dtype="<f8", count=2 * count, offset=offset).reshape(count, 2)
-    return (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n), offset + 16 * count
-
-
 def write_trajectory(path, traj: VorticityTrajectory) -> None:
-    header = _TRAJ_HEADER.pack(TRAJ_MAGIC, FORMAT_VERSION, traj.steps, traj.dt, traj.nu)
-    blocks = b"".join(_modes_to_bytes(modes) for modes in traj.modes)
-    Path(path).write_bytes(header + blocks)
+    n = traj.modes.shape[-1]
+    header = _TRAJ_HEADER.pack(TRAJ_MAGIC, FORMAT_VERSION, traj.steps, n, traj.dt, traj.nu)
+    Path(path).write_bytes(header + traj.modes.astype("<c16", copy=False).tobytes())
 
 
 def read_trajectory(path) -> VorticityTrajectory:
     buf = _read_bytes(path)
     if len(buf) < _TRAJ_HEADER.size:
         raise ConfigurationError("truncated trajectory checkpoint (incomplete header)")
-    magic, version, steps, dt, nu = _TRAJ_HEADER.unpack_from(buf, 0)
+    magic, version, steps, n, dt, nu = _TRAJ_HEADER.unpack_from(buf, 0)
     if magic != TRAJ_MAGIC:
         raise ConfigurationError("not a trajectory checkpoint (bad magic)")
     if version != FORMAT_VERSION:
         raise ConfigurationError(f"unsupported trajectory format version {version}")
-    offset = _TRAJ_HEADER.size
-    blocks = []
-    for _ in range(steps + 1):
-        modes, offset = _modes_from_bytes(buf, offset)
-        if blocks and modes.shape != blocks[0].shape:
-            raise ConfigurationError("trajectory fields disagree on grid size")
-        blocks.append(modes)
-    if offset != len(buf):
-        extra = len(buf) - offset
-        raise ConfigurationError(f"trajectory checkpoint has {extra} bytes past its end")
-    return VorticityTrajectory(np.stack(blocks), nu=nu, dt=dt)
+    declared = 16 * (steps + 1) * n * n
+    present = len(buf) - _TRAJ_HEADER.size
+    if present != declared:
+        raise ConfigurationError(
+            f"trajectory checkpoint body has {present} bytes; its header (L={steps}, N={n}) "
+            f"declares {declared}"
+        )
+    modes = np.frombuffer(buf, dtype="<c16", offset=_TRAJ_HEADER.size)
+    return VorticityTrajectory(modes.reshape(steps + 1, n, n), nu=nu, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def measure_c0(k_order: int, trials: int, n: int = 32, seed: int = 0) -> float:
         raise ConfigurationError("C0 measurement needs at least one trial")
     if not 1 <= k_order <= 3:
         raise ConfigurationError(f"C0 is measured for orders 1..3, got {k_order}")
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0xC0]))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xC0], dtype=np.uint64)))
     best = 0.0
     for _ in range(trials):
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -22,6 +22,21 @@ class TestSimulate:
         b = brownian.simulate(2, 16, 0.5)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("a, b", [(2**63, 2**63 + 1), (2**64 - 1, 2**64 - 2)])
+    def test_seeds_of_the_whole_key_range_differ(self, a, b):
+        # a seed >= 2^63 used to pass through float64 on its way into the
+        # key, so 2^63 and 2^63 + 1 drew one stream
+        inc = [brownian.ensemble_increments(s, brownian.TAG_INNER, 2, 3, 0.1) for s in (a, b)]
+        assert not np.array_equal(*inc)
+        assert brownian.stream_key(a, brownian.TAG_INNER)[0] == a
+
+    def test_int64_seed_keys_unchanged(self):
+        # the key of a seed below 2^63 is the one the two-int list gave
+        for seed in (0, 42, 2**63 - 1):
+            key = brownian.stream_key(seed, brownian.TAG_DRIFT)
+            old = np.random.Philox(key=[seed, brownian.TAG_DRIFT << 48]).random_raw(8)
+            assert np.array_equal(np.random.Philox(key=key).random_raw(8), old)
+
     def test_random_access_matches_bulk(self):
         # Counter-based contract: increment m is computable in isolation.
         key = brownian.stream_key(99, brownian.TAG_SIMULATE)

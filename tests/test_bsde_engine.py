@@ -931,6 +931,8 @@ class TestConfigValidation:
             ("groups", 17),  # more than M_inner
             ("max_iter", 2.0),
             ("base_seed", 1.5),
+            ("base_seed", -1),  # a Philox key word is a uint64
+            ("base_seed", 2**64),
             ("groups", True),
             ("nu", "0.1"),
             ("T", True),
@@ -951,8 +953,7 @@ class TestConfigValidation:
 
     def test_iterate_validation(self):
         # every trajectory -- oracle run, Picard iterate or checkpoint --
-        # is validated once, when it is built; a mixed-grid ``.vbst`` is
-        # the reader's case (tests/test_checkpoint.py)
+        # is validated once, when it is built
         two = np.stack([sin1().modes] * 2)
         cases = [
             (two[:1], 0.1, 0.1, "two time nodes"),

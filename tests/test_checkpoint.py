@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from vortexbsde.bsde_engine import BsdeSolution, SolverConfig, picard_solve
 from vortexbsde.checkpoint import (
-    FIELD_MAGIC,
     TRAJ_MAGIC,
     _config_from_dict,
-    _modes_to_bytes,
     read_solution_bundle,
     read_trajectory,
     write_solution_bundle,
@@ -29,21 +27,21 @@ from conftest import random_mean_zero_field
 ABSENT = object()
 
 
-def _write_blocks(path, blocks, steps):
-    """A ``.vbst`` of header step count ``steps`` and field blocks of the given mode arrays."""
-    header = struct.pack("<4sHIdd", TRAJ_MAGIC, 1, steps, 0.1, 0.1)
-    path.write_bytes(header + b"".join(_modes_to_bytes(m) for m in blocks))
+def _write_stack(path, modes, steps):
+    """A ``.vbst`` of header step count ``steps`` whose body is the stack ``modes``."""
+    header = struct.pack("<4sHIHdd", TRAJ_MAGIC, 2, steps, modes.shape[-1], 0.1, 0.1)
+    path.write_bytes(header + modes.astype("<c16").tobytes())
 
 
 class TestFieldFormat:
-    """The field block, the per-node block of a ``.vbst``; node 0 starts at byte 26."""
+    """The body of a ``.vbst``: the (L+1, N, N) mode stack, from byte 28."""
 
     @staticmethod
     def _two_node_file(path, n=4):
-        """A one-step ``.vbst`` whose two field blocks are of grid size ``n``."""
+        """A one-step ``.vbst`` whose two nodes are of grid size ``n``."""
         f = field_from_mode_list(n, [(1, 0, -0.5j)])
-        _write_blocks(path, (f.modes, f.modes), 1)
-        return bytearray(path.read_bytes())
+        write_trajectory(path, VorticityTrajectory(np.stack([f.modes, f.modes]), nu=0.1, dt=0.1))
+        return path.read_bytes()
 
     def test_round_trip_bit_exact(self, tmp_path):
         f = random_mean_zero_field(16, 5)
@@ -54,56 +52,54 @@ class TestFieldFormat:
         assert np.array_equal(back.modes[1], -f.modes)
 
     def test_documented_byte_layout(self, tmp_path):
-        # header: magic 'VBSF', version u16, N u16, mean_zero u8 (little endian),
-        # then N*N (re, im) f64 pairs in row-major mode order.
+        # header: magic 'VBST', version u16, L u32, N u16, dt f64, nu f64
+        # (little endian), then (L+1)*N*N (re, im) f64 pairs in C order
         buf = self._two_node_file(tmp_path / "t.vbst")
-        magic, version, n, mz = struct.unpack_from("<4sHHB", buf, 26)
-        assert magic == FIELD_MAGIC
-        assert (version, n, mz) == (1, 4, 1)
-        coeffs = np.frombuffer(bytes(buf), dtype="<f8", count=32, offset=26 + 9).reshape(16, 2)
-        # row-major: entry index 4 is mode (k1=1, k2=0) = -0.5j
-        assert coeffs[4, 0] == 0.0 and coeffs[4, 1] == -0.5
-        # its Hermitian partner (k1=-1 -> storage row 3) carries +0.5j
-        assert coeffs[12, 1] == 0.5
-        assert len(buf) == 26 + 2 * (9 + 16 * 16)
-        assert buf[26 + 9 + 16 * 16:][:4] == FIELD_MAGIC  # node 1 follows at once
-
-    def _corrupted(self, path, offset, value):
-        """The two-node file at ``path`` with ``value`` written at byte ``offset``."""
-        buf = self._two_node_file(path)
-        buf[offset:offset + len(value)] = value
-        path.write_bytes(bytes(buf))
-        return path
-
-    def test_bad_magic(self, tmp_path):
-        p = self._corrupted(tmp_path / "t.vbst", 26 + 9 + 16 * 16, b"XXXX")  # node 1's block
-        with pytest.raises(ConfigurationError, match="not a field block"):
-            read_trajectory(p)
+        assert struct.unpack_from("<4sHIHdd", buf, 0) == (TRAJ_MAGIC, 2, 1, 4, 0.1, 0.1)
+        coeffs = np.frombuffer(buf, dtype="<f8", offset=28).reshape(2, 16, 2)
+        for node in (0, 1):
+            # entry index 4 is mode (k1=1, k2=0) = -0.5j, at byte 28 + 16 * (16 * node + 4)
+            assert tuple(coeffs[node, 4]) == (0.0, -0.5)
+            # its Hermitian partner (k1=-1 -> storage row 3) carries +0.5j
+            assert tuple(coeffs[node, 12]) == (0.0, 0.5)
+        assert struct.unpack_from("<dd", buf, 28 + 16 * (16 + 4)) == (0.0, -0.5)
+        assert len(buf) == 28 + 16 * 2 * 4 * 4
 
     def test_bad_version(self, tmp_path):
-        p = self._corrupted(tmp_path / "t.vbst", 26 + 4, struct.pack("<H", 2))
-        with pytest.raises(ConfigurationError, match="field block version 2"):
+        # a version-1 file: a 26-byte header without N, then one field
+        # block (magic, version, N, mean-zero byte, coefficients) per node
+        f = field_from_mode_list(4, [(1, 0, -0.5j)])
+        block = struct.pack("<4sHHB", b"VBSF", 1, 4, 1) + f.modes.astype("<c16").tobytes()
+        p = tmp_path / "t.vbst"
+        p.write_bytes(struct.pack("<4sHIdd", TRAJ_MAGIC, 1, 1, 0.1, 0.1) + 2 * block)
+        with pytest.raises(ConfigurationError, match="unsupported trajectory format version 1$"):
             read_trajectory(p)
 
-    def test_mean_zero_byte_other_than_one_rejected(self, tmp_path):
-        p = self._corrupted(tmp_path / "t.vbst", 26 + 8, b"\x00")
-        with pytest.raises(ConfigurationError, match="mean-zero byte is 0"):
-            read_trajectory(p)
-
-    @pytest.mark.parametrize("cut", [0, 5, 9, 9 + 16 * 16 - 1])
+    @pytest.mark.parametrize("cut", [0, 5, 9, 9 + 16 * 16 - 1, 2 * 16 * 16 * 16 - 1])
     def test_truncated_buffer(self, tmp_path, cut):
-        # node 1's block of an N = 16 trajectory, cut ``cut`` bytes in
+        # the body of an N = 16 trajectory, 8192 bytes, cut to ``cut`` bytes
         p = tmp_path / "t.vbst"
         buf = self._two_node_file(p, n=16)
-        p.write_bytes(bytes(buf[:26 + 9 + 16 * 16 * 16 + cut]))
-        with pytest.raises(ConfigurationError, match="truncated field block"):
+        p.write_bytes(buf[:28 + cut])
+        match = rf"body has {cut} bytes; its header \(L=1, N=16\) declares 8192$"
+        with pytest.raises(ConfigurationError, match=match):
             read_trajectory(p)
 
     def test_trailing_bytes(self, tmp_path):
         p = tmp_path / "t.vbst"
-        p.write_bytes(bytes(self._two_node_file(p)) + b"\x00")
-        with pytest.raises(ConfigurationError, match="past its end"):
+        p.write_bytes(self._two_node_file(p) + b"\x00")
+        with pytest.raises(ConfigurationError, match=r"body has 513 bytes; .* declares 512$"):
             read_trajectory(p)
+
+    @pytest.mark.parametrize("n", [0, 3, 5])
+    def test_odd_or_zero_grid_size_rejected(self, tmp_path, n):
+        # the body matches the header, so the grid-size rule decides: exit 2
+        p = tmp_path / "t.vbst"
+        _write_stack(p, np.zeros((2, n, n), complex), 1)
+        match = f"grid size must be even and >= 4, got {n}"
+        with pytest.raises(ConfigurationError, match=match) as exc:
+            read_trajectory(p)
+        assert exc.value.exit_code == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
@@ -129,9 +125,9 @@ class TestTrajectoryFormat:
         p = tmp_path / "t.vbst"
         write_trajectory(p, traj)
         buf = p.read_bytes()
-        magic, version, steps, dt, nu = struct.unpack_from("<4sHIdd", buf, 0)
+        magic, version, steps, n, dt, nu = struct.unpack_from("<4sHIHdd", buf, 0)
         assert magic == TRAJ_MAGIC
-        assert (version, steps) == (1, 4)
+        assert (version, steps, n) == (2, 4, 16)
         assert dt == traj.dt and nu == 0.2
 
     @pytest.mark.parametrize("key", ["dt", "nu"])
@@ -141,7 +137,7 @@ class TestTrajectoryFormat:
         p = tmp_path / "t.vbst"
         write_trajectory(p, traj)
         buf = bytearray(p.read_bytes())
-        struct.pack_into("<d", buf, {"dt": 10, "nu": 18}[key], value)
+        struct.pack_into("<d", buf, {"dt": 12, "nu": 20}[key], value)
         p.write_bytes(bytes(buf))
         with pytest.raises(ConfigurationError, match="finite positive dt and nu"):
             read_trajectory(p)
@@ -150,9 +146,9 @@ class TestTrajectoryFormat:
         p = tmp_path / "t.vbst"
         write_trajectory(p, evolve(field_from_mode_list(16, [(1, 0, -0.5j)]), 0.2, 0.1, 4))
         buf = bytearray(p.read_bytes())
-        struct.pack_into("<H", buf, 4, 2)
+        struct.pack_into("<H", buf, 4, 3)
         p.write_bytes(bytes(buf))
-        with pytest.raises(ConfigurationError, match="unsupported trajectory format version 2"):
+        with pytest.raises(ConfigurationError, match="unsupported trajectory format version 3"):
             read_trajectory(p)
 
     def test_bad_magic(self, tmp_path):
@@ -166,36 +162,28 @@ class TestTrajectoryFormat:
         p = tmp_path / "t.vbst"
         write_trajectory(p, traj)
         buf = p.read_bytes()
-        for cut in (10, len(buf) - 1):
-            p.write_bytes(buf[:cut])
-            with pytest.raises(ConfigurationError, match="truncated"):
+        p.write_bytes(buf[:10])
+        with pytest.raises(ConfigurationError, match="truncated"):
+            read_trajectory(p)
+        for damaged in (buf[:-1], buf + b"\x00" * 3):
+            p.write_bytes(damaged)
+            with pytest.raises(ConfigurationError, match=f"body has {len(damaged) - 28} bytes"):
                 read_trajectory(p)
-        p.write_bytes(buf + b"\x00" * 3)
-        with pytest.raises(ConfigurationError, match="past its end"):
-            read_trajectory(p)
-
-    def test_fields_disagree_on_grid_size(self, tmp_path):
-        # no VorticityTrajectory holds mixed grids, so write the blocks directly
-        fields = (field_from_mode_list(4, [(1, 0, -0.5j)]), field_from_mode_list(8, [(1, 0, -0.5j)]))
-        p = tmp_path / "t.vbst"
-        _write_blocks(p, [f.modes for f in fields], 1)
-        with pytest.raises(ConfigurationError, match="grid size"):
-            read_trajectory(p)
 
     def test_nyquist_mode_of_a_node_rejected(self, tmp_path):
         # a node carrying the (N/2, 0) mode breaks the field rule like a bad mean
         traj = evolve(field_from_mode_list(16, [(1, 0, -0.5j), (0, 2, 0.5)]), 0.2, 0.1, 4)
-        blocks = [m.copy() for m in traj.modes]
-        blocks[2][8, 0] = 0.05
+        modes = traj.modes.copy()
+        modes[2, 8, 0] = 0.05
         p = tmp_path / "t.vbst"
-        _write_blocks(p, blocks, 4)
+        _write_stack(p, modes, 4)
         with pytest.raises(DomainError, match=r"^node 2: .*Nyquist mode at index \(8, 0\)"):
             read_trajectory(p)
 
     def test_zero_steps_rejected(self, tmp_path):
         # L = 0 holds psi alone: no trajectory to solve on or compare with
         p = tmp_path / "t.vbst"
-        _write_blocks(p, (field_from_mode_list(4, [(1, 0, -0.5j)]).modes,), 0)
+        _write_stack(p, field_from_mode_list(4, [(1, 0, -0.5j)]).modes[None], 0)
         with pytest.raises(ConfigurationError, match="two time nodes"):
             read_trajectory(p)
 
@@ -243,7 +231,8 @@ class TestSolutionBundle:
         assert full_json_report(back) == full_json_report(sol)
         # an earlier version's psi.vbsf, here holding another field, is not read
         other = field_from_mode_list(16, [(0, 1, 0.25)])
-        (bundle / "psi.vbsf").write_bytes(_modes_to_bytes(other.modes))
+        block = struct.pack("<4sHHB", b"VBSF", 1, 16, 1) + other.modes.astype("<c16").tobytes()
+        (bundle / "psi.vbsf").write_bytes(block)
         stale = read_solution_bundle(bundle)
         assert np.array_equal(stale.psi.modes, psi.modes)
         assert full_json_report(stale) == full_json_report(sol)
@@ -372,6 +361,8 @@ class TestSolutionBundle:
             (("schema_version",), 1.0, "schema_version"),
             (("iteration_index",), True, "iteration_index"),
             (("alpha",), False, "alpha"),
+            # version 1 stored a field block per node; no reader of it is kept
+            (("schema_version",), 1, "schema_version 1, not 2"),
         ],
     )
     def test_malformed_report(self, tmp_path, where, value, what):

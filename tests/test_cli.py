@@ -300,6 +300,16 @@ class TestSolveCommand:
         assert manifest["error"]["type"] == "ConfigurationError"
         assert "mode_threshold_rel" in manifest["error"]["message"]
 
+    def test_negative_base_seed_exit_code_and_manifest(self, tmp_path):
+        # seed -1 used to draw the stream of seed -2, with a numpy cast warning
+        out = tmp_path / "out"
+        text = SOLVE_CFG.format(out=out).replace("base_seed = 11", "base_seed = -1")
+        assert cli.main(["solve", str(write_cfg(tmp_path / "s.cfg", text))]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"]["type"] == "ConfigurationError"
+        assert manifest["error"]["message"] == "base_seed must be in [0, 2^64), got -1"
+
     def test_zero_alpha_writes_diagnostics(self, tmp_path):
         out = tmp_path / "out"
         text = (
@@ -420,7 +430,7 @@ class TestCompareCommand:
         assert manifest["error"]["type"] == "ConfigurationError"
         assert "absent" in manifest["error"]["message"]
 
-    @pytest.mark.parametrize("offset", [10, 18], ids=["dt", "nu"])
+    @pytest.mark.parametrize("offset", [12, 20], ids=["dt", "nu"])
     def test_nan_trajectory_header_exit_code_and_manifest(self, tmp_path, offset):
         # a NaN dt or nu passes every later comparison: a NaN dt used to end
         # compare in a ValueError traceback without a manifest, a NaN nu was
@@ -443,8 +453,7 @@ class TestCompareCommand:
         # node 2 of the oracle trajectory carries a nonzero (N/2, 0) mode
         bundle, traj_path = self._oracle_as_solution(tmp_path)
         buf = bytearray(traj_path.read_bytes())
-        block = 9 + 16 * 16 * 16
-        struct.pack_into("<d", buf, 26 + 2 * block + 9 + 16 * (8 * 16), 0.05)
+        struct.pack_into("<d", buf, 28 + 16 * (2 * 16 * 16 + 8 * 16), 0.05)
         traj_path.write_bytes(bytes(buf))
         out = tmp_path / "cmp"
         cfg = write_cfg(
@@ -588,6 +597,21 @@ class TestDiagnoseCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["error"]["type"] == "ConfigurationError"
+
+    def test_version_1_bundle_exit_code_and_manifest(self, tmp_path):
+        # version 1 stored a field block per node of y_fields.vbst
+        bundle, _ = TestCompareCommand()._oracle_as_solution(tmp_path)
+        doc = json.loads((bundle / "solution.json").read_text())
+        assert doc["schema_version"] == 2
+        doc["schema_version"] = 1
+        (bundle / "solution.json").write_text(json.dumps(doc))
+        out = tmp_path / "diag"
+        cfg = write_cfg(tmp_path / "d.cfg", f"outdir = {out}\nsolution_bundle = {bundle}\n")
+        assert cli.main(["diagnose", str(cfg)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"]["type"] == "ConfigurationError"
+        assert "schema_version 1, not 2" in manifest["error"]["message"]
 
     def test_zero_alpha_bundle(self, tmp_path):
         out = tmp_path / "out"
