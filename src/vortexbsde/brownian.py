@@ -32,7 +32,15 @@ TAG_INNER = 0x1E
 TAG_DRIFT = 0xD3
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """The seed rule: a seed is a Philox key word, a uint64, so it must lie
+    in [0, 2^64); ``name`` is the seed's name in the message."""
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError(f"{name} must be in [0, 2^64), got {seed!r}")
+
+
 def stream_key(seed: int, tag: int) -> np.ndarray:
+    check_seed(seed)
     return np.array([seed, (tag & 0xFFFF) << 48], dtype=np.uint64)
 
 

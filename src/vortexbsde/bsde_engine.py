@@ -27,6 +27,10 @@ threshold):
 * heat-semigroup control variate: E[psi(z + sqrt(2*nu) Btil_tau)] is known
   in closed form, so the estimator averages psi * (W - 1) on top of the
   exact heat evolution -- unbiased, and exact when h = 0;
+* first-order control variate: with W = exp(-E), the part -psi * E of
+  psi * (W - 1) that is first order in h has a closed-form mean too (the
+  discrete first Duhamel term), so the weighted estimator averages
+  psi * (W - 1 + E), second order in h, and adds that mean exactly;
 * translations are Fourier phase multiplications, so the exponent sums are
   causal convolutions in the step index, evaluated for all nodes at once
   by FFT along the time axis on the active (above-threshold) modes of u_n
@@ -125,8 +129,7 @@ class SolverConfig:
             raise ConfigurationError("mode_threshold_rel must be in [0, 1)")
         if not 2 <= self.groups <= self.M_inner:
             raise ConfigurationError("groups must be in [2, M_inner]")
-        if not 0 <= self.base_seed < 2**64:  # a Philox key word is a uint64
-            raise ConfigurationError(f"base_seed must be in [0, 2^64), got {self.base_seed!r}")
+        brownian.check_seed(self.base_seed, "base_seed")
 
     @property
     def dt(self) -> float:
@@ -219,17 +222,22 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
     increments and displacements, branch chunking and the sum,
     sum-of-squares and group accumulation.
     ``estimator(config, psi_modes, u1, u2)`` returns ``(chunk, cell,
-    samples)``: the correction and psi repeat on the lattice cell (n1, n2)
-    at the origin, n_a dividing N ((N, N) is the whole lattice), which each
-    estimator takes from the modes it reads (``_cell``); ``samples(db,
-    disp)`` yields ``(m, sample)`` blocks of consecutive nodes that cover
-    m = 1..L in order, ``sample`` being the (branches, k, n1, n2) cell
-    values of the correction at nodes m..m+k-1 for one chunk of at most
-    ``chunk`` branches (chunks run one after another, so an estimator may
-    reuse buffers across them); a zero correction may yield no block.
+    samples, control_mean)``: the correction and psi repeat on the lattice
+    cell (n1, n2) at the origin, n_a dividing N ((N, N) is the whole
+    lattice), which each estimator takes from the modes it reads
+    (``_cell``); ``samples(db, disp)`` yields ``(m, sample)`` blocks of
+    consecutive nodes that cover m = 1..L in order, ``sample`` being the
+    (branches, k, n1, n2) cell values of the sampled correction at nodes
+    m..m+k-1 for one chunk of at most ``chunk`` branches (chunks run one
+    after another, so an estimator may reuse buffers across them); a zero
+    correction may yield no block.  ``control_mean`` is the exact mean of
+    the control variate the samples subtract from the correction: cell
+    values broadcasting to (L+1, n1, n2), zero at node 0, or 0.0 for none.
     Group sums take one matrix product per block, the sums over all
-    branches are the groups' sum.  Every sum stays on the cell, and the
-    mean is placed on the lattice from its cell modes.
+    branches are the groups' sum.  Every sum stays on the cell; the mean
+    and every group mean add ``control_mean``, so the standard errors are
+    the samples' own, and the mean is placed on the lattice from its cell
+    modes.
     """
     steps, dt, nu = config.L, config.dt, config.nu
     m_inner, n_groups = config.M_inner, config.groups
@@ -237,7 +245,7 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
 
     psi_modes = prev.modes[0]
     u1, u2 = velocity_modes(prev.modes)
-    chunk, cell, samples = estimator(config, psi_modes, u1, u2)
+    chunk, cell, samples, control_mean = estimator(config, psi_modes, u1, u2)
     heat = heat_mode_stack(psi_modes, nu, dt, steps)
 
     db = brownian.ensemble_increments(config.base_seed, tag, m_inner, steps, dt)
@@ -272,7 +280,7 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
             partial = member @ sample.reshape(sample.shape[0], -1)
             group_sum[g0:g1, nodes] += partial.reshape((-1,) + sample.shape[1:])
     del samples  # frees the estimator's tables before the assembly allocates
-    return _assemble_iterate(config, heat, sumsq_f, group_sum, group_counts)
+    return _assemble_iterate(config, heat, sumsq_f, group_sum, group_counts, control_mean)
 
 
 def _cell_iterate(heat: np.ndarray, mean_values: np.ndarray) -> np.ndarray:
@@ -291,14 +299,16 @@ def _cell_iterate(heat: np.ndarray, mean_values: np.ndarray) -> np.ndarray:
     return modes
 
 
-def _assemble_iterate(config, heat, sumsq_f, group_sum, group_counts):
-    """The iterate and its ``SolveStats`` from the cell's sums: the mean
-    and every group by one rule (``_cell_iterate``), the mean then placed on
-    the (N, N) lattice, so its off-cell modes are exact zeros."""
+def _assemble_iterate(config, heat, sumsq_f, group_sum, group_counts, control_mean):
+    """The iterate and its ``SolveStats`` from the cell's sums and the
+    estimator's exact ``control_mean``: the mean and every group by one rule
+    (``_cell_iterate``), the mean then placed on the (N, N) lattice, so its
+    off-cell modes are exact zeros.  ``group_sum`` becomes the group means
+    in place."""
     n, m_inner = config.N, config.M_inner
     cell = group_sum.shape[-2:]
     sum_f = group_sum.sum(axis=0)
-    mean_modes = _cell_iterate(heat, sum_f / m_inner)
+    mean_modes = _cell_iterate(heat, sum_f / m_inner + control_mean)
 
     var_z = np.maximum(sumsq_f - sum_f**2 / m_inner, 0.0) / (m_inner - 1)
     se_cell = np.sqrt(var_z / m_inner)
@@ -306,11 +316,13 @@ def _assemble_iterate(config, heat, sumsq_f, group_sum, group_counts):
     pooled = np.sqrt(np.mean(var_z, axis=(1, 2)) / m_inner)
     pooled[0] = 0.0
 
+    group_sum /= group_counts[:, None, None, None]
+    group_sum += control_mean
     stats = SolveStats(
         se_grid=np.tile(se_cell, (1, n // cell[0], n // cell[1])),
         pooled_se=pooled,
         sup_lattice=np.max(np.abs(modes_to_grid(mean_modes)), axis=(-2, -1)),
-        group_modes=_cell_iterate(heat, group_sum / group_counts[:, None, None, None]),
+        group_modes=_cell_iterate(heat, group_sum),
     )
     return VorticityTrajectory(_on_cell(mean_modes, (n, n)), nu=config.nu, dt=config.dt), stats
 
@@ -396,11 +408,58 @@ class _SubBlock:
         return (g.reshape(bc * n1, c) @ self.e_cols).reshape(bc, n1, n2)
 
 
+def _duhamel_sums(terms: np.ndarray, k1: np.ndarray, k2: np.ndarray, nu: float, dt: float):
+    """-dt sum_{l<=m} exp(-4 pi^2 nu |k|^2 (m - l) dt) T_l at the nodes
+    m = 1..L of the terms T (L, ...) at the nodes l = 1..L, entry by entry,
+    each entry at the wavenumber (k1, k2) (arrays broadcasting on it): the
+    recurrence S_m = T_m + exp(-4 pi^2 nu |k|^2 dt) S_{m-1} from S_1 = T_1."""
+    decay = np.exp(-4.0 * np.pi**2 * nu * dt * (k1 * k1 + k2 * k2))
+    sums = np.array(terms, dtype=np.complex128)
+    for m in range(1, len(sums)):
+        sums[m] += decay * sums[m - 1]
+    sums *= -dt
+    return sums
+
+
+def _transport_mean_pairs(u1, u2, ku, psi_heat, kp, nu: float, dt: float) -> np.ndarray:
+    """The u.grad H part of the first-order control's mean, per pair of a u
+    mode and a psi mode: entry [m - 1, p, a] of the (L, P, K) result is the
+    coefficient, at wavenumber k_p + k_a, of
+
+        -dt sum_{l<=m} P_{(m-l)dt}[u_l . grad H_l],
+
+    from u's modes a, (L, K) coefficients ``u1`` and ``u2`` at nodes 1..L
+    and wavenumbers ``ku`` = (k1, k2), and the heat stack H's modes p,
+    (L, P) coefficients ``psi_heat`` at nodes 1..L and wavenumbers ``kp``."""
+    grad = TWO_PI * 1j * psi_heat[:, :, None]
+    terms = grad * (kp[0][:, None] * u1[:, None, :] + kp[1][:, None] * u2[:, None, :])
+    return _duhamel_sums(terms, kp[0][:, None] + ku[0], kp[1][:, None] + ku[1], nu, dt)
+
+
+def _energy_mean_pairs(q, kq, psi_heat, kp, nu: float, dt: float) -> np.ndarray:
+    """The |u|^2 H part of the first-order control's mean, per pair of a
+    |u|^2 mode and a psi mode: as ``_transport_mean_pairs`` for
+
+        -dt sum_{l<=m} P_{(m-l)dt}[|u_l|^2 H_l / (4 nu)],
+
+    from |u|^2's (L, K) coefficients ``q`` at nodes 1..L and wavenumbers
+    ``kq``."""
+    terms = psi_heat[:, :, None] * q[:, None, :] / (4.0 * nu)
+    return _duhamel_sums(terms, kp[0][:, None] + kq[0], kp[1][:, None] + kq[1], nu, dt)
+
+
 def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
-    """Samples psi(z + disp_m) * (W_m - 1) over Girsanov-weighted branches,
-    on the lattice cell of the ``_SubBlock`` of the wavenumbers of psi and
-    the active u and |u|^2 modes, in blocks of consecutive nodes sized by
-    ``_WEIGHTED_BLOCK``: one synthesis per block."""
+    """Samples psi(z + disp_m) * (W_m - 1 + E_m) over Girsanov-weighted
+    branches, W_m = exp(-E_m), on the lattice cell of the ``_SubBlock`` of
+    the wavenumbers of psi and the active u and |u|^2 modes, in blocks of
+    consecutive nodes sized by ``_WEIGHTED_BLOCK``: one synthesis per
+    block.  The control -psi(z + disp_m) E_m they subtract is first order
+    in the drift; its exact mean, the discrete first Duhamel term
+
+        -dt sum_{l<=m} P_{(m-l)dt}[u_l . grad H_l + |u_l|^2 H_l / (4 nu)]
+
+    over the same active modes (H the heat stack, P_s = exp(s nu Lap)), is
+    folded onto the cell by the same block."""
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     sqrt2nu = np.sqrt(2.0 * nu)
 
@@ -427,7 +486,7 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     ip1, ip2 = np.nonzero(psi_modes)
 
     if not ia1.size:  # W = 1 exactly: a zero correction on psi's cell, no block
-        return _WEIGHTED_CHUNK, _cell(k_base[ip1], k_base[ip2], n), lambda db, disp: iter(())
+        return _WEIGHTED_CHUNK, _cell(k_base[ip1], k_base[ip2], n), lambda db, disp: iter(()), 0.0
 
     w1, w2 = v1[1:], v2[1:]
     q_modes = grid_to_modes(w1 * w1 + w2 * w2)
@@ -444,11 +503,11 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     ).T
     kern = np.fft.fft(kern, axis=-1)
 
-    # Each node's complex mode array, the exponent plus 1j * the shifted psi
-    # (both real fields), has a row per distinct first-axis wavenumber of psi,
-    # the active u modes and the active |u|^2 modes, and a column per
-    # second-axis one, in the doubled grid's FFT order.  The same tables
-    # index the phases exp(2 pi i k disp) each term reads.
+    # Each node's complex mode array, minus the exponent plus 1j * the
+    # shifted psi (both real fields), has a row per distinct first-axis
+    # wavenumber of psi, the active u modes and the active |u|^2 modes, and
+    # a column per second-axis one, in the doubled grid's FFT order.  The
+    # same tables index the phases exp(2 pi i k disp) each term reads.
     ipsi = 1j * psi_modes[ip1, ip2]
     kx, x_of = np.unique(np.r_[k_base[ip1], k_base[ia1], k_ext[iq1]] % (2 * n), return_inverse=True)
     ky, y_of = np.unique(np.r_[k_base[ip2], k_base[ia2], k_ext[iq2]] % (2 * n), return_inverse=True)
@@ -461,6 +520,28 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     size = kx.size * ky.size
     kx, ky = kx.astype(np.float64), ky.astype(np.float64)
     n1, n2 = block.cell
+
+    # The control's mean: a sum per (active mode, psi mode) pair at its
+    # wavenumber k_a + k_p, which is exp(2 pi i k_a z) exp(2 pi i k_p z) on
+    # the lattice, so the block synthesises each psi mode's pairs from the
+    # active modes' slots, and psi's phase on the cell multiplies them.
+    kp = (kx[xp], ky[yp])
+    taus = dt * np.arange(1, steps + 1)
+    psi_heat = psi_modes[ip1, ip2] * np.exp(
+        -4.0 * np.pi**2 * nu * taus[:, None] * (kp[0] ** 2 + kp[1] ** 2)
+    )
+    pairs = np.zeros((steps, ip1.size, size), dtype=np.complex128)
+    pairs[:, :, slot_a] = _transport_mean_pairs(
+        u1[1:, ia1, ia2], u2[1:, ia1, ia2], (kx[xa], ky[ya]), psi_heat, kp, nu, dt
+    )
+    pairs[:, :, slot_q] += _energy_mean_pairs(
+        q_modes[:, iq1, iq2], (kx[xq], ky[yq]), psi_heat, kp, nu, dt
+    )
+    control_mean = np.zeros((steps + 1, n1, n2))
+    for p in range(ip1.size):
+        folded = block.synthesise(pairs[:, p])
+        folded *= np.outer(block.e_rows[:, xp[p]], block.e_cols[yp[p]])
+        control_mean[1:] += folded.real
 
     # The time-axis input, reused by every chunk: a fresh array per chunk
     # would be faulted in anew each time.
@@ -494,15 +575,19 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
             nodes = slice(m, min(m + k, steps + 1))
             z = np.zeros((bc, nodes.stop - m, size), dtype=np.complex128)
             z[:, :, slot_p] = ipsi * (px[:, nodes, xp] * py[:, nodes, yp])
-            z[:, :, slot_a] += conv[:, nodes, :k_a] / sqrt2nu
-            z[:, :, slot_q] += conv[:, nodes, k_a:] * (dt / (4.0 * nu))
+            z[:, :, slot_a] += conv[:, nodes, :k_a] / -sqrt2nu
+            z[:, :, slot_q] += conv[:, nodes, k_a:] * (-dt / (4.0 * nu))
             g = block.synthesise(z.reshape(-1, size)).reshape(z.shape[:2] + (n1, n2))
-            # An overflowing weight is left to the skeleton's finiteness check.
+            # g = -E + 1j * psi_shift; expm1 runs fastest on a contiguous
+            # copy.  An overflowing weight is left to the skeleton's
+            # finiteness check.
+            sample = g.real.copy()
             with np.errstate(over="ignore", invalid="ignore"):
-                sample = g.imag * np.expm1(-g.real)
+                np.subtract(np.expm1(sample), sample, out=sample)
+                sample *= g.imag
             yield m, sample
 
-    return _WEIGHTED_CHUNK, block.cell, samples
+    return _WEIGHTED_CHUNK, block.cell, samples, control_mean
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +750,7 @@ def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
             cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
             yield m, (vals - cv_vals).reshape(bc, 1, n1, n2)
 
-    return _DRIFTED_CHUNK, (n1, n2), samples
+    return _DRIFTED_CHUNK, (n1, n2), samples, 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -193,12 +193,13 @@ def bilinear_reference(grid: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return top + (bot - top) * fy
 
 
-def weighted_estimator_two_transform(config, psi_modes, u1, u2):
-    """Reference for the weighted estimator in the linear-solve skeleton's
-    estimator interface: two syntheses per node (the exponent, then the
-    shifted psi), with the exponent's modes summed literally over the steps
-    and over every mode of u_n and |u_n|^2 (no active-mode threshold, no
-    time-axis FFT).  Takes all branches as one chunk.
+def weighted_exponent_two_transform(config, psi_modes, u1, u2):
+    """The weighted step's per-node fields by two syntheses per node (the
+    exponent E, then the shifted psi), with the exponent's modes summed
+    literally over the steps and over every mode of u_n and |u_n|^2 (no
+    active-mode threshold, no time-axis FFT): ``fields(db, disp)`` yields
+    ``(m, E, psi_shift)``, each (branches, N, N) lattice values, for the
+    nodes m = 1..L in order.
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     sqrt2nu = np.sqrt(2.0 * nu)
@@ -214,7 +215,7 @@ def weighted_estimator_two_transform(config, psi_modes, u1, u2):
             2j * np.pi * (d[:, 0, None, None] * k[:, None] + d[:, 1, None, None] * k[None, :])
         )
 
-    def samples(db, disp):
+    def fields(db, disp):
         bc = db.shape[0]
         for m in range(1, steps + 1):
             expo = np.zeros((bc, n, n), dtype=np.complex128)
@@ -225,11 +226,67 @@ def weighted_estimator_two_transform(config, psi_modes, u1, u2):
                 # lattice sampling sees extended wavenumbers modulo n
                 qq = q[ell] * phase(disp[:, j], k_ext) * (dt / (4.0 * nu))
                 expo += qq.reshape(bc, 2, n, 2, n).sum(axis=(1, 3))
-            w_minus_1 = np.expm1(-modes_to_grid(expo))
-            psi_shift = modes_to_grid(psi_modes * phase(disp[:, m], k_base))
-            yield m, (psi_shift * w_minus_1)[:, None]  # one node per block
+            yield m, modes_to_grid(expo), modes_to_grid(psi_modes * phase(disp[:, m], k_base))
 
-    return config.M_inner, (config.N, config.N), samples
+    return fields
+
+
+def weighted_estimator_two_transform(config, psi_modes, u1, u2):
+    """Reference for the weighted estimator in the linear-solve skeleton's
+    estimator interface, from ``weighted_exponent_two_transform``'s fields:
+    samples psi_shift * (W - 1 + E), W = exp(-E), and the control's mean
+    by ``control_mean_dense``.  Takes all branches as one chunk.
+    """
+    fields = weighted_exponent_two_transform(config, psi_modes, u1, u2)
+
+    def samples(db, disp):
+        for m, expo, psi_shift in fields(db, disp):
+            yield m, (psi_shift * (np.expm1(-expo) + expo))[:, None]  # one node per block
+
+    mean = control_mean_dense(config, psi_modes, u1, u2)
+    return config.M_inner, (config.N, config.N), samples, mean
+
+
+def control_mean_dense(config, psi_modes, u1, u2):
+    """(L+1, N, N) lattice values of the exact mean of the weighted sample's
+    control -psi(z + D_m) E_m, the discrete first Duhamel term
+
+        -dt sum_{l<=m} P_{(m-l)dt}[u_l . grad H_l + |u_l|^2 H_l / (4 nu)],
+
+    formed densely: every product on the 4N grid, which holds the
+    wavenumbers of |u_n|^2 (up to N) plus psi's without aliasing, from
+    every mode of u_n and |u_n|^2, and a literal double sum over the nodes
+    with the heat factors of the 4N grid; the lattice reads every fourth
+    point.  Node 0 is zero.
+    """
+    n, steps, dt, nu = config.N, config.L, config.dt, config.nu
+    big = 4 * n
+    k_base, k_ext, k_big = wavenumbers(n), wavenumbers(2 * n), wavenumbers(big)
+    rate = -4.0 * np.pi**2 * nu * (k_big[:, None] ** 2 + k_big[None, :] ** 2).astype(np.float64)
+
+    def values(modes, k):
+        """Complex 4N-grid values of modes on the wavenumbers k per axis."""
+        out = np.zeros((big, big), dtype=np.complex128)
+        out[np.ix_(k % big, k % big)] = modes
+        return np.fft.ifft2(out) * big**2
+
+    v1 = modes_to_grid(np.stack([embed_modes(m, 2 * n) for m in u1]))
+    v2 = modes_to_grid(np.stack([embed_modes(m, 2 * n) for m in u2]))
+    q = grid_to_modes(v1 * v1 + v2 * v2)  # |u_n|^2, exact on the doubled grid
+    kf = k_base.astype(np.float64)
+    ksq = kf[:, None] ** 2 + kf[None, :] ** 2
+    terms = [None]
+    for ell in range(1, steps + 1):
+        h = psi_modes * np.exp(-4.0 * np.pi**2 * nu * ell * dt * ksq)
+        prod = values(u1[ell], k_base) * values(2j * np.pi * kf[:, None] * h, k_base)
+        prod += values(u2[ell], k_base) * values(2j * np.pi * kf[None, :] * h, k_base)
+        prod += values(q[ell], k_ext) * values(h, k_base) / (4.0 * nu)
+        terms.append(np.fft.fft2(prod) / big**2)
+    out = np.zeros((steps + 1, n, n))
+    for m in range(1, steps + 1):
+        acc = sum(np.exp(rate * (m - ell) * dt) * terms[ell] for ell in range(1, m + 1))
+        out[m] = (-dt * np.fft.ifft2(acc) * big**2)[::4, ::4].real
+    return out
 
 
 def drifted_estimator_one_chunk(config, psi_modes, u1, u2):
@@ -272,7 +329,7 @@ def drifted_estimator_one_chunk(config, psi_modes, u1, u2):
             cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
             yield m, (vals - cv_vals).reshape(bc, 1, n, n)  # one node per block
 
-    return config.M_inner, (config.N, config.N), samples
+    return config.M_inner, (config.N, config.N), samples, 0.0
 
 
 def _lattice_values_brute(modes: np.ndarray) -> np.ndarray:

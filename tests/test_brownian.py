@@ -91,6 +91,15 @@ class TestSimulate:
             with pytest.raises(ConfigurationError, match="finite and positive"):
                 brownian.simulate(0, 4, horizon)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_range(self, seed):
+        # such a seed used to reach numpy's uint64 conversion and raise a
+        # bare OverflowError
+        with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\^64\)"):
+            brownian.simulate(seed, 4, 1.0)
+        with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\^64\)"):
+            brownian.ensemble_increments(seed, brownian.TAG_INNER, 2, 4, 0.1)
+
 
 class TestBranch:
     """The solver's branch families: members of one ``ensemble_increments`` draw."""

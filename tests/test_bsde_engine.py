@@ -39,6 +39,7 @@ from vortexbsde.errors import (
 )
 from vortexbsde.spectral_oracle import VorticityTrajectory
 from vortexbsde.torus_field import (
+    TWO_PI,
     ScalarField,
     _nyquist_mask,
     field_from_mode_list,
@@ -52,12 +53,14 @@ from vortexbsde.torus_field import (
 from conftest import random_mean_zero_field
 from oracles import (
     bilinear_reference,
+    control_mean_dense,
     drifted_estimator_one_chunk,
     girsanov_weight,
     picard_group_statistics,
     series_sum_brute,
     terminal_value,
     weighted_estimator_two_transform,
+    weighted_exponent_two_transform,
 )
 
 
@@ -179,16 +182,20 @@ class TestLinearSolve:
         assert np.max(np.abs(_on_cell(pooled, (16, 16)) - mc)) <= 1e-13 * np.max(np.abs(mc))
 
         # each group against the plain mean of its own branches' samples
+        # plus the control's exact mean, the deterministic term every group
+        # shares
         db = brownian.ensemble_increments(0, brownian.TAG_INNER, cfg.M_inner, cfg.L, cfg.dt)
         disp = np.sqrt(2.0 * cfg.nu) * np.cumsum(np.pad(db, ((0, 0), (1, 0), (0, 0))), axis=1)
-        chunk, _, samples = _weighted_estimator(cfg, prev.modes[0], *velocity_modes(prev.modes))
+        u1, u2 = velocity_modes(prev.modes)
+        chunk, _, samples, control_mean = _weighted_estimator(cfg, prev.modes[0], u1, u2)
+        assert np.max(np.abs(control_mean)) > 1e-6
         values = []
         for b in range(0, cfg.M_inner, chunk):
             blocks = samples(db[b : b + chunk], disp[b : b + chunk])
             values.append(np.concatenate([sample for _, sample in blocks], axis=1))
         values = np.concatenate(values)
         for g in range(cfg.groups):
-            want = grid_to_modes(values[group_of == g].mean(axis=0))
+            want = grid_to_modes(values[group_of == g].mean(axis=0) + control_mean[1:])
             want[:, 0, 0] = 0.0
             want[:, _nyquist_mask(16)[:, ::2]] = 0.0
             assert np.max(np.abs(mc_groups[g, 1:] - want)) <= 1e-12 * np.max(np.abs(want))
@@ -201,7 +208,9 @@ class TestLinearSolve:
 
     def test_fast_path_matches_direct_translation_oracle(self):
         """The sparse-mode/FFT-convolution estimator must agree with a
-        literal implementation of the weighted-branch formula."""
+        literal implementation of the weighted-branch formula: the
+        controlled sample psi * (W - 1 + E) plus the control's mean, formed
+        densely."""
         n, steps = 8, 6
         cfg = SolverConfig(
             N=n, L=steps, M_inner=5, nu=0.3, T=0.3, alpha=0.0, groups=2
@@ -225,6 +234,7 @@ class TestLinearSolve:
         u1f = [ScalarField(m) for m in u1m]
         u2f = [ScalarField(m) for m in u2m]
         heat = heat_mode_stack(psi.modes, nu, dt, steps)
+        control_mean = control_mean_dense(cfg, psi.modes, u1m, u2m)
         for m in range(1, steps + 1):
             acc = np.zeros((n, n))
             for b in range(cfg.M_inner):
@@ -237,8 +247,8 @@ class TestLinearSolve:
                     expo += (uu1 * db[b, j, 0] + uu2 * db[b, j, 1]) / s2n
                     expo += (uu1**2 + uu2**2) * dt / (4 * nu)
                 psib = modes_to_grid(translate(psi, d[m]).modes)
-                acc += psib * (np.exp(-expo) - 1.0)
-            mc = grid_to_modes(acc / cfg.M_inner)
+                acc += psib * (np.expm1(-expo) + expo)
+            mc = grid_to_modes(acc / cfg.M_inner + control_mean[m])
             mc[0, 0] = 0.0
             mc[_nyquist_mask(n)] = 0.0
             expect = heat[m] + mc
@@ -349,14 +359,14 @@ def record_weighted_blocks(monkeypatch) -> list:
     blocks = []
 
     def recording(*args):
-        chunk, cell, samples = _weighted_estimator(*args)
+        chunk, cell, samples, control_mean = _weighted_estimator(*args)
 
         def recorded(db, disp):
             for m, sample in samples(db, disp):
                 blocks.append((m, sample.shape[1]))
                 yield m, sample
 
-        return chunk, cell, recorded
+        return chunk, cell, recorded, control_mean
 
     monkeypatch.setattr(bsde_engine, "_weighted_estimator", recording)
     return blocks
@@ -404,6 +414,18 @@ def assert_solve_matches_reference(solve, reference):
         pairs.append((got, ref))
     for got, ref in pairs:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+#: The edge cases of ``weighted_case``.
+WEIGHTED_CASES = [
+    "three_chunks",
+    "full_support",
+    "zero_drift",
+    "single_mode",
+    "even_modes",
+    "nyquist_fold",
+    "noise_lifted",
+]
 
 
 def weighted_case(case, n=16):
@@ -463,18 +485,7 @@ class TestHotLoopKernels:
         # the active-mode threshold: the exact heat iterate has none.
         self._assert_weighted_matches_reference(heat_iterate(two_mode(), cfg), cfg)
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "three_chunks",
-            "full_support",
-            "zero_drift",
-            "single_mode",
-            "even_modes",
-            "nyquist_fold",
-            "noise_lifted",
-        ],
-    )
+    @pytest.mark.parametrize("case", WEIGHTED_CASES)
     def test_packed_weighted_step_matches_reference_edge_cases(self, case, monkeypatch):
         prev, cfg, cell = weighted_case(case)
         blocks = []
@@ -652,6 +663,114 @@ class TestHotLoopKernels:
         got = _spectral_point_values(_half_plane_modes(modes), pos[:, 0], pos[:, 1])
         ref = series_sum_brute(modes, pos)
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+class TestFirstOrderControl:
+    """The weighted sample's control -psi_shift * E and its exact mean."""
+
+    @pytest.mark.parametrize("case", WEIGHTED_CASES)
+    def test_sparse_mean_matches_dense_reference(self, case, monkeypatch):
+        prev, cfg, cell = weighted_case(case)
+        n, psi_modes = cfg.N, prev.modes[0]
+        u1, u2 = velocity_modes(prev.modes)
+        built = []
+        build = _SubBlock.build
+        monkeypatch.setattr(
+            _SubBlock, "build", classmethod(lambda cls, *a: built.append(a) or build(*a))
+        )
+        mean = _weighted_estimator(cfg, psi_modes, u1, u2)[3]
+        ref = control_mean_dense(cfg, psi_modes, u1, u2)
+        if case == "zero_drift":  # W = 1: no control, and a zero mean
+            assert mean == 0.0 and not ref.any()
+            return
+        assert mean.shape == (cfg.L + 1,) + cell and not mean[0].any()
+        tiled = np.tile(mean, (1, n // cell[0], n // cell[1]))
+        assert np.max(np.abs(tiled - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if case == "full_support":
+            # with no threshold, the roundoff on the doubled grid's Nyquist
+            # lines makes |u|^2 modes at wavenumber -N active on both axes
+            kx, ky, _ = built[0]
+            assert -n in kx and -n in ky
+
+    def test_mean_parts_at_one_pair(self):
+        # the u.grad H and |u|^2 H parts, each callable alone, at one pair:
+        # u = (1, 0) e^{2 pi i x2} at every node, psi's mode (1, 0)
+        nu, dt, steps = 0.3, 0.05, 4
+        taus = dt * np.arange(1, steps + 1)
+        lam = 4.0 * np.pi**2 * nu
+        psi_heat = np.exp(-lam * taus)[:, None]  # |k_p|^2 = 1
+        kp = (np.array([1.0]), np.array([0.0]))
+        ku = (np.array([0.0]), np.array([1.0]))
+        u1, u2 = np.ones((steps, 1)), np.zeros((steps, 1))
+        transport = bsde_engine._transport_mean_pairs(u1, u2, ku, psi_heat, kp, nu, dt)
+        energy = bsde_engine._energy_mean_pairs(u1, ku, psi_heat, kp, nu, dt)
+        assert transport.shape == energy.shape == (steps, 1, 1)
+        for m in range(1, steps + 1):
+            # P_{(m-l)dt} of the pair at wavenumber (1, 1), |k|^2 = 2
+            want = -dt * sum(
+                np.exp(-2.0 * lam * (m - ell) * dt - lam * ell * dt) for ell in range(1, m + 1)
+            )
+            assert transport[m - 1, 0, 0] == pytest.approx(TWO_PI * 1j * want, rel=1e-13)
+            assert energy[m - 1, 0, 0] == pytest.approx(want / (4.0 * nu), rel=1e-13)
+
+    def test_mean_matches_gauss_hermite_expectation(self):
+        # At L = 2 the control's expectation at a point is a 4-dimensional
+        # Gaussian integral over dB_0 and dB_1, which a tensor Gauss-Hermite
+        # rule takes to about 1e-14 from point values of psi and u alone:
+        # the integration by parts, the index m - j of u and H and the
+        # heat factor between the nodes, checked without the formula
+        cfg = SolverConfig(N=8, L=2, M_inner=32, nu=0.3, T=0.02, alpha=0.0)
+        psi = two_mode(8).modes
+        u1, u2 = velocity_modes(heat_iterate(ScalarField(psi), cfg).modes)
+        mean = _weighted_estimator(cfg, psi, u1, u2)[3]
+        dt, nu, s = cfg.dt, cfg.nu, np.sqrt(2.0 * cfg.nu)
+        t, w = np.polynomial.hermite.hermgauss(18)
+        axes = np.meshgrid(*[np.sqrt(2.0 * dt) * t] * 4, indexing="ij")
+        a, b, c, d = (x.ravel() for x in axes)  # dB_0 = (a, b), dB_1 = (c, d)
+        weight = np.einsum("i,j,k,l->ijkl", w, w, w, w).ravel() / np.pi**2
+
+        def at(modes, x, y):
+            return _spectral_point_values(_half_plane_modes(modes), x, y)
+
+        want = np.zeros_like(mean)
+        for i, j in itertools.product(*map(range, mean.shape[1:])):
+            z1, z2 = np.array(i / cfg.N), np.array(j / cfg.N)
+            (p1, q1), (p2, q2) = [(at(u1[ell], z1, z2), at(u2[ell], z1, z2)) for ell in (1, 2)]
+            x1, y1 = z1 + s * a, z2 + s * b  # z + D_1
+            e1 = (p1 * a + q1 * b) / s + (p1**2 + q1**2) * dt / (4.0 * nu)
+            want[1, i, j] = -weight @ (at(psi, x1, y1) * e1)
+            r1, r2 = at(u1[1], x1, y1), at(u2[1], x1, y1)
+            e2 = (p2 * a + q2 * b + r1 * c + r2 * d) / s
+            e2 += (p2**2 + q2**2 + r1**2 + r2**2) * dt / (4.0 * nu)
+            want[2, i, j] = -weight @ (at(psi, x1 + s * c, y1 + s * d) * e2)
+        for m in (1, 2):
+            assert np.max(np.abs(mean[m] - want[m])) <= 1e-12 * np.max(np.abs(want[m]))
+
+    def test_control_monte_carlo_mean_matches_formula(self):
+        # 4,000 branches of the control -psi_shift * E, formed literally at
+        # every lattice point and node; over the points whose standard
+        # error is not negligible, the z-scores of its Monte Carlo mean
+        # against the exact mean have unit spread
+        prev, cfg, cell = weighted_case("noise_lifted", n=8)
+        branches, chunk, n = 4000, 1000, cfg.N
+        u1, u2 = velocity_modes(prev.modes)
+        mean = _weighted_estimator(cfg, prev.modes[0], u1, u2)[3]
+        mean = np.tile(mean, (1, n // cell[0], n // cell[1]))
+        fields = weighted_exponent_two_transform(cfg, prev.modes[0], u1, u2)
+        db = brownian.ensemble_increments(0, brownian.TAG_INNER, branches, cfg.L, cfg.dt)
+        disp = np.sqrt(2.0 * cfg.nu) * np.cumsum(np.pad(db, ((0, 0), (1, 0), (0, 0))), axis=1)
+        total, total_sq = np.zeros((2, cfg.L + 1, n, n))
+        for b in range(0, branches, chunk):
+            for m, expo, psi_shift in fields(db[b : b + chunk], disp[b : b + chunk]):
+                control = -psi_shift * expo
+                total[m] += control.sum(axis=0)
+                total_sq[m] += (control * control).sum(axis=0)
+        mc = total / branches
+        se = np.sqrt((total_sq / branches - mc**2) / (branches - 1))
+        kept = se > 1e-3 * se.max()
+        z = (mc - mean)[kept] / se[kept]
+        assert z.size > 400
+        assert 0.7 <= np.std(z) <= 1.3
 
 
 class TestDriftedSolve:
