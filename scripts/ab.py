@@ -20,6 +20,9 @@ sizes:
 * ``drifted``: one drifted step from the heat iterate, L = 16,
   M_inner = 50;
 * ``picard``: the whole ``picard_solve``, L = 32, M_inner = 250;
+* ``evolve``: the spectral oracle's ``evolve`` of psi, L = 32;
+* ``residual``: ``bsde_residual_profile`` of that oracle trajectory along
+  the 8 paths ``brownian.simulate(1000 + p, L, T)``, p = 0..7, L = 32;
 * ``tiny``: a weighted step at N = 8, L = 4, M_inner = 16, a smoke test
   of the harness.
 
@@ -52,13 +55,17 @@ THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
-OPS = ("weighted", "drifted", "picard", "tiny")
+OPS = ("weighted", "drifted", "picard", "evolve", "residual", "tiny")
+#: Paths of the ``residual`` op.
+RESIDUAL_PATHS = 8
 
 
 def build_op(name: str):
     """The operation ``name`` as a function of no arguments, its inputs
     built by the ``vortexbsde`` on ``sys.path``."""
-    from vortexbsde import bsde_engine
+    import numpy as np
+    from vortexbsde import brownian, bsde_engine
+    from vortexbsde.spectral_oracle import evolve
     from vortexbsde.torus_field import field_from_mode_list
 
     n = 8 if name == "tiny" else 32
@@ -69,6 +76,14 @@ def build_op(name: str):
     )
     if name == "picard":
         return lambda: bsde_engine.picard_solve(psi, config)
+    if name == "evolve":
+        return lambda: evolve(psi, config.nu, config.T, config.L)
+    if name == "residual":
+        traj = evolve(psi, config.nu, config.T, config.L)
+        increments = np.stack(
+            [brownian.simulate(1000 + p, config.L, config.T) for p in range(RESIDUAL_PATHS)]
+        )
+        return lambda: bsde_engine.bsde_residual_profile(traj.modes, traj.nu, traj.dt, increments)
     heat = bsde_engine.heat_iterate(psi, config)
     solve = bsde_engine.solve_drifted_with_stats if name == "drifted" else (
         bsde_engine.solve_weighted_with_stats

@@ -9,7 +9,10 @@ L = 32, M_inner = 250; single-mode L = 16, M_inner = 1000), and on the
 two-mode config with psi on the modes (2,0) and (0,2), whose weighted step
 repeats with period 1/2 along both axes:
 
-* ``picard_solve``;
+* ``picard_solve``, and for the two-mode config at seed 42 the
+  ``bsde_residual_profile`` of its solution along the 8 paths
+  ``brownian.simulate(1000 + p, L, T)``, p = 0..7 (the residual runs the
+  oracle's advection kernel);
 * ``solve_weighted_with_stats`` from the heat iterate, and again from the
   iterate that step returns (iterate 1: on the two-mode config the widest
   active-mode sets, which the heat iterate does not reach);
@@ -28,8 +31,8 @@ repeats with period 1/2 along both axes:
   bytes of ``comparison.csv`` and ``summary.json``, and ``vortexbsde
   diagnose`` of that bundle, keeping the bytes of ``diagnostics.json``.
 
-Prints, for every mode stack, every ``SolveStats`` array, every numeric
-entry of each Picard history record (keyed by iteration) and every entry
+Prints, for every mode stack, every ``SolveStats`` array, the residual
+profile, every numeric entry of each Picard history record (keyed by iteration) and every entry
 of the solution's ``norms``, the largest difference between the trees
 relative to the entry's largest magnitude, and compares the Picard
 iteration counts of the histories, and prints whether each CLI output
@@ -90,6 +93,10 @@ CLI_FILES = {
     "diagnose": ("diagnostics.json",),
 }
 DRIFTED_M = 50
+#: The (config, seed) whose solution's pathwise residual is compared, and
+#: the number of paths.
+RESIDUAL_CASE = ("two_mode", 42)
+RESIDUAL_PATHS = 8
 REL_TOL = 1e-12
 ROUNDOFF = 1e-13
 
@@ -193,6 +200,13 @@ def run_tree(tree: Path) -> tuple[dict, dict, dict]:
             arrays[f"{case}.picard.modes"] = (modes, float(np.max(np.abs(modes))))
             iterations[f"{case}.picard"] = [rec["iteration"] for rec in solution.history]
             arrays.update(_report_arrays(f"{case}.picard", solution))
+            if (label, seed) == RESIDUAL_CASE:
+                increments = np.stack(
+                    [engine.brownian.simulate(1000 + p, config.L, config.T)
+                     for p in range(RESIDUAL_PATHS)]
+                )
+                profile = engine.bsde_residual_profile(modes, config.nu, config.dt, increments)
+                arrays[f"{case}.residual_profile"] = (profile, float(np.max(profile)))
 
             heat = engine.heat_iterate(psi, config)
             first = engine.solve_weighted_with_stats(heat, config)

@@ -17,12 +17,15 @@ Poisson problems, which is also what the tests check.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .torus_field import (
     ScalarField,
     _ksq,
+    _read_only,
     l2_norm,
     partial_derivative,
     _sobolev_symbol,
@@ -33,19 +36,25 @@ from .torus_field import (
 LAMBDA_1 = 4.0 * np.pi**2
 
 
+@cache
+def _velocity_symbols(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, n) K multipliers i*k2/(2*pi*|k|^2) and -i*k1/(2*pi*|k|^2),
+    read-only and 0 at k = 0: that mode is annihilated, never divided."""
+    k = wavenumbers(n).astype(np.float64)
+    ksq = _ksq(n)
+    inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
+    m1 = 1j * k[None, :] * inv / (2.0 * np.pi)
+    m2 = -1j * k[:, None] * inv / (2.0 * np.pi)
+    return _read_only(m1), _read_only(m2)
+
+
 def velocity_modes(omega_modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raw-array K multipliers; used by the solvers' hot paths.
 
     ``omega_modes`` are the (..., N, N) modes of validated fields, so
     mean-zero and Nyquist-free; their velocity is too.
     """
-    n = omega_modes.shape[-1]
-    k = wavenumbers(n).astype(np.float64)
-    ksq = _ksq(n)
-    ksq[0, 0] = np.inf  # 1/inf = 0: the k = 0 mode is annihilated, never divided
-    inv = 1.0 / ksq
-    m1 = 1j * k[None, :] * inv / (2.0 * np.pi)  # i*k2/(2*pi*|k|^2)
-    m2 = -1j * k[:, None] * inv / (2.0 * np.pi)
+    m1, m2 = _velocity_symbols(omega_modes.shape[-1])
     return omega_modes * m1, omega_modes * m2
 
 

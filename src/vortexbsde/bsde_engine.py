@@ -47,19 +47,20 @@ import numpy as np
 from . import brownian
 from .biot_savart import closed_form_c0, velocity_modes
 from .errors import ConfigurationError, DomainError, NonConvergenceError, NumericalError
-from .spectral_oracle import VorticityTrajectory, _advection_modes
+from .spectral_oracle import VorticityTrajectory, _AdvectionKernel
 from .torus_field import (
     TWO_PI,
     ScalarField,
+    _cell,
     _gradient_modes,
     _heat_factor,
     _ksq,
-    _lattice_sup,
     _nyquist_mask,
     _phase_grid,
     _validate_grid_size,
     embed_modes,
     grid_to_modes,
+    lattice_sups,
     modes_to_grid,
     sup_norm,
     wavenumbers,
@@ -353,13 +354,6 @@ def solve_drifted_with_stats(
 
 def _active_indices(mag: np.ndarray, threshold_rel: float):
     return np.nonzero(mag > threshold_rel * mag.max(initial=0.0))
-
-
-def _cell(k1: np.ndarray, k2: np.ndarray, n: int) -> tuple:
-    """Lattice cell (n1, n2) a sum of modes with wavenumbers k1 along the
-    first axis and k2 along the second repeats on: periods
-    N / gcd(N, |k|...) per axis.  Congruent wavenumbers give one period."""
-    return tuple(n // int(np.gcd.reduce(np.abs(k), initial=n)) for k in (k1, k2))
 
 
 def _on_cell(modes: np.ndarray, cell) -> np.ndarray:
@@ -953,8 +947,7 @@ def _solution(config, iterate, history, group_bmo_sq, bounds) -> BsdeSolution:
     # bias of the full mean).
     bias = (float(np.mean(group_bmo_sq)) - bmo_sq) / (g - 1) if g else 0.0
     norms = {
-        # node by node: the whole stack on the 4x grid takes 16x its memory
-        "y_sup": max(_lattice_sup(m) for m in iterate.modes),
+        "y_sup": float(np.max(lattice_sups(iterate.modes))),
         "z_bmo_sq": bmo_sq,
         "z_bmo_sq_debiased": bmo_sq - bias,
         "z_bmo_sq_se": _batch_means_se(group_bmo_sq) if g else 0.0,
@@ -987,7 +980,8 @@ def bsde_residual_profile(stack: np.ndarray, nu: float, dt: float, increments) -
     n = stack.shape[-1]
     # <grad omega, u>(tau), dealiased, node by node: all nodes on the 3N/2
     # grid at once would take about 30x the stack's memory
-    drift = dt * np.stack([_advection_modes(modes)[0] for modes in stack])
+    advection = _AdvectionKernel(n)
+    drift = dt * np.stack([advection(modes)[0] for modes in stack])
     w1, w2 = _gradient_modes(stack)
 
     sqrt2nu = np.sqrt(2.0 * nu)

@@ -32,7 +32,7 @@ from . import checkpoint, diagnostics
 from .bsde_engine import SolverConfig, _check_agrees, picard_solve
 from .errors import ConfigurationError, NonConvergenceError, VortexError
 from .spectral_oracle import enstrophy, evolve, kinetic_energy, modes_at
-from .torus_field import ScalarField, _lattice_sup, field_from_mode_list, l2_norms
+from .torus_field import ScalarField, field_from_mode_list, l2_norms, lattice_sups
 from .torus_field import translate  # noqa: F401  (perfbench/spans.py traces cli.translate)
 
 ENV_CONFIG_DIR = "VORTEXBSDE_CONFIG_DIR"
@@ -280,7 +280,8 @@ def cmd_oracle(parsed: dict, manifest: RunManifest) -> None:
         manifest.add_output(traj_path)
         ens = enstrophy(traj.modes).tolist()
         energy = kinetic_energy(traj.modes).tolist()
-        rows = [(m * traj.dt, ens[m], energy[m], _lattice_sup(w)) for m, w in enumerate(traj.modes)]
+        sups = lattice_sups(traj.modes).tolist()
+        rows = [(m * traj.dt, ens[m], energy[m], sups[m]) for m in range(traj.steps + 1)]
         header = "tau,enstrophy,energy,sup_omega"
         manifest.add_output(_write_csv(outdir / "oracle_series.csv", header, rows))
 

@@ -7,8 +7,8 @@ on the unit torus, used as ground truth for the probabilistic solver.
 Time stepping is integrating-factor RK2 (Heun on the diffusion-rescaled
 variable): diffusion is applied exactly through the mode-wise factor
 exp(-4*pi^2*nu*|k|^2*dtau), advection explicitly.  The quadratic term is
-dealiased by 3/2 zero padding (Orszag, J. Atmos. Sci. 28, 1971), through
-``torus_field.embed_modes``.
+dealiased by 3/2 zero padding (Orszag, J. Atmos. Sci. 28, 1971): mode k
+goes to k mod P on the padded grid, the rule of ``torus_field.embed_modes``.
 """
 
 from __future__ import annotations
@@ -19,16 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .biot_savart import velocity_modes
+from .biot_savart import _velocity_symbols, velocity_modes
 from .errors import ConfigurationError, DomainError
 from .torus_field import (
     ScalarField,
-    _gradient_modes,
+    _gradient_symbols,
     _heat_factor,
     _nyquist_mask,
     _validated_modes,
-    embed_modes,
-    grid_to_modes,
     l2_norms,
     modes_to_grid,
     wavenumbers,
@@ -80,20 +78,39 @@ class VorticityTrajectory:
         return self.steps * self.dt
 
 
-def _advection_modes(omega_modes: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dealiased modes of u . grad(omega) plus max|u| on the padded lattice."""
-    n = omega_modes.shape[-1]
-    p = 2 * -(-3 * n // 4)  # 3N/2 rounded up to an even size
-    u1, u2 = velocity_modes(omega_modes)
-    u1_vals, u2_vals, w1_vals, w2_vals = modes_to_grid(
-        embed_modes(np.stack((u1, u2, *_gradient_modes(omega_modes))), p)
-    )
-    max_u = float(np.max(np.hypot(u1_vals, u2_vals)))
-    band = wavenumbers(n) % p  # where embed_modes put each mode
-    adv = grid_to_modes(u1_vals * w1_vals + u2_vals * w2_vals)[..., band[:, None], band]
-    adv[..., _nyquist_mask(n)] = 0.0
-    adv[..., 0, 0] = 0.0  # advection by a divergence-free field has zero mean
-    return adv, max_u
+class _AdvectionKernel:
+    """Dealiased modes of u . grad(omega) plus max|u| on the padded lattice,
+    for one (N, N) vorticity mode array at a time, with every table built
+    once per grid size.
+
+    u = K(omega) and grad(omega) go onto the 3N/2 grid (rounded up to an
+    even size P) by the 3/2 rule; only the k2 >= 0 half that the real
+    inverse FFT reads is written, into one (4, P, P) buffer whose other
+    entries stay zero.  The product goes back by a full ``fft2``, and the
+    band of the N grid is read off it, with the mean and the Nyquist lines
+    set to zero.
+    """
+
+    def __init__(self, n: int):
+        self.p = p = 2 * -(-3 * n // 4)  # 3N/2 rounded up to an even size
+        self.half = half = n // 2  # the k2 >= 0 columns; column n/2 is the Nyquist line
+        d1, d2 = _gradient_symbols(n)
+        self.symbols = np.stack(
+            np.broadcast_arrays(*(m[:, :half] for m in (*_velocity_symbols(n), d1, d2)))
+        )
+        self.band = wavenumbers(n) % p  # where the 3/2 rule puts each mode
+        self.buf = np.zeros((4, p, p), dtype=np.complex128)
+        self.mask = _nyquist_mask(n).copy()
+        self.mask[0, 0] = True  # advection by a divergence-free field has zero mean
+
+    def __call__(self, omega_modes: np.ndarray) -> tuple[np.ndarray, float]:
+        self.buf[:, self.band, : self.half] = self.symbols * omega_modes[:, : self.half]
+        u1_vals, u2_vals, w1_vals, w2_vals = modes_to_grid(self.buf)
+        max_u = float(np.max(np.hypot(u1_vals, u2_vals)))
+        prod = np.fft.fft2(u1_vals * w1_vals + u2_vals * w2_vals)
+        adv = prod[self.band[:, None], self.band] / (self.p * self.p)
+        adv[self.mask] = 0.0
+        return adv, max_u
 
 
 def _cfl_or_raise(dt: float, max_u: float, n: int, horizon: float) -> None:
@@ -115,14 +132,15 @@ def evolve(omega0: ScalarField, nu: float, horizon: float, steps: int) -> Vortic
     n = omega0.grid_size
     dt = horizon / steps
     decay = _heat_factor(n, nu, dt)
+    advection = _AdvectionKernel(n)
     stack = np.empty((steps + 1, n, n), dtype=np.complex128)
     w = stack[0] = omega0.modes
     for m in range(1, steps + 1):
-        adv1, max_u = _advection_modes(w)
+        adv1, max_u = advection(w)
         _cfl_or_raise(dt, max_u, n, horizon)
         k1 = -adv1
         predictor = decay * (w + dt * k1)
-        adv2, _ = _advection_modes(predictor)
+        adv2, _ = advection(predictor)
         k2 = -adv2
         w = decay * w + 0.5 * dt * (decay * k1 + k2)
         stack[m] = w

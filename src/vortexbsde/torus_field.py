@@ -29,6 +29,7 @@ immutable; all operations are pure and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -51,15 +52,29 @@ def _validate_grid_size(n: int) -> None:
         raise ConfigurationError(f"grid size must be even and >= 4, got {n}")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# The Fourier tables below are built once per grid size and shared by every
+# caller, so they are read-only.
+
+
+@cache
 def wavenumbers(n: int) -> np.ndarray:
-    """Integer frequencies along one axis in FFT storage order."""
-    return (np.fft.fftfreq(n) * n).astype(np.int64)
+    """Integer frequencies along one axis in FFT storage order, the values
+    of ``fftfreq(n) * n`` built in integers (truncating the float product
+    duplicates one on many even n: 7 reads 6 at n = 24).  An odd n, as a
+    lattice cell may have, holds (n - 1) / 2 positive ones."""
+    return _read_only(np.r_[0 : (n + 1) // 2, -(n // 2) : 0].astype(np.int64))
 
 
+@cache
 def _ksq(n: int) -> np.ndarray:
     """|k|^2 on the (n, n) wavenumber grid, as float64."""
     k = wavenumbers(n).astype(np.float64)
-    return k[:, None] ** 2 + k[None, :] ** 2
+    return _read_only(k[:, None] ** 2 + k[None, :] ** 2)
 
 
 def _heat_factor(n: int, nu: float, tau) -> np.ndarray:
@@ -67,17 +82,25 @@ def _heat_factor(n: int, nu: float, tau) -> np.ndarray:
     return np.exp(-4.0 * np.pi**2 * nu * _ksq(n) * tau)
 
 
+@cache
+def _gradient_symbols(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multipliers 2*pi*i*k_1, an (n, 1) column, and 2*pi*i*k_2, a
+    (1, n) row, of the two partials."""
+    k = wavenumbers(n).astype(np.float64)
+    return _read_only(TWO_PI * 1j * k[:, None]), _read_only(TWO_PI * 1j * k[None, :])
+
+
 def _gradient_modes(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Modes 2*pi*i*k_a*fhat(k) of both partials of (..., n, n) mode arrays."""
-    k = wavenumbers(modes.shape[-1]).astype(np.float64)
-    return TWO_PI * 1j * k[:, None] * modes, TWO_PI * 1j * k[None, :] * modes
+    d1, d2 = _gradient_symbols(modes.shape[-1])
+    return d1 * modes, d2 * modes
 
 
+@cache
 def _nyquist_mask(n: int) -> np.ndarray:
     """Boolean (N, N) mask of modes with |k_a| = N/2 on either axis."""
-    k = wavenumbers(n)
-    ny = k == -(n // 2)
-    return ny[:, None] | ny[None, :]
+    ny = wavenumbers(n) == -(n // 2)
+    return _read_only(ny[:, None] | ny[None, :])
 
 
 def _hermitian_conjugate(modes: np.ndarray) -> np.ndarray:
@@ -264,16 +287,50 @@ def embed_modes(modes: np.ndarray, size: int) -> np.ndarray:
     return big
 
 
-def _lattice_sup(modes: np.ndarray) -> float:
-    """max |f| over the 4x oversampled lattice of one (N, N) mode array."""
-    return float(np.max(np.abs(modes_to_grid(embed_modes(modes, 4 * modes.shape[-1])))))
+def _cell(k1: np.ndarray, k2: np.ndarray, n: int) -> tuple:
+    """Lattice cell (n1, n2) a sum of modes with wavenumbers k1 along the
+    first axis and k2 along the second repeats on: periods
+    N / gcd(N, |k|...) per axis.  Congruent wavenumbers give one period."""
+    return tuple(n // int(np.gcd.reduce(np.abs(k), initial=n)) for k in (k1, k2))
+
+
+#: 4x lattice values per block of nodes in ``lattice_sups``: one node of
+#: the full N = 64 lattice, so a stack's blocks stay small.
+_SUP_BLOCK = 256 * 256
+
+
+def lattice_sups(modes: np.ndarray) -> np.ndarray:
+    """max |f| over the 4x oversampled lattice of each (N, N) node of
+    (..., N, N) mode arrays (Nyquist-free), one per leading index.
+
+    The values repeat on the cell (``_cell``) of the wavenumbers nonzero at
+    some node, so each node is synthesised on the 4x lattice of that cell,
+    (4 n1, 4 n2), from its cell modes at strides (N / n1, N / n2), nodes in
+    blocks of ``_SUP_BLOCK`` values.  Up to the roundoff of the smaller
+    transform, this is the sup of the whole (4N, 4N) lattice.
+    """
+    n = modes.shape[-1]
+    k = wavenumbers(n)
+    i1, i2 = np.nonzero(np.any(modes != 0, axis=tuple(range(modes.ndim - 2))))
+    n1, n2 = _cell(k[i1], k[i2], n)
+    cell = modes[..., :: n // n1, :: n // n2].reshape(-1, n1, n2)
+    # cell mode p carries the wavenumber k / (N / n_a), wavenumbers(n_a)[p]
+    pos1, pos2 = wavenumbers(n1) % (4 * n1), wavenumbers(n2) % (4 * n2)
+    block = max(1, _SUP_BLOCK // (16 * n1 * n2))
+    big = np.zeros((min(block, len(cell)), 4 * n1, 4 * n2), dtype=np.complex128)
+    sups = np.empty(len(cell))
+    for b0 in range(0, len(cell), block):
+        part = cell[b0 : b0 + block]
+        big[: len(part), pos1[:, None], pos2] = part
+        sups[b0 : b0 + len(part)] = np.abs(modes_to_grid(big[: len(part)])).max(axis=(-2, -1))
+    return sups.reshape(modes.shape[:-2])
 
 
 def sup_norm(f: ScalarField) -> float:
-    """Lattice maximum of |f| on a 4x oversampled grid.
+    """Lattice maximum of |f| on a 4x oversampled grid (``lattice_sups``).
 
     This under-approximates the essential sup by at most the interpolation
     slack of the oversampled lattice; callers treating it as exact must
     keep that caveat in mind.
     """
-    return _lattice_sup(f.modes)
+    return float(lattice_sups(f.modes))

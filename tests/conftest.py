@@ -8,7 +8,7 @@ def random_mean_zero_field(n: int, seed: int, decay: float = 1.5) -> ScalarField
     """Random real mean-zero field with an algebraically decaying spectrum."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    k = (np.fft.fftfreq(n) * n).astype(int)
+    k = np.r_[0 : n // 2, -(n // 2) : 0]
     ksq = k[:, None] ** 2 + k[None, :] ** 2
     raw = raw / (1.0 + ksq) ** decay
     idx = (-np.arange(n)) % n

@@ -13,12 +13,13 @@ references at the end are the plain forms of the estimators' hot loops.
 import numpy as np
 
 from vortexbsde import brownian
-from vortexbsde.biot_savart import apply_K
+from vortexbsde.biot_savart import apply_K, velocity_modes
 from vortexbsde.bsde_engine import _half_plane_modes, _spectral_point_values
 from vortexbsde.errors import ConfigurationError, NumericalError
 from vortexbsde.torus_field import (
     TWO_PI,
     ScalarField,
+    _gradient_modes,
     _nyquist_mask,
     _sobolev_symbol,
     embed_modes,
@@ -50,7 +51,7 @@ def dft_brute(values: np.ndarray) -> np.ndarray:
 def series_sum_brute(modes: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Literal synthesis sum_k fhat(k) e^{2 pi i <k,x>} at given points."""
     n = modes.shape[0]
-    ks = (np.fft.fftfreq(n) * n).astype(int)
+    ks = np.r_[0 : n // 2, -(n // 2) : 0]
     vals = np.zeros(len(points), dtype=np.complex128)
     for i1, k1 in enumerate(ks):
         for i2, k2 in enumerate(ks):
@@ -413,3 +414,29 @@ def picard_group_statistics(group_stacks, solution_stack, alpha: float, dt: floa
         "z_bmo_sq_se": _batch_means_se(groups),
         "z_bmo_sq_debiased": bmo_sq - (sum(groups) / len(groups) - bmo_sq) / (len(groups) - 1),
     }
+
+
+def advection_reference(omega_modes: np.ndarray) -> tuple[np.ndarray, float]:
+    """The oracle's dealiased u . grad(omega) of (..., N, N) vorticity modes
+    and max|u| on the padded lattice, restated from the package's transforms
+    with every table built afresh: K and the gradient on the full spectrum,
+    the 3/2-rule embedding by ``embed_modes``, one synthesis and one
+    ``grid_to_modes``, the band read back and the mean and Nyquist lines
+    zeroed."""
+    n = omega_modes.shape[-1]
+    p = 2 * -(-3 * n // 4)  # 3N/2 rounded up to an even size
+    u1, u2 = velocity_modes(omega_modes)
+    u1_vals, u2_vals, w1_vals, w2_vals = modes_to_grid(
+        embed_modes(np.stack((u1, u2, *_gradient_modes(omega_modes))), p)
+    )
+    max_u = float(np.max(np.hypot(u1_vals, u2_vals)))
+    band = wavenumbers(n) % p  # where embed_modes put each mode
+    adv = grid_to_modes(u1_vals * w1_vals + u2_vals * w2_vals)[..., band[:, None], band]
+    adv[..., _nyquist_mask(n)] = 0.0
+    adv[..., 0, 0] = 0.0
+    return adv, max_u
+
+
+def full_lattice_sup(modes: np.ndarray) -> float:
+    """max |f| over the whole (4N, 4N) lattice of one (N, N) mode array."""
+    return float(np.max(np.abs(modes_to_grid(embed_modes(modes, 4 * modes.shape[-1])))))

@@ -7,7 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
+OPS = ("weighted", "drifted", "picard", "evolve", "residual", "tiny")
+
+
+def _ab():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import ab
+    finally:
+        sys.path.pop(0)
+    return ab
 
 
 def test_two_rounds_of_two_copies_of_one_tree(tmp_path):
@@ -29,12 +41,23 @@ def test_two_rounds_of_two_copies_of_one_tree(tmp_path):
         assert doc[f"{side}_minflt_median"] >= 0 and doc[f"{side}_maxrss_delta_mb"] >= 0.0
 
 
+def test_op_list_is_documented():
+    ab = _ab()
+    assert ab.OPS == OPS
+    for op in OPS:
+        assert f"* ``{op}``:" in ab.__doc__
+
+
+def test_oracle_ops_run():
+    ab = _ab()
+    traj = ab.build_op("evolve")()
+    assert traj.steps == 32 and np.all(np.isfinite(traj.modes))
+    profile = ab.build_op("residual")()
+    assert profile.shape == (ab.RESIDUAL_PATHS, 33) and np.all(np.isfinite(profile))
+
+
 def test_sign_test_p_values():
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        import ab
-    finally:
-        sys.path.pop(0)
+    ab = _ab()
     assert ab.sign_test_p(5, 5) == 1.0
     assert ab.sign_test_p(10, 0) == ab.sign_test_p(0, 10) == 2.0 / 2**10
     # 9 of 10: 2 * (1 + 10) / 1024

@@ -12,6 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vortexbsde import cli
+from vortexbsde.torus_field import field_from_mode_list, sup_norm
+
+from oracles import full_lattice_sup
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("write_golden", ROOT / "scripts" / "write_golden.py")
 write_golden = importlib.util.module_from_spec(_spec)
@@ -53,3 +58,18 @@ def test_arrays_match(run, pinned, computed):
         if diff > REL_TOL * scale:
             off[name] = diff / scale if scale > 0.0 else diff
     assert not off, f"outputs moved beyond {REL_TOL:.0e} relative: {off}"
+
+
+def test_c1_is_the_full_lattice_sup():
+    # sup_norm synthesises psi's lattice cell only; alpha, and with it every
+    # history entry, derives from c1 = sup_norm(psi), so for the golden psi
+    # and every shipped config's psi it must equal the whole 4x lattice's
+    # sup bit for bit
+    psis = [field_from_mode_list(write_golden.CONFIG.N, write_golden.PSI_MODES)]
+    for path in sorted((ROOT / "scripts").glob("*.cfg")):
+        kv = cli._parse_kv_text(path.read_text())
+        if "psi_modes" in kv:
+            psis.append(field_from_mode_list(int(kv["N"]), cli._parse_modes(kv["psi_modes"])))
+    assert len(psis) == 4
+    for psi in psis:
+        assert sup_norm(psi) == full_lattice_sup(psi.modes)

@@ -28,15 +28,12 @@ ROOT_EXPORTS = {
 }
 
 #: Public names that only tests/test_acceptance.py calls: the operator
-#: identities, and the Brownian path and the pathwise residual of
-#: criterion 8.  Each must be defined in the package and have no caller
+#: identities.  Each must be defined in the package and have no caller
 #: there or in ``scripts/`` or ``perfbench/``, or it does not belong here.
 ACCEPTANCE_GATE_NAMES = {
     "curl",
     "divergence",
     "verify_elliptic_estimates",
-    "simulate",
-    "bsde_residual_profile",
 }
 
 #: Imported for its side of an interface rather than for use in the module:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from vortexbsde import brownian, bsde_engine
+from vortexbsde.bsde_engine import bsde_residual_profile
 from vortexbsde.errors import ConfigurationError, DomainError
 from vortexbsde.spectral_oracle import (
-    _advection_modes,
+    VorticityTrajectory,
+    _AdvectionKernel,
+    _cfl_or_raise,
     enstrophy,
     evolve,
     kinetic_energy,
@@ -11,6 +15,7 @@ from vortexbsde.spectral_oracle import (
 )
 from vortexbsde.torus_field import (
     ScalarField,
+    _heat_factor,
     embed_modes,
     field_from_mode_list,
     l2_norm,
@@ -18,7 +23,7 @@ from vortexbsde.torus_field import (
 )
 
 from conftest import random_mean_zero_field
-from oracles import series_sum_brute
+from oracles import advection_reference, series_sum_brute
 
 N = 32
 
@@ -33,7 +38,7 @@ def two_mode(n=N):
 
 def advection(omega: ScalarField) -> ScalarField:
     """u . grad(omega) as the integrator forms it (dealiased, mean-zero)."""
-    return ScalarField(_advection_modes(omega.modes)[0])
+    return ScalarField(_AdvectionKernel(omega.grid_size)(omega.modes)[0])
 
 
 class TestNonlinearTerm:
@@ -65,13 +70,43 @@ class TestNonlinearTerm:
         adv = advection(random_mean_zero_field(N, 73))
         assert adv.modes[0, 0] == 0.0
 
-    def test_stack_matches_node_by_node(self):
-        # one stacked synthesis of a trajectory gives each node's own result
-        stack = np.stack([random_mean_zero_field(16, 80 + m).modes for m in range(3)])
-        adv, max_u = _advection_modes(stack)
-        nodes = [_advection_modes(m) for m in stack]
-        assert np.array_equal(adv, np.stack([a for a, _ in nodes]))
-        assert max_u == max(u for _, u in nodes)
+
+class TestAdvectionKernel:
+    """The kernel built once per grid equals the per-call formula it
+    replaces (``oracles.advection_reference``) bit for bit."""
+
+    @pytest.mark.parametrize("n", [6, 8, 12, 16, 24, 28, 32])
+    def test_matches_reference_formula(self, n):
+        kernel = _AdvectionKernel(n)
+        for seed in range(3):  # the buffer is reused from call to call
+            modes = random_mean_zero_field(n, 90 + seed, decay=0.5).modes
+            adv, max_u = kernel(modes)
+            ref, ref_u = advection_reference(modes)
+            assert np.array_equal(adv, ref) and max_u == ref_u
+
+    def test_evolve_is_a_heun_loop_over_the_reference(self):
+        psi, nu, horizon, steps = two_mode(16), 0.05, 0.25, 8
+        dt = horizon / steps
+        decay = _heat_factor(16, nu, dt)
+        w = psi.modes
+        expected = [w]
+        for _ in range(steps):
+            adv1, max_u = advection_reference(w)
+            _cfl_or_raise(dt, max_u, 16, horizon)
+            adv2, _ = advection_reference(decay * (w + dt * -adv1))
+            w = decay * w + 0.5 * dt * (decay * -adv1 + -adv2)
+            expected.append(w)
+        # the trajectory symmetrises its stack, as ScalarField does
+        expected = VorticityTrajectory(np.stack(expected), nu=nu, dt=dt)
+        assert np.array_equal(evolve(psi, nu, horizon, steps).modes, expected.modes)
+
+    def test_residual_profile_with_the_reference(self, monkeypatch):
+        traj = evolve(two_mode(16), 0.05, 0.25, 8)
+        increments = np.stack([brownian.simulate(1000 + p, 8, 0.25) for p in range(3)])
+        got = bsde_residual_profile(traj.modes, traj.nu, traj.dt, increments)
+        monkeypatch.setattr(bsde_engine, "_AdvectionKernel", lambda n: advection_reference)
+        ref = bsde_residual_profile(traj.modes, traj.nu, traj.dt, increments)
+        assert np.array_equal(got, ref)
 
 
 class TestEvolve:
@@ -80,6 +115,16 @@ class TestEvolve:
         amp = 2 * abs(traj.fields[-1].modes[1, 0])
         exact = np.exp(-2 * np.pi**2 / 10)
         assert abs(amp - exact) / exact < 1e-6
+
+    def test_heat_decay_exact_on_n24(self):
+        # (7, 0) is advected by nothing; its decay needs k1 = 7, which the
+        # float fftfreq(24) * 24 truncated to 6
+        nu, horizon, steps = 0.1, 0.1, 4
+        traj = evolve(field_from_mode_list(24, [(7, 0, -0.5j)]), nu, horizon, steps)
+        for m in range(steps + 1):
+            exact = -0.5j * np.exp(-4 * np.pi**2 * nu * 49 * m * traj.dt)
+            assert traj.modes[m, 7, 0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert np.count_nonzero(traj.modes[-1]) == 2
 
     def test_zero_initial_data(self):
         z = ScalarField(np.zeros((N, N)))

@@ -2,23 +2,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vortexbsde.biot_savart import curl, divergence
+from vortexbsde.biot_savart import _velocity_symbols, curl, divergence
 from vortexbsde.errors import ConfigurationError, DomainError
 from vortexbsde.torus_field import (
     ScalarField,
+    _gradient_symbols,
+    _ksq,
+    _nyquist_mask,
     embed_modes,
     field_from_mode_list,
     grid_to_modes,
     l2_norm,
+    lattice_sups,
     modes_to_grid,
     partial_derivative,
     sup_norm,
     translate,
+    wavenumbers,
 )
 
 from conftest import random_mean_zero_field
 from oracles import (
     dft_brute,
+    full_lattice_sup,
     l2_quadrature,
     pad_modes_reference,
     series_sum_brute,
@@ -118,6 +124,50 @@ class TestInverseTransform:
             got = modes_to_grid(modes)
             assert got.shape == modes.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def integer_wavenumbers(n: int) -> np.ndarray:
+    """k at index i of an even n: i below n/2, i - n from there on."""
+    i = np.arange(n)
+    return np.where(i < n // 2, i, i - n)
+
+
+class TestWavenumbers:
+    def test_exact_for_every_even_grid(self):
+        # fftfreq(n) * n rounds below an integer on many of these (n = 24
+        # gave [..., 5, 6, 6, 8, ...]); the integer construction cannot
+        for n in range(4, 257, 2):
+            k = wavenumbers(n)
+            assert k.dtype == np.int64
+            assert np.array_equal(k, integer_wavenumbers(n)), n
+
+    def test_tables_are_shared_and_read_only(self):
+        tables = (wavenumbers(24), _ksq(24), _nyquist_mask(24), *_gradient_symbols(24),
+                  *_velocity_symbols(24))
+        assert all(not t.flags.writeable for t in tables)
+        assert wavenumbers(24) is wavenumbers(24)
+
+    def test_derivative_exact_on_n24(self):
+        f = random_mean_zero_field(24, seed=31, decay=0.5)
+        k = integer_wavenumbers(24)
+        for axis, mult in ((1, k[:, None]), (2, k[None, :])):
+            got = partial_derivative(f, axis).modes
+            want = 2.0 * np.pi * 1j * mult * f.modes
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # d/dx1 sin(14 pi x1) = 14 pi cos(14 pi x1): 7 pi at k = (+-7, 0)
+        d1 = partial_derivative(field_from_mode_list(24, [(7, 0, -0.5j)]), 1).modes
+        assert d1[7, 0] == pytest.approx(7 * np.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("size", [30, 36, 48])
+    def test_embed_round_trip_on_n24(self, size):
+        modes = random_mean_zero_field(24, seed=32, decay=0.5).modes
+        big = embed_modes(modes, size)
+        pos = integer_wavenumbers(24) % size
+        assert np.count_nonzero(big) == np.count_nonzero(modes)  # no two modes collide
+        assert np.array_equal(big[pos[:, None], pos], modes)
+        if size % 24 == 0:
+            fine = modes_to_grid(big)[:: size // 24, :: size // 24]
+            assert np.max(np.abs(fine - modes_to_grid(modes))) < 1e-13
 
 
 class TestEmbedModes:
@@ -302,6 +352,32 @@ class TestSupNorm:
     def test_homogeneity(self):
         f = random_mean_zero_field(16, seed=21)
         assert sup_norm(ScalarField(3.5 * f.modes)) == pytest.approx(3.5 * sup_norm(f), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, entries",
+        [
+            (32, [(1, 0, -0.5j)]),  # cell (32, 1)
+            (32, [(1, 0, -0.25j), (0, 2, 0.25)]),  # cell (32, 16)
+            (32, [(2, 0, -0.25j), (0, 2, 0.25)]),  # cell (16, 16)
+            (12, [(4, 0, 0.3 - 0.1j), (0, 3, 0.2j), (-4, 3, 0.1)]),  # odd cell (3, 4)
+            (24, [(7, 0, -0.5j), (3, -9, 0.2)]),  # n = 24 wavenumbers
+            (16, None),  # every mode: cell (16, 16)
+        ],
+    )
+    def test_cell_sup_is_the_full_lattice_sup(self, n, entries):
+        if entries is None:
+            nodes = [random_mean_zero_field(n, seed=40 + m, decay=0.5).modes for m in range(3)]
+        else:
+            psi = field_from_mode_list(n, entries).modes
+            nodes = [psi * np.exp(-0.3 * m) for m in range(3)]
+        stack = np.stack(nodes)
+        sups = lattice_sups(stack)
+        assert sups.shape == (3,)
+        for got, node in zip(sups, nodes):
+            want = full_lattice_sup(node)
+            assert abs(got - want) <= 4 * np.spacing(want)
+        assert sup_norm(ScalarField(nodes[0])) == sups[0]
+        assert lattice_sups(stack[None])[0].tolist() == sups.tolist()
 
 
 class TestFieldAlgebra:
