@@ -19,6 +19,8 @@ sizes:
   M_inner = 250;
 * ``drifted``: one drifted step from the heat iterate, L = 16,
   M_inner = 50;
+* ``drifted_wide``: one drifted step from the heat iterate, L = 32,
+  M_inner = 300, in several chunks of branches;
 * ``picard``: the whole ``picard_solve``, L = 32, M_inner = 250;
 * ``evolve``: the spectral oracle's ``evolve`` of psi, L = 32;
 * ``residual``: ``bsde_residual_profile`` of that oracle trajectory along
@@ -55,7 +57,7 @@ THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
-OPS = ("weighted", "drifted", "picard", "evolve", "residual", "tiny")
+OPS = ("weighted", "drifted", "drifted_wide", "picard", "evolve", "residual", "tiny")
 #: Paths of the ``residual`` op.
 RESIDUAL_PATHS = 8
 
@@ -69,7 +71,9 @@ def build_op(name: str):
     from vortexbsde.torus_field import field_from_mode_list
 
     n = 8 if name == "tiny" else 32
-    steps, m_inner = {"drifted": (16, 50), "tiny": (4, 16)}.get(name, (32, 250))
+    steps, m_inner = {"drifted": (16, 50), "drifted_wide": (32, 300), "tiny": (4, 16)}.get(
+        name, (32, 250)
+    )
     psi = field_from_mode_list(n, [(1, 0, -0.25j), (0, 2, 0.25)])
     config = bsde_engine.SolverConfig(
         N=n, L=steps, M_inner=m_inner, nu=0.5, T=0.25, base_seed=42, groups=min(16, m_inner)
@@ -85,7 +89,7 @@ def build_op(name: str):
         )
         return lambda: bsde_engine.bsde_residual_profile(traj.modes, traj.nu, traj.dt, increments)
     heat = bsde_engine.heat_iterate(psi, config)
-    solve = bsde_engine.solve_drifted_with_stats if name == "drifted" else (
+    solve = bsde_engine.solve_drifted_with_stats if name.startswith("drifted") else (
         bsde_engine.solve_weighted_with_stats
     )
     return lambda: solve(heat, config)

@@ -18,6 +18,8 @@ repeats with period 1/2 along both axes:
   active-mode sets, which the heat iterate does not reach);
 * ``solve_drifted_with_stats`` with M_inner = 50 from the heat iterate,
   and again from iterate 1, whose velocity carries noise-lifted modes;
+  and with L = 16, M_inner = 300 from that config's heat iterate, whose
+  branches run in several chunks;
 * for the two shipped solve configs at seed 42 only, ``vortexbsde solve``
   through ``cli.main``, keeping the bytes of its ``solution.json``,
   ``y_fields.vbst`` (whose node 0 is psi) and ``diagnostics.json``;
@@ -93,6 +95,8 @@ CLI_FILES = {
     "diagnose": ("diagnostics.json",),
 }
 DRIFTED_M = 50
+#: Step count and path count of the many-chunk drifted case.
+DRIFTED_WIDE = {"L": 16, "M_inner": 300}
 #: The (config, seed) whose solution's pathwise residual is compared, and
 #: the number of paths.
 RESIDUAL_CASE = ("two_mode", 42)
@@ -217,6 +221,10 @@ def run_tree(tree: Path) -> tuple[dict, dict, dict]:
                 "drifted": engine.solve_drifted_with_stats(heat, drifted),
                 "drifted_from_1": engine.solve_drifted_with_stats(first[0], drifted),
             }
+            wide = dataclasses.replace(config, **DRIFTED_WIDE)
+            solves["drifted_wide"] = engine.solve_drifted_with_stats(
+                engine.heat_iterate(psi, wide), wide
+            )
             for name, solve in solves.items():
                 arrays.update(_solve_arrays(engine, f"{case}.{name}", *solve))
     return arrays, iterations, outputs

@@ -76,10 +76,11 @@ _WEIGHTED_CHUNK = 64
 #: (32, 16) cell and the per-call overhead is paid once per block.
 _WEIGHTED_BLOCK = 64 * 32 * 16
 
-#: Branches per chunk of the drifted solve: keeps one Euler step's
-#: (chunk * n1 * n2) point temporaries, on its lattice cell, in a core's
-#: L2 cache.
-_DRIFTED_CHUNK = 16
+#: Cell points per Euler-step array of the drifted solve: a chunk holds at
+#: most _DRIFTED_POINTS // (n1 * n2) branches (``_drifted_chunks``), so a
+#: small cell's chunk is large and the per-call overhead is paid once per
+#: step of many branches.
+_DRIFTED_POINTS = 32768
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +223,17 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
     dt), the velocity of ``prev``, the exact heat stack, the keyed
     increments and displacements, branch chunking and the sum,
     sum-of-squares and group accumulation.
-    ``estimator(config, psi_modes, u1, u2)`` returns ``(chunk, cell,
-    samples, control_mean)``: the correction and psi repeat on the lattice
-    cell (n1, n2) at the origin, n_a dividing N ((N, N) is the whole
-    lattice), which each estimator takes from the modes it reads
-    (``_cell``); ``samples(db, disp)`` yields ``(m, sample)`` blocks of
-    consecutive nodes that cover m = 1..L in order, ``sample`` being the
-    (branches, k, n1, n2) cell values of the sampled correction at nodes
-    m..m+k-1 for one chunk of at most ``chunk`` branches (chunks run one
-    after another, so an estimator may reuse buffers across them); a zero
-    correction may yield no block.  ``control_mean`` is the exact mean of
+    ``estimator(config, psi_modes, u1, u2)`` returns ``(bounds, cell,
+    samples, control_mean)``: ``bounds`` are increasing branch indices
+    0 = b_0 < ... < b_k = M_inner, chunk i holding branches b_i..b_{i+1}-1;
+    the correction and psi repeat on the lattice cell (n1, n2) at the
+    origin, n_a dividing N ((N, N) is the whole lattice), which each
+    estimator takes from the modes it reads (``_cell``); ``samples(db,
+    disp)`` yields ``(m, sample)`` blocks of consecutive nodes that cover
+    m = 1..L in order, ``sample`` being the (branches, k, n1, n2) cell
+    values of the sampled correction at nodes m..m+k-1 for one chunk
+    (chunks run one after another, so an estimator may reuse buffers
+    across them); a zero correction may yield no block.  ``control_mean`` is the exact mean of
     the control variate the samples subtract from the correction: cell
     values broadcasting to (L+1, n1, n2), zero at node 0, or 0.0 for none.
     Group sums take one matrix product per block, the sums over all
@@ -246,7 +248,7 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
 
     psi_modes = prev.modes[0]
     u1, u2 = velocity_modes(prev.modes)
-    chunk, cell, samples, control_mean = estimator(config, psi_modes, u1, u2)
+    bounds, cell, samples, control_mean = estimator(config, psi_modes, u1, u2)
     heat = heat_mode_stack(psi_modes, nu, dt, steps)
 
     db = brownian.ensemble_increments(config.base_seed, tag, m_inner, steps, dt)
@@ -259,8 +261,7 @@ def _linear_solve(prev: VorticityTrajectory, config: SolverConfig, tag: int, est
     sumsq_f = np.zeros((steps + 1,) + cell)
     group_sum = np.zeros((n_groups, steps + 1) + cell)
 
-    for b0 in range(0, m_inner, chunk):
-        b1 = min(b0 + chunk, m_inner)
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
         # group_of is non-decreasing, so the chunk's groups are g0..g1 - 1: a
         # 0/1 membership matrix sums each of them in one product.
         g0, g1 = group_of[b0], group_of[b1 - 1] + 1
@@ -342,8 +343,9 @@ def solve_drifted_with_stats(
 
     Equivalent in law to the Girsanov-weighted solve; used as an
     independent estimator for the equivalence check.  Velocities are
-    bilinearly interpolated on 4x oversampled grids; the terminal psi is
-    evaluated spectrally so the heat control variate stays exactly unbiased.
+    bilinearly interpolated on the 4x oversampled grid of their lattice
+    cell; the terminal psi is evaluated spectrally so the heat control
+    variate stays exactly unbiased.
     """
     return _linear_solve(prev, config, brownian.TAG_DRIFT, _drifted_estimator)
 
@@ -474,13 +476,14 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
     # threshold perturbs the exponent by orders of magnitude less than the
     # Monte Carlo noise.
     thr = config.mode_threshold_rel
+    bounds = [*range(0, config.M_inner, _WEIGHTED_CHUNK), config.M_inner]
     mag_a = (np.abs(u1[1:]) + np.abs(u2[1:])).max(axis=0)
     ia1, ia2 = _active_indices(mag_a, thr)
     k_base = wavenumbers(n)
     ip1, ip2 = np.nonzero(psi_modes)
 
     if not ia1.size:  # W = 1 exactly: a zero correction on psi's cell, no block
-        return _WEIGHTED_CHUNK, _cell(k_base[ip1], k_base[ip2], n), lambda db, disp: iter(()), 0.0
+        return bounds, _cell(k_base[ip1], k_base[ip2], n), lambda db, disp: iter(()), 0.0
 
     w1, w2 = v1[1:], v2[1:]
     q_modes = grid_to_modes(w1 * w1 + w2 * w2)
@@ -581,7 +584,7 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
                 sample *= g.imag
             yield m, sample
 
-    return _WEIGHTED_CHUNK, block.cell, samples, control_mean
+    return bounds, block.cell, samples, control_mean
 
 
 # ---------------------------------------------------------------------------
@@ -589,36 +592,38 @@ def _weighted_estimator(config: SolverConfig, psi_modes, u1, u2):
 
 
 def _bilinear_tables(padded: np.ndarray):
-    """``_bilinear``'s table pair for periodic (..., P, P) real grids padded
-    with their first row and column, shape (..., P + 1, P + 1): the padded
-    grids and the (..., P, P + 1) differences of their consecutive rows."""
+    """``_bilinear``'s table pair for periodic (..., P1, P2) real grids
+    padded with their first row and column, shape (..., P1 + 1, P2 + 1):
+    the padded grids and the (..., P1, P2 + 1) differences of their
+    consecutive rows."""
     return padded, padded[..., 1:, :] - padded[..., :-1, :]
 
 
 def _bilinear(tables, x: np.ndarray, y: np.ndarray) -> list:
-    """Bilinear interpolation of periodic (P, P) real grids at the points
-    (x, y), given in grid units: grid node (i, j) sits at (i, j).
+    """Bilinear interpolation of periodic (P1, P2) real grids at the points
+    (x, y), given in grid units: grid node (i, j) sits at (i, j), and each
+    axis wraps by its own period.
 
     ``tables`` holds one ``(padded, row_diff)`` pair of ``_bilinear_tables``
-    per grid.  Both arrays have the padded row stride P + 1, so a cell's
+    per grid.  Both arrays have the padded row stride P2 + 1, so a cell's
     lower corner and its neighbour in the next column sit at flat offsets 0
     and 1 in each (the latter read through a view shifted by one); the
     cells and weights are located once for every grid.
     """
-    p = tables[0][0].shape[-1] - 1
+    p1, p2 = (size - 1 for size in tables[0][0].shape[-2:])
     i0 = np.floor(x)
     j0 = np.floor(y)
     fx = x - i0
     fy = y - j0
     i = i0.astype(np.intp)
     j = j0.astype(np.intp)
-    if p & (p - 1):
-        i %= p
-        j %= p
-    else:  # the same modulus, cheaper for a power of two
-        i &= p - 1
-        j &= p - 1
-    base = i * (p + 1)
+    if p1 & (p1 - 1) or p2 & (p2 - 1):
+        i %= p1
+        j %= p2
+    else:  # the same remainders, cheaper for powers of two
+        i &= p1 - 1
+        j &= p2 - 1
+    base = i * (p2 + 1)
     base += j
     out = []
     for padded, row_diff in tables:
@@ -659,45 +664,60 @@ def _spectral_point_values(half, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _velocity_tables(u1: np.ndarray, u2: np.ndarray, cell):
-    """Both velocity components of every node on the 4x oversampled grid.
+    """Both velocity components of every node on the 4x grid of the
+    lattice cell ``cell`` = (n1, n2) at the origin.
+
+    u repeats on the cell, so the (4 n1, 4 n2) nodes of that grid, spaced
+    as those of the (4N, 4N) grid, hold every value the whole 4x grid
+    would.  Each component is synthesised from its cell modes at strides
+    (N / n1, N / n2), as in ``torus_field.lattice_sups``, on its own, so
+    only one component's 4x cell modes exist at a time.
 
     Returns the ``_bilinear_tables`` of each component, with a leading node
-    axis, and each component's (L+1, n1*n2) values on the lattice cell
-    ``cell`` = (n1, n2) at the origin, point (i, j) at flat index
-    i * n2 + j.  Each component is synthesised on its own, so only one
-    component's 4x modes exist at a time.
+    axis, and each component's (L+1, n1*n2) values on the lattice cell,
+    point (i, j) at flat index i * n2 + j.
     """
+    n = u1.shape[-1]
     n1, n2 = cell
-    p = 4 * u1.shape[-1]
-    tables = [
-        _bilinear_tables(
-            np.pad(modes_to_grid(embed_modes(u, p)), ((0, 0), (0, 1), (0, 1)), mode="wrap")
-        )
-        for u in (u1, u2)
-    ]
+    # cell mode p carries the wavenumber k / (N / n_a), wavenumbers(n_a)[p]
+    pos1, pos2 = wavenumbers(n1) % (4 * n1), wavenumbers(n2) % (4 * n2)
+    tables = []
+    for u in (u1, u2):
+        big = np.zeros((u.shape[0], 4 * n1, 4 * n2), dtype=np.complex128)
+        big[:, pos1[:, None], pos2] = u[:, :: n // n1, :: n // n2]
+        grid = modes_to_grid(big)
+        tables.append(_bilinear_tables(np.pad(grid, ((0, 0), (0, 1), (0, 1)), mode="wrap")))
     # The lattice is every fourth node of the 4x grid; reshaping the
     # strided view of the cell copies it, so only the tables stay referenced.
-    lattice = [
-        padded[:, : 4 * n1 : 4, : 4 * n2 : 4].reshape(u1.shape[0], n1 * n2)
-        for padded, _ in tables
-    ]
+    lattice = [padded[:, :-1:4, :-1:4].reshape(u1.shape[0], n1 * n2) for padded, _ in tables]
     return tables, lattice
+
+
+def _drifted_chunks(m_inner: int, points: int) -> list:
+    """Chunk bounds (``_linear_solve``) of ``m_inner`` branches whose
+    Euler-step arrays hold ``points`` cell points per branch: the fewest
+    chunks of at most ``_DRIFTED_POINTS`` points (one branch at least),
+    their sizes differing by at most one."""
+    count = -(-m_inner // max(1, _DRIFTED_POINTS // points))
+    return [b * m_inner // count for b in range(count + 1)]
 
 
 def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
     """Samples psi(X_m) - psi(z + disp_m) along Euler-Maruyama paths X.
 
-    Runs in chunks of ``_DRIFTED_CHUNK`` branches, one node per block.
+    Runs in the balanced chunks of ``_drifted_chunks``, one node per block.
     Paths advance in units of the 4x velocity grid's spacing (an exact
     rescaling for power-of-two N).  Every node's paths start on the
     lattice cell (n1, n2) that psi and every node of u repeat on, whose
     points are nodes of that grid, so the first Euler step reads the grid
-    instead of interpolating.  Every lattice point shares the branch noise,
-    and a shift by n_a lattice points is a shift by 4 n_a whole grid nodes,
-    so paths from equivalent lattice points differ by that shift and their
-    samples agree up to the rounding of the positions.  The bilinear step
-    reads every mode of u, so the cell is taken from the exactly nonzero
-    modes, with no threshold.
+    instead of interpolating.  The tables hold the cell's 4x grid only
+    (``_velocity_tables``), of u scaled by the drift step -dt 4N, so an
+    Euler step adds the values it reads as they are.  Every lattice point
+    shares the branch noise, and a shift by n_a lattice points is a shift
+    by 4 n_a whole grid nodes, so paths from equivalent lattice points
+    differ by that shift and their samples agree up to the rounding of the
+    positions.  The bilinear step reads every mode of u, so the cell is
+    taken from the exactly nonzero modes, with no threshold.
     """
     n, steps, dt, nu = config.N, config.L, config.dt, config.nu
     p = 4 * n
@@ -707,7 +727,9 @@ def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
     k = wavenumbers(n)
     i1, i2 = np.nonzero(occupied)
     n1, n2 = _cell(k[i1], k[i2], n)
-    ((pad1, diff1), (pad2, diff2)), lattice = _velocity_tables(u1, u2, (n1, n2))
+    ((pad1, diff1), (pad2, diff2)), lattice = _velocity_tables(
+        drift_step * u1, drift_step * u2, (n1, n2)
+    )
     # cell point (i, j), at (4i, 4j) in grid units, has flat index i * n2 + j
     zx = np.repeat(4.0 * np.arange(n1), n2)
     zy = np.tile(4.0 * np.arange(n2), n1)
@@ -727,24 +749,22 @@ def _drifted_estimator(config: SolverConfig, psi_modes, u1, u2):
             TWO_PI * 1j * (disp[:, :, 0, None] * k1 + disp[:, :, 1, None] * k2)
         )
         for m in range(1, steps + 1):
-            x = zx + (lattice[0][m] * drift_step + noise[:, 0, 0, None])
-            y = zy + (lattice[1][m] * drift_step + noise[:, 0, 1, None])
+            x = zx + (lattice[0][m] + noise[:, 0, 0, None])
+            y = zy + (lattice[1][m] + noise[:, 0, 1, None])
             for j in range(1, m):
                 ell = m - j  # left-point field index: time-to-go (m - j) dt
                 d1, d2 = _bilinear(
                     ((pad1[ell], diff1[ell]), (pad2[ell], diff2[ell])), x, y
                 )
-                d1 *= drift_step
                 d1 += noise[:, j, 0, None]
                 x += d1
-                d2 *= drift_step
                 d2 += noise[:, j, 1, None]
                 y += d2
             vals = _spectral_point_values(half, x / p, y / p)
             cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
             yield m, (vals - cv_vals).reshape(bc, 1, n1, n2)
 
-    return _DRIFTED_CHUNK, (n1, n2), samples, 0.0
+    return _drifted_chunks(config.M_inner, n1 * n2), (n1, n2), samples, 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def weighted_estimator_two_transform(config, psi_modes, u1, u2):
             yield m, (psi_shift * (np.expm1(-expo) + expo))[:, None]  # one node per block
 
     mean = control_mean_dense(config, psi_modes, u1, u2)
-    return config.M_inner, (config.N, config.N), samples, mean
+    return (0, config.M_inner), (config.N, config.N), samples, mean
 
 
 def control_mean_dense(config, psi_modes, u1, u2):
@@ -330,7 +330,7 @@ def drifted_estimator_one_chunk(config, psi_modes, u1, u2):
             cv_vals = 2.0 * np.real(disp_phase[:, m, :] @ lattice_phase.T)
             yield m, (vals - cv_vals).reshape(bc, 1, n, n)  # one node per block
 
-    return config.M_inner, (config.N, config.N), samples, 0.0
+    return (0, config.M_inner), (config.N, config.N), samples, 0.0
 
 
 def _lattice_values_brute(modes: np.ndarray) -> np.ndarray:

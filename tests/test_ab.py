@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-OPS = ("weighted", "drifted", "picard", "evolve", "residual", "tiny")
+OPS = ("weighted", "drifted", "drifted_wide", "picard", "evolve", "residual", "tiny")
 
 
 def _ab():

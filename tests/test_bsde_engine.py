@@ -11,11 +11,13 @@ from vortexbsde.biot_savart import velocity_modes
 from vortexbsde.bsde_engine import (
     SolverConfig,
     _SubBlock,
-    _DRIFTED_CHUNK,
+    _DRIFTED_POINTS,
     _WEIGHTED_BLOCK,
     _bilinear,
     _bilinear_tables,
     _cell,
+    _drifted_chunks,
+    _drifted_estimator,
     _half_plane_modes,
     _linear_solve,
     _on_cell,
@@ -42,6 +44,7 @@ from vortexbsde.torus_field import (
     TWO_PI,
     ScalarField,
     _nyquist_mask,
+    embed_modes,
     field_from_mode_list,
     grid_to_modes,
     l2_norm,
@@ -187,11 +190,11 @@ class TestLinearSolve:
         db = brownian.ensemble_increments(0, brownian.TAG_INNER, cfg.M_inner, cfg.L, cfg.dt)
         disp = np.sqrt(2.0 * cfg.nu) * np.cumsum(np.pad(db, ((0, 0), (1, 0), (0, 0))), axis=1)
         u1, u2 = velocity_modes(prev.modes)
-        chunk, _, samples, control_mean = _weighted_estimator(cfg, prev.modes[0], u1, u2)
+        bounds, _, samples, control_mean = _weighted_estimator(cfg, prev.modes[0], u1, u2)
         assert np.max(np.abs(control_mean)) > 1e-6
         values = []
-        for b in range(0, cfg.M_inner, chunk):
-            blocks = samples(db[b : b + chunk], disp[b : b + chunk])
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            blocks = samples(db[b0:b1], disp[b0:b1])
             values.append(np.concatenate([sample for _, sample in blocks], axis=1))
         values = np.concatenate(values)
         for g in range(cfg.groups):
@@ -597,18 +600,65 @@ class TestHotLoopKernels:
             assert np.max(np.abs(g - bilinear_reference(grid, pos))) < 1e-14
 
     def test_bilinear_wraps_any_grid_size(self):
-        # P = 48 wraps cell indices by a remainder, not a bit mask
+        # P = 48 wraps cell indices by a remainder, not a bit mask; so do
+        # the unequal periods of a (48, 16) grid, each axis by its own, and
+        # a (32, 8) grid takes the bit masks
         rng = np.random.default_rng(8)
-        p = 48
-        grid = rng.standard_normal((p, p))
-        x, y = rng.integers(0, 64 * p, size=(2, 2000)) / 64.0  # exact under shifts
-        tables = [_bilinear_tables(np.pad(grid, ((0, 1), (0, 1)), mode="wrap"))]
-        (got,) = _bilinear(tables, x, y)
-        for shift in (-3 * p, -p, p, 2 * p):
-            assert np.array_equal(_bilinear(tables, x + shift, y - shift)[0], got)
-        # dividing by 48 rounds the reference's positions
-        ref = bilinear_reference(grid, np.stack([x, y], axis=-1) / p)
-        assert np.max(np.abs(got - ref)) < 1e-13
+        for p1, p2 in [(48, 48), (48, 16), (32, 8)]:
+            grid = rng.standard_normal((p1, p2))
+            x, y = rng.integers(0, 64 * 48, size=(2, 2000)) / 64.0  # exact under shifts
+            tables = [_bilinear_tables(np.pad(grid, ((0, 1), (0, 1)), mode="wrap"))]
+            (got,) = _bilinear(tables, x, y)
+            for shift in (-3, -1, 1, 2):
+                assert np.array_equal(_bilinear(tables, x + shift * p1, y - shift * p2)[0], got)
+            # the grid tiled to (p1, p1) repeats with period p2 along y;
+            # dividing by p1 rounds the reference's positions
+            square = np.tile(grid, (1, p1 // p2))
+            ref = bilinear_reference(square, np.stack([x, y], axis=-1) / p1)
+            assert np.max(np.abs(got - ref)) < 1e-13
+
+    @pytest.mark.parametrize("n", [12, 16, 24])
+    def test_cell_tables_match_full_lattice_tables(self, n):
+        # the tables of the cell's 4x grid hold the whole 4x grid's values
+        stack = random_mean_zero_field(n, 7).modes * np.linspace(1.0, 0.5, 4)[:, None, None]
+        k = wavenumbers(n)
+        cells = [(n, n), (n, n // 2), (n, 1)] + ([(12, 4)] if n % 12 == 0 else [])
+        for cell in cells:
+            f1, f2 = n // cell[0], n // cell[1]
+            kept = stack * ((k[:, None] % f1 == 0) & (k[None, :] % f2 == 0))
+            i1, i2 = np.nonzero(kept[0])
+            assert _cell(k[i1], k[i2], n) == cell
+            u1, u2 = velocity_modes(kept)
+            tables, _ = _velocity_tables(u1, u2, cell)
+            for u, (padded, diff) in zip((u1, u2), tables):
+                full = modes_to_grid(embed_modes(u, 4 * n))
+                got = padded[:, :-1, :-1]
+                assert got.shape == (4,) + (4 * cell[0], 4 * cell[1])
+                scale = np.max(np.abs(full))
+                assert np.max(np.abs(got - full[:, : 4 * cell[0], : 4 * cell[1]])) <= 1e-15 * scale
+                assert np.max(np.abs(np.tile(got, (1, f1, f2)) - full)) <= 1e-15 * scale
+                assert np.array_equal(padded[:, -1], padded[:, 0])
+                assert np.array_equal(padded[:, :, -1], padded[:, :, 0])
+                assert np.array_equal(diff, padded[:, 1:] - padded[:, :-1])
+
+    def test_drifted_chunk_plan_is_balanced_within_budget(self):
+        for points, m_inner in itertools.product(
+            [1, 16, 72, 128, 512, 4096, _DRIFTED_POINTS, 2 * _DRIFTED_POINTS],
+            [1, 2, 16, 37, 50, 63, 64, 65, 130, 300, 1000, 4097],
+        ):
+            bounds = _drifted_chunks(m_inner, points)
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == m_inner and sizes.min() >= 1
+            assert sizes.max() - sizes.min() <= 1
+            per = max(1, _DRIFTED_POINTS // points)  # one branch at least
+            assert sizes.max() <= per
+            assert len(sizes) == -(-m_inner // per)  # the fewest such chunks
+        assert _drifted_chunks(300, 32 * 16) == [0, 60, 120, 180, 240, 300]
+        # the two-mode step at M = 50 runs as one chunk on its (32, 16) cell
+        cfg = SolverConfig(N=32, L=4, M_inner=50, nu=0.5, T=0.25, alpha=0.0)
+        heat = heat_iterate(field_from_mode_list(32, [(1, 0, -0.25j), (0, 2, 0.25)]), cfg)
+        bounds, cell, _, _ = _drifted_estimator(cfg, heat.modes[0], *velocity_modes(heat.modes))
+        assert (bounds, cell) == ([0, 50], (32, 16))
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_lattice_read_is_bilinear_at_lattice_points(self, n):
@@ -635,18 +685,22 @@ class TestHotLoopKernels:
     @pytest.mark.parametrize(
         "case", ["heat", "weighted_iterate", "n12", "single_mode", "full_spectrum"]
     )
-    def test_drifted_step_matches_one_chunk_reference(self, case):
-        # 37 branches: chunks of 16, 16 and 5, with 16 groups of 2-3
-        # branches straddling the chunk boundaries.  The reference runs on
-        # the whole lattice, the step on the cell psi and u repeat on.
+    def test_drifted_step_matches_one_chunk_reference(self, case, monkeypatch):
+        # 37 branches on a budget of 12 branches' cell points: chunks of 9,
+        # 9, 9 and 10, with 16 groups of 2-3 branches straddling every chunk
+        # boundary.  The reference runs on the whole lattice, the step on
+        # the cell psi and u repeat on.
         n = 12 if case == "n12" else 16  # 12: grid units are not exact scalings
         cfg = SolverConfig(N=n, L=8, M_inner=37, nu=0.3, T=0.2, alpha=0.0)
-        assert _DRIFTED_CHUNK == 16
         psi, cell = two_mode(n), (n, n // 2)  # period 1/2 in x2
         if case == "single_mode":
             psi, cell = sin1(n), (n, 1)  # constant along x2
         elif case == "full_spectrum":
             psi, cell = ScalarField(2.0 * random_mean_zero_field(n, 21).modes), (n, n)
+        monkeypatch.setattr(bsde_engine, "_DRIFTED_POINTS", 12 * cell[0] * cell[1])
+        bounds = _drifted_chunks(cfg.M_inner, cell[0] * cell[1])
+        group_of = (np.arange(cfg.M_inner) * cfg.groups) // cfg.M_inner
+        assert len(bounds) >= 4 and all(group_of[b - 1] == group_of[b] for b in bounds[1:-1])
         prev = heat_iterate(psi, cfg)
         if case == "weighted_iterate":
             # noise lifts the velocity modes on the weighted step's cell
