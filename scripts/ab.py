@@ -11,9 +11,9 @@ to minutes) falls on both trees alike: alternation, after Kalibera & Jones,
 "Rigorous benchmarking in reasonable time" (ISMM 2013).  BLAS and OpenMP
 are pinned to one thread in both workers.
 
-Operations, on the two-mode data of ``solve_two_mode.cfg`` (N = 32,
-nu = 0.5, T = 0.25, psi on the modes (1,0) and (0,2)) at the benchmark's
-sizes:
+Operations, at the benchmark's sizes and, but for ``single_mode``, on the
+two-mode data of ``solve_two_mode.cfg`` (N = 32, nu = 0.5, T = 0.25, psi
+on the modes (1,0) and (0,2)):
 
 * ``weighted``: one weighted Picard step from the heat iterate, L = 32,
   M_inner = 250;
@@ -22,6 +22,10 @@ sizes:
 * ``drifted_wide``: one drifted step from the heat iterate, L = 32,
   M_inner = 300, in several chunks of branches;
 * ``picard``: the whole ``picard_solve``, L = 32, M_inner = 250;
+* ``single_mode``: the solve of ``run_single_mode_study.sh`` at the
+  benchmark's size, ``picard_solve`` of psi = sin 2 pi x1 (the data of
+  ``solve_single_mode.cfg``: N = 32, nu = 0.1, T = 0.5), L = 16,
+  M_inner = 1000, whose weighted step runs one-column sub-blocks;
 * ``evolve``: the spectral oracle's ``evolve`` of psi, L = 32;
 * ``residual``: ``bsde_residual_profile`` of that oracle trajectory along
   the 8 paths ``brownian.simulate(1000 + p, L, T)``, p = 0..7, L = 32;
@@ -57,7 +61,9 @@ THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
-OPS = ("weighted", "drifted", "drifted_wide", "picard", "evolve", "residual", "tiny")
+OPS = (
+    "weighted", "drifted", "drifted_wide", "picard", "single_mode", "evolve", "residual", "tiny"
+)
 #: Paths of the ``residual`` op.
 RESIDUAL_PATHS = 8
 
@@ -79,6 +85,10 @@ def build_op(name: str):
         N=n, L=steps, M_inner=m_inner, nu=0.5, T=0.25, base_seed=42, groups=min(16, m_inner)
     )
     if name == "picard":
+        return lambda: bsde_engine.picard_solve(psi, config)
+    if name == "single_mode":
+        psi = field_from_mode_list(n, [(1, 0, -0.5j)])
+        config = bsde_engine.SolverConfig(N=n, L=16, M_inner=1000, nu=0.1, T=0.5, base_seed=42)
         return lambda: bsde_engine.picard_solve(psi, config)
     if name == "evolve":
         return lambda: evolve(psi, config.nu, config.T, config.L)

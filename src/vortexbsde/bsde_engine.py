@@ -54,7 +54,6 @@ from .torus_field import (
     _cell,
     _gradient_modes,
     _heat_factor,
-    _ksq,
     _nyquist_mask,
     _phase_grid,
     _validate_grid_size,
@@ -370,9 +369,11 @@ def _on_cell(modes: np.ndarray, cell) -> np.ndarray:
 class _SubBlock:
     """Lattice synthesis of complex mode arrays supported on fixed row and
     column wavenumbers: two small matrix products in place of a dense
-    ``ifft2``.  The phases k*j are reduced mod N before the ``exp``, so
-    congruent wavenumbers (k and k - N) share a phase row and the products
-    add them, as sampling on the N lattice does.
+    ``ifft2``, one product where the block has a single column (a flow
+    constant along x2, such as psi = sin 2 pi x1).  The phases k*j are
+    reduced mod N before the ``exp``, so congruent wavenumbers (k and
+    k - N) share a phase row and the products add them, as sampling on the
+    N lattice does.
 
     Such a sum repeats on the lattice with period n_a = N / gcd(N, |k|) of
     the occupied wavenumbers along each axis, so only the (n1, n2) cell at
@@ -397,9 +398,17 @@ class _SubBlock:
         return self.e_rows.shape[0], self.e_cols.shape[1]
 
     def synthesise(self, z: np.ndarray) -> np.ndarray:
-        """Cell values (B, n1, n2) of the sub-block modes z, shape (B, R*C)."""
+        """Cell values (B, n1, n2) of the sub-block modes z, shape (B, R*C).
+
+        A single column at wavenumber 0 makes the cell one column wide, so
+        its phase table is exp(0) = [[1]]: the block's values are then the
+        row product alone, over all of z at once.  The weighted step's
+        one-column blocks are such blocks: |u|^2's mean mode is always
+        active, so its only column is 0."""
         bc = z.shape[0]
         (n1, r), (c, n2) = self.e_rows.shape, self.e_cols.shape
+        if (c, n2) == (1, 1):
+            return (z @ self.e_rows.T).reshape(bc, n1, 1)
         g = np.matmul(self.e_rows, z.reshape(bc, r, c))  # (B, n1, C)
         return (g.reshape(bc * n1, c) @ self.e_cols).reshape(bc, n1, n2)
 
@@ -789,24 +798,21 @@ def y_alpha_sup(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     return np.max(_alpha_weights(alpha, dt, sups.shape[-1]) * sups, axis=-1)
 
 
-def grad_norm_sq_profile(stack: np.ndarray) -> np.ndarray:
-    """||grad omega(tau_m)||_{L^2}^2 for every node, computed spectrally."""
-    return np.sum(4.0 * np.pi**2 * _ksq(stack.shape[-1]) * np.abs(stack) ** 2, axis=(-2, -1))
-
-
 def _prefix_quadrature(integrand: np.ndarray, dt: float) -> np.ndarray:
-    """Prefix integrals by end-corrected trapezoid (Euler-Maclaurin).
+    """Prefix integrals by end-corrected trapezoid (Euler-Maclaurin), along
+    the last axis.
 
     The -(dt/12)*(g'(end) - g'(0)) correction with finite-difference slopes
     removes the O(dt^2) bias that would otherwise dominate closed-form
     comparisons of smooth decaying profiles.
     """
-    trap = 0.5 * (integrand[1:] + integrand[:-1]) * dt
-    prefixes = np.concatenate([[0.0], np.cumsum(trap)])
-    if integrand.shape[0] >= 3:
-        slopes = np.diff(integrand) / dt
-        corr = -(dt**2 / 12.0) * (slopes - slopes[0])
-        prefixes[2:] += corr[1:]
+    trap = 0.5 * (integrand[..., 1:] + integrand[..., :-1]) * dt
+    prefixes = np.zeros(integrand.shape)
+    np.cumsum(trap, axis=-1, out=prefixes[..., 1:])
+    if integrand.shape[-1] >= 3:
+        slopes = np.diff(integrand, axis=-1) / dt
+        corr = -(dt**2 / 12.0) * (slopes - slopes[..., :1])
+        prefixes[..., 2:] += corr[..., 1:]
     return prefixes
 
 
@@ -816,16 +822,33 @@ def z_alpha_bmo_sq(stack: np.ndarray, alpha: float, dt: float) -> float:
 
     Windows [t, T] map to tau-prefixes [0, T - t]; with non-negative
     integrands the maximum is the full integral, but every window is
-    formed so the proxy matches its definition literally.
+    formed so the proxy matches its definition literally.  ``stack`` is an
+    (L+1, N, N) mode stack; ``_bmo_sq`` is the rule.
     """
-    weighted = _alpha_weights(2.0 * alpha, dt, stack.shape[0]) * grad_norm_sq_profile(stack)
-    return float(np.max(_prefix_quadrature(weighted, dt)))
+    return float(_bmo_sq(stack, stack.shape[-1], alpha, dt))
+
+
+def _bmo_sq(stacks: np.ndarray, n: int, alpha: float, dt: float) -> np.ndarray:
+    """``z_alpha_bmo_sq`` of each (L+1, n1, n2) stack of (..., L+1, n1, n2)
+    mode arrays on a lattice cell of the (n, n) grid, the (n, n) layout
+    being the cell (n, n).  Cell mode p carries the wavenumber
+    wavenumbers(n_a)[p] * n / n_a, as in ``lattice_sups``, so ||grad
+    omega||^2 is summed over the cell alone, spectrally."""
+    k1, k2 = (wavenumbers(c).astype(np.float64) * (n // c) for c in stacks.shape[-2:])
+    grad_sq = np.abs(stacks)
+    grad_sq *= grad_sq
+    grad_sq *= 4.0 * np.pi**2 * (k1[:, None] ** 2 + k2[None, :] ** 2)
+    weighted = _alpha_weights(2.0 * alpha, dt, stacks.shape[-3]) * grad_sq.sum(axis=(-2, -1))
+    return np.max(_prefix_quadrature(weighted, dt), axis=-1)
 
 
 def _group_bmo_sq(group_modes: np.ndarray, n: int, alpha: float, dt: float) -> np.ndarray:
     """z_alpha_bmo_sq of each (L+1, n1, n2) group stack, summed over the
     (n, n) layout: the groups agree to about 5 digits, so a sum over the
-    cell would move their spread beyond roundoff."""
+    cell moves their spread beyond roundoff (taken on the cell,
+    ``scripts/parity.py`` read ``norms.z_bmo_sq_se`` 6.3e-11 off at
+    ``even_modes.seed7``, 5 entries failing).  The Picard deltas' groups
+    are summed on their cell (``_bmo_sq``)."""
     return np.array([z_alpha_bmo_sq(_on_cell(g, (n, n)), alpha, dt) for g in group_modes])
 
 
@@ -910,7 +933,7 @@ def picard_solve(psi: ScalarField, config: SolverConfig) -> BsdeSolution:
         delta_group = _on_cell(stats.group_modes, cell) - _on_cell(prev_group_modes, cell)
         delta_vals = modes_to_grid(delta_group)
         group_norms = y_alpha_sup(delta_vals, alpha, dt) + np.sqrt(
-            _group_bmo_sq(delta_group, config.N, alpha, dt)
+            _bmo_sq(delta_group, config.N, alpha, dt)
         )
         # Noise floor of the difference estimator itself: with common random
         # numbers the delta fields carry far less noise than the iterates,

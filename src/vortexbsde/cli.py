@@ -8,6 +8,8 @@ up under ``$VORTEXBSDE_CONFIG_DIR``.
 Every run writes ``manifest.json`` into its output directory -- also on
 error paths -- listing the config echo, a content hash of the inputs,
 per-phase wall-clock timings, and every emitted file with its checksum.
+An output path blocked by a file or a directory is a configuration error;
+if ``manifest.json`` itself is blocked, only the error line is written.
 Given the same config, all data outputs are bit-identical across reruns.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
@@ -385,15 +387,21 @@ def main(argv=None) -> int:
             _config_echo(parsed),
             _content_hash(text, [f for f in extra if Path(f).is_file()]),
         )
-        runner(parsed, manifest)
-        manifest.finish("success")
+        try:
+            runner(parsed, manifest)
+            manifest.finish("success")
+        except OSError as exc:  # an output path blocked, e.g. by a file or a directory
+            raise ConfigurationError(f"cannot write outputs in {outdir}: {exc}") from exc
         return 0
     except VortexError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NonConvergenceError) and exc.history:
             error["history"] = list(exc.history)
         if manifest is not None:
-            manifest.finish("error", error)
+            try:
+                manifest.finish("error", error)
+            except OSError:  # manifest.json is blocked too: the error line still goes out
+                pass
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
 

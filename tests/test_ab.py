@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-OPS = ("weighted", "drifted", "drifted_wide", "picard", "evolve", "residual", "tiny")
+OPS = (
+    "weighted", "drifted", "drifted_wide", "picard", "single_mode", "evolve", "residual", "tiny"
+)
 
 
 def _ab():
@@ -46,6 +48,14 @@ def test_op_list_is_documented():
     assert ab.OPS == OPS
     for op in OPS:
         assert f"* ``{op}``:" in ab.__doc__
+
+
+def test_single_mode_op_is_the_study_solve():
+    solution = _ab().build_op("single_mode")()
+    cfg = solution.config
+    assert (cfg.N, cfg.L, cfg.M_inner, cfg.nu, cfg.T) == (32, 16, 1000, 0.1, 0.5)
+    assert np.count_nonzero(solution.psi.modes) == 2 and solution.psi.modes[1, 0] == -0.5j
+    assert len(solution.history) >= 1
 
 
 def test_oracle_ops_run():

@@ -15,6 +15,7 @@ from vortexbsde.bsde_engine import (
     _WEIGHTED_BLOCK,
     _bilinear,
     _bilinear_tables,
+    _bmo_sq,
     _cell,
     _drifted_chunks,
     _drifted_estimator,
@@ -425,6 +426,7 @@ WEIGHTED_CASES = [
     "full_support",
     "zero_drift",
     "single_mode",
+    "single_mode_x2",
     "even_modes",
     "nyquist_fold",
     "noise_lifted",
@@ -449,7 +451,9 @@ def weighted_case(case, n=16):
     elif case == "zero_drift":
         return iterate_with_zero_interior(psi, cfg), cfg, cell
     elif case == "single_mode":
-        psi, cell = sin1(n), (n, 1)  # constant along x2
+        psi, cell = sin1(n), (n, 1)  # constant along x2: a one-column block
+    elif case == "single_mode_x2":
+        psi, cell = field_from_mode_list(n, [(0, 1, -0.5j)]), (1, n)  # a one-row block
     elif case == "even_modes":
         psi = field_from_mode_list(n, [(2, 0, -0.5j), (0, 2, 0.5)])
         cell = (n // 2, n // 2)
@@ -569,6 +573,40 @@ class TestHotLoopKernels:
             ref = np.fft.ifft2(folded) * n**2
             got = np.tile(block.synthesise(z), (1, f1, f2))
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [([0], [0, 1, -1, 3, -3]), ([-16], [0, 2, -2]), ([0, 2, -2, 4, -4], [0]),
+         ([0, 1, -1], [0, 2, -2])],
+        ids=["one_row", "one_row_at_minus_n", "one_column", "full"],
+    )
+    def test_sub_block_synthesis_matches_per_branch_products(self, rows, cols):
+        n, bc = 16, 7
+        block = _SubBlock.build(np.array(rows), np.array(cols), n)
+        r, c = len(rows), len(cols)
+        rng = np.random.default_rng(r * c)
+        # a strided (B, R*C) slice, as the control's mean passes one psi mode's pairs
+        wide = rng.standard_normal((bc, 3, r * c)) + 1j * rng.standard_normal((bc, 3, r * c))
+        z = wide[:, 1]
+        got = block.synthesise(z)
+        ref = np.stack([block.e_rows @ zb.reshape(r, c) @ block.e_cols for zb in z])
+        assert got.shape == (bc,) + block.cell
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "n, cell",
+        [(16, (16, 16)), (16, (16, 8)), (16, (16, 1)), (16, (1, 16)), (12, (12, 4)),
+         (24, (24, 8))],
+        ids=["NxN", "NxN/2", "Nx1", "1xN", "12x4_on_12", "24x8_on_24"],
+    )
+    def test_cell_bmo_matches_bmo_on_the_lattice(self, n, cell):
+        rng = np.random.default_rng(n + cell[1])
+        shape = (3, 9) + cell
+        deltas = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _bmo_sq(deltas, n, 0.7, 0.05)
+        ref = [z_alpha_bmo_sq(_on_cell(d, (n, n)), 0.7, 0.05) for d in deltas]
+        assert got.shape == (3,)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize(
         "n, cell",
@@ -1003,9 +1041,11 @@ class TestWeightedNorms:
         plain_sup = float(np.max(np.abs(modes_to_grid(stack))))
         assert y_alpha_sup(modes_to_grid(stack), 0.0, 0.05) == pytest.approx(plain_sup, rel=1e-12)
         # alpha = 0 BMO equals the unweighted max-window gradient integral
-        from vortexbsde.bsde_engine import grad_norm_sq_profile, _prefix_quadrature
+        from vortexbsde.bsde_engine import _prefix_quadrature
 
-        manual = float(np.max(_prefix_quadrature(grad_norm_sq_profile(stack), 0.05)))
+        k = wavenumbers(16)
+        grad_sq = 4.0 * np.pi**2 * (k[:, None] ** 2 + k[None, :] ** 2) * np.abs(stack) ** 2
+        manual = float(np.max(_prefix_quadrature(grad_sq.sum(axis=(1, 2)), 0.05)))
         assert z_alpha_bmo_sq(stack, 0.0, 0.05) == pytest.approx(manual, rel=1e-12)
 
     def test_weighting_discounts_late_tau(self):

@@ -231,6 +231,41 @@ class TestSolveCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "command, blocked",
+        [("solve", "solution"), ("oracle", "trajectory.vbst")],
+        ids=["solve_bundle_is_a_file", "oracle_trajectory_is_a_directory"],
+    )
+    def test_blocked_output_exit_code_and_manifest(self, tmp_path, capsys, command, blocked):
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "solve":
+            write_cfg(out / blocked, "")
+            text = SOLVE_CFG.format(out=out)
+        else:
+            (out / blocked).mkdir()
+            text = ORACLE_CFG.format(out=out).replace("L = 64", "L = 16")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        assert cli.main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs in {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"]["type"] == "ConfigurationError"
+
+    def test_blocked_manifest_still_exits_2(self, tmp_path, capsys):
+        # manifest.json a directory: neither the success nor the error
+        # manifest can be written, and the run still ends in one error line
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        cfg = write_cfg(tmp_path / "o.cfg", ORACLE_CFG.format(out=out).replace("L = 64", "L = 16"))
+        assert cli.main(["oracle", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs in {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert (out / "manifest.json").is_dir()
+
+    @pytest.mark.parametrize(
         "modes, message, error",
         [(";", "empty mode list", None), ("0 0 1 0", "k=0 mode", "DomainError")],
         ids=["no_entry", "mean_mode"],

@@ -7,6 +7,7 @@ from vortexbsde.errors import ConfigurationError, DomainError
 from vortexbsde.torus_field import (
     ScalarField,
     _gradient_symbols,
+    _hermitian_conjugate,
     _ksq,
     _nyquist_mask,
     embed_modes,
@@ -168,6 +169,19 @@ class TestWavenumbers:
         if size % 24 == 0:
             fine = modes_to_grid(big)[:: size // 24, :: size // 24]
             assert np.max(np.abs(fine - modes_to_grid(modes))) < 1e-13
+
+
+class TestHermitianConjugate:
+    @pytest.mark.parametrize("n", [4, 6, 12, 32])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)], ids=["none", "3", "2x5"])
+    def test_matches_the_entrywise_definition(self, n, lead):
+        rng = np.random.default_rng(n)
+        modes = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+        ref = np.empty_like(modes)
+        for i in range(n):
+            for j in range(n):
+                ref[..., i, j] = np.conj(modes[..., -i % n, -j % n])
+        assert np.array_equal(_hermitian_conjugate(modes), ref)
 
 
 class TestEmbedModes:
